@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .binomials import binom_real, binomial
@@ -159,8 +158,7 @@ def flag_r(m: int, k: int) -> int:
     return cascade_decompose(m, k).terms[0][0]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All bounds on the count of p-vertex faces given m faces on k vertices."""
 
     m: int

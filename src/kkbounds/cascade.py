@@ -1,4 +1,10 @@
-"""Binomial cascade representations and the exact shadow bounds they induce."""
+"""Binomial cascade representations and the exact shadow bounds they induce.
+
+The greedy, the index search, the term checks and the shadow sum here also
+serve the colored cascades of colored.py.  A plain cascade is a colored one
+whose color budget c exceeds every index, because T(n, j)_c = C(n, j) when
+c > n; throughout, a budget of None stands for that unbounded c.
+"""
 
 from __future__ import annotations
 
@@ -7,41 +13,109 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .binomials import binomial
+from .binomials import binomial, turan_coefficient
 
 
-def _max_index(m: int, k: int) -> int:
-    """Largest n with C(n, k) <= m, for m >= 1 (hence n >= k).
+def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
+    """Largest n with T(n, j)_c <= m, and T(n, j)_c itself; C(n, j) when c is None.
 
-    A float solve of (n - 0.5k + 0.5)^k / k! = m seeds the search; galloping
-    plus binary search on exact integer comparisons makes the answer
-    independent of the seed's accuracy.
+    Needs m >= 1 and j <= c, so n >= j.  The float seed solves
+    (n - (j-1)/2)^j / j! = m, or C(c, j) (n/c)^j = m under a budget c.  By the
+    AM-GM and Maclaurin inequalities it never exceeds the answer in exact
+    arithmetic, and taking a relative 1e-12 off covers rounding.  Galloping up
+    from it, then bisecting on exact integer comparisons, makes the answer
+    independent of the seed: one that overshoots anyway costs a bisection from
+    j, and one beyond float range is replaced by the exact start j.
     """
-    guess = int(math.exp((math.lgamma(k + 1) + math.log(m)) / k) + 0.5 * (k - 1))
-    n = max(k, guess)
-    if binomial(n, k) <= m:
-        lo, step = n, 1
-        while binomial(lo + step, k) <= m:
-            lo += step
-            step *= 2
-        hi = lo + step
-    else:
-        hi, step = n, 1
-        while n - step > k and binomial(n - step, k) > m:
-            hi = n - step
-            step *= 2
-        lo = max(k, n - step)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if binomial(mid, k) <= m:
-            lo = mid
+    try:
+        if c is None:
+            seed = math.exp((math.lgamma(j + 1) + math.log(m)) / j) + 0.5 * (j - 1)
         else:
-            hi = mid
-    return lo
+            log_ways = math.lgamma(c + 1) - math.lgamma(j + 1) - math.lgamma(c - j + 1)
+            seed = c * math.exp((math.log(m) - log_ways) / j)
+        lo = max(j, int(seed) - int(seed * 1e-12))
+    except OverflowError:
+        lo = j
+    value = binomial(lo, j) if c is None else turan_coefficient(lo, j, c)
+    hi, step = None, 1
+    if value > m:
+        lo, value, hi = j, 1, lo  # T(j, j)_c = 1 <= m
+    while hi is None or hi - lo > 1:
+        probe = lo + step if hi is None else (lo + hi) // 2
+        at = binomial(probe, j) if c is None else turan_coefficient(probe, j, c)
+        if at <= m:
+            lo, value, step = probe, at, 2 * step
+        else:
+            hi = probe
+    return lo, value
+
+
+def _greedy(m: int, k: int, r: int | None) -> tuple[tuple[int, ...], ...]:
+    """Peel off the largest term at each level: (n, j) pairs, or (n, j, c) with budget r."""
+    terms = []
+    rem, j = m, k
+    while rem > 0:
+        c = None if r is None else j + (r - k)
+        n, value = _max_index(rem, j, c)
+        terms.append((n, j) if c is None else (n, j, c))
+        rem -= value
+        j -= 1
+    return tuple(terms)
+
+
+def _shadow_sum(rep, p: int) -> int:
+    """Each term C(n, j)_c of rep pushed down to level p, summed (p = k evaluates rep).
+
+    The lower index becomes i = j - (k - p) and a colored term's budget
+    i + (r - p); terms whose lower index drops below zero vanish.
+    """
+    r = getattr(rep, "r", None)
+    drop = rep.k - p
+    total = 0
+    for term in rep.terms:
+        i = term[1] - drop
+        total += binomial(term[0], i) if r is None else turan_coefficient(term[0], i, i + r - p)
+    return total
+
+
+class _Cascade:
+    """Term checks and rendering shared by CascadeRep and ColoredCascadeRep."""
+
+    def __post_init__(self) -> None:
+        k, r = self.k, getattr(self, "r", None)
+        if r is None:
+            terms = tuple([(int(n), int(j)) for n, j in self.terms])
+        else:
+            terms = tuple([(int(n), int(j), int(c)) for n, j, c in self.terms])
+        object.__setattr__(self, "terms", terms)
+        if k < 1 or (r is not None and r < k):
+            raise ValueError(f"need r >= k >= 1, got k={k}, r={r}")
+        if not terms:
+            raise ValueError("cascade needs at least one term")
+        if terms[-1][1] < 1:
+            raise ValueError("lower indices must stay positive")
+        previous = None
+        for pos, term in enumerate(terms):
+            n, j = term[0], term[1]
+            if j != k - pos or (r is not None and term[2] != r - pos):
+                raise ValueError("indices and color budgets must step down by one")
+            if n < j:
+                raise ValueError(f"term {term} has n < j")
+            # The gap condition n - floor(n/c) > n'; strict decrease when c is None.
+            if previous is not None:
+                gap = 0 if r is None else previous // (r - pos + 1)
+                if previous - gap <= n:
+                    raise ValueError(f"gap condition fails: {previous} - {gap} <= {n}")
+            previous = n
+
+    def __str__(self) -> str:
+        return "+".join(
+            f"C({term[0]},{term[1]})" + "".join(f"_{c}" for c in term[2:]) for term in self.terms
+        )
 
 
 @dataclass(frozen=True)
-class CascadeRep:
+class CascadeRep(_Cascade):
     """The unique representation m = C(n_k, k) + C(n_{k-1}, k-1) + ...
 
     terms holds (n_j, j) pairs with j descending one at a time from k and the
@@ -51,28 +125,6 @@ class CascadeRep:
     k: int
     terms: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "terms", tuple((int(n), int(j)) for n, j in self.terms)
-        )
-        if self.k < 1:
-            raise ValueError(f"level k must be >= 1, got {self.k}")
-        if not self.terms:
-            raise ValueError("cascade needs at least one term")
-        for pos, (n, j) in enumerate(self.terms):
-            if j != self.k - pos:
-                raise ValueError("lower indices must step down from k by one")
-            if n < j:
-                raise ValueError(f"term C({n},{j}) has n < j")
-        if self.terms[-1][1] < 1:
-            raise ValueError("lower indices must stay positive")
-        uppers = [n for n, _ in self.terms]
-        if any(a <= b for a, b in zip(uppers, uppers[1:])):
-            raise ValueError("upper indices must strictly decrease")
-
-    def __str__(self) -> str:
-        return "+".join(f"C({n},{j})" for n, j in self.terms)
-
 
 @lru_cache(maxsize=None)
 def cascade_decompose(m: int, k: int) -> CascadeRep:
@@ -81,19 +133,12 @@ def cascade_decompose(m: int, k: int) -> CascadeRep:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    terms = []
-    rem, j = m, k
-    while rem > 0:
-        n = _max_index(rem, j)
-        terms.append((n, j))
-        rem -= binomial(n, j)
-        j -= 1
-    return CascadeRep(k, tuple(terms))
+    return CascadeRep(k, _greedy(m, k, None))
 
 
 def cascade_evaluate(rep: CascadeRep) -> int:
     """The integer a CascadeRep stands for (inverse of cascade_decompose)."""
-    return sum(binomial(n, j) for n, j in rep.terms)
+    return _shadow_sum(rep, rep.k)
 
 
 def shadow_bound(m: int, k: int, p: int) -> int:
@@ -106,8 +151,7 @@ def shadow_bound(m: int, k: int, p: int) -> int:
         raise ValueError(f"need 1 <= p < k, got p={p}, k={k}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    drop = k - p
-    return sum(binomial(n, j - drop) for n, j in cascade_decompose(m, k).terms)
+    return _shadow_sum(cascade_decompose(m, k), p)
 
 
 @dataclass(frozen=True)
@@ -140,13 +184,18 @@ class ValidationResult(NamedTuple):
     failing_k: int | None
 
 
+def _first_failure(f: FaceVector, bound) -> ValidationResult:
+    """Smallest k with f_{k-2} < bound(f_{k-1}, k, k-1), if any."""
+    for k in range(2, len(f.entries)):
+        if f.entries[k - 1] < bound(f.entries[k], k, k - 1):
+            return ValidationResult(False, k)
+    return ValidationResult(True, None)
+
+
 def validate_face_vector(f: FaceVector) -> ValidationResult:
     """Decide whether f is the face vector of some simplicial complex.
 
     Checks f_{k-2} >= shadow_bound(f_{k-1}, k, k-1) for every consecutive pair
     and reports the smallest failing k.
     """
-    for k in range(2, len(f.entries)):
-        if f.entries[k - 1] < shadow_bound(f.entries[k], k, k - 1):
-            return ValidationResult(False, k)
-    return ValidationResult(True, None)
+    return _first_failure(f, shadow_bound)

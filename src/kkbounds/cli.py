@@ -1,6 +1,7 @@
 """Command line: bound evaluation, cascade display, validation, sweeps, self-test.
 
-Exit codes: 0 success, 2 usage error, 3 validation failure, 4 self-test failure.
+Exit codes: 0 success, 2 usage error or a value out of arithmetic range,
+3 validation failure, 4 self-test failure.
 """
 
 from __future__ import annotations
@@ -8,22 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import attrgetter
 
-from .approx import best_r, bound_report, colorapprox_bound, flag_r, lovasz_bound, noreasy_bound, withoutr_bound
-from .cascade import (
-    FaceVector,
-    cascade_decompose,
-    cascade_evaluate,
-    shadow_bound,
-    validate_face_vector,
-)
+from .approx import BoundReport, bound_report
+from .cascade import FaceVector, cascade_decompose, cascade_evaluate, validate_face_vector
 from .colored import (
     colored_cascade_decompose,
     colored_cascade_evaluate,
     validate_colored_face_vector,
 )
 from .complexes import realize_face_vector, serialize
-from .selftest import geometric_grid, run_selftest
+from .selftest import _spaced_grid, geometric_grid, run_selftest
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,45 +61,13 @@ def sample_grid(m_start: int, m_end: int, samples, linear: bool = False) -> list
     samples = int(samples)
     if not linear:
         return geometric_grid(m_start, m_end, samples)
-    if m_start < 1 or m_end < m_start:
-        raise ValueError(f"need 1 <= m_start <= m_end, got {m_start}, {m_end}")
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    if samples > m_end - m_start + 1:
-        raise ValueError(
-            f"cannot place {samples} distinct integers in [{m_start}, {m_end}]"
-        )
-    out, prev = [], m_start - 1
-    for i in range(samples):
-        t = i / (samples - 1)
-        v = max(round(m_start + t * (m_end - m_start)), prev + 1)
-        v = min(v, m_end - (samples - 1 - i))
-        out.append(v)
-        prev = v
-    return out
+    return _spaced_grid(m_start, m_end, samples, lambda a, b, t: a + t * (b - a))
 
 
 def _cmd_bound(args) -> int:
     report = bound_report(args.m, args.k, args.p, args.r)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "m": report.m,
-                    "k": report.k,
-                    "p": report.p,
-                    "kk_exact": report.kk_exact,
-                    "lovasz_x": report.lovasz_x,
-                    "lovasz": report.lovasz,
-                    "withoutr": report.withoutr,
-                    "noreasy": report.noreasy,
-                    "withr_r": report.withr_r,
-                    "withr": report.withr,
-                    "flag_r": report.flag_r,
-                    "flag": report.flag,
-                }
-            )
-        )
+        print(json.dumps(report._asdict()))
         return EXIT_OK
     print(f"m         {report.m}")
     print(f"k, p      {report.k}, {report.p}")
@@ -147,31 +111,13 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(m: int, k: int, p: int, r_mode: str, fixed_r) -> dict:
-    row = {
-        "m": m,
-        "kk_exact": shadow_bound(m, k, p),
-        "lovasz": lovasz_bound(m, k, p),
-        "withoutr": withoutr_bound(m, k, p),
-        "noreasy": noreasy_bound(m, k, p),
-    }
+def _sweep_row(m: int, k: int, p: int, r_mode: str, fixed_r) -> BoundReport:
+    report = bound_report(m, k, p, fixed_r if r_mode == "fixed" else None)
+    if r_mode == "auto-flag":
+        return report._replace(withr_r=report.flag_r, withr=report.flag)
     if r_mode == "off":
-        row.update(withr_r=None, withr=None, flag_r=None, flag=None)
-        return row
-    fr = flag_r(m, k)
-    if r_mode == "auto-best":
-        wr = best_r(m, k)
-    elif r_mode == "auto-flag":
-        wr = fr
-    else:
-        wr = fixed_r
-    row.update(
-        withr_r=wr,
-        withr=colorapprox_bound(m, k, p, wr),
-        flag_r=fr,
-        flag=colorapprox_bound(m, k, p, fr),
-    )
-    return row
+        return report._replace(withr_r=None, withr=None, flag_r=None, flag=None)
+    return report
 
 
 def _cmd_sweep(args) -> int:
@@ -184,12 +130,13 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"need k <= r, got k={args.k}, r={args.r}")
     ms = sample_grid(args.m_start, args.m_end, args.samples, linear=args.linear)
     rows = [_sweep_row(m, args.k, args.p, args.r_mode, args.r) for m in ms]
+    columns = attrgetter(*SWEEP_COLUMNS)
     if args.format == "json":
-        print(json.dumps(rows))
+        print(json.dumps([dict(zip(SWEEP_COLUMNS, columns(row))) for row in rows]))
     else:
         print(",".join(SWEEP_COLUMNS))
         for row in rows:
-            print(",".join(_fmt(row[col]) for col in SWEEP_COLUMNS))
+            print(",".join(_fmt(value) for value in columns(row)))
     return EXIT_OK
 
 
@@ -265,7 +212,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,32 +1,19 @@
-"""Cascades and shadow bounds over Turán coefficients, for r-colorable complexes."""
+"""Cascades and shadow bounds over Turán coefficients, for r-colorable complexes.
+
+The greedy, term checks and shadow sum are cascade.py's, run with a color
+budget that starts at r and drops with the lower index.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .binomials import turan_coefficient
-from .cascade import FaceVector, ValidationResult
-
-
-def _max_turan_index(m: int, j: int, c: int) -> int:
-    """Largest n with T(n, j, c) <= m, for m >= 1 and 1 <= j <= c (so n >= j)."""
-    lo, step = j, 1
-    while turan_coefficient(lo + step, j, c) <= m:
-        lo += step
-        step *= 2
-    hi = lo + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if turan_coefficient(mid, j, c) <= m:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+from .cascade import FaceVector, ValidationResult, _Cascade, _first_failure, _greedy, _shadow_sum
 
 
 @dataclass(frozen=True)
-class ColoredCascadeRep:
+class ColoredCascadeRep(_Cascade):
     """m = T(n_k, k)_r + T(n_{k-1}, k-1)_{r-1} + ... with descending color budgets.
 
     terms holds (n, j, c) triples; consecutive terms satisfy the gap condition
@@ -37,30 +24,6 @@ class ColoredCascadeRep:
     r: int
     terms: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "terms", tuple((int(n), int(j), int(c)) for n, j, c in self.terms)
-        )
-        if self.k < 1 or self.r < self.k:
-            raise ValueError(f"need r >= k >= 1, got k={self.k}, r={self.r}")
-        if not self.terms:
-            raise ValueError("cascade needs at least one term")
-        for pos, (n, j, c) in enumerate(self.terms):
-            if j != self.k - pos or c != self.r - pos:
-                raise ValueError("indices and color budgets must step down by one")
-            if n < j:
-                raise ValueError(f"term T({n},{j})_{c} has n < j")
-        if self.terms[-1][1] < 1:
-            raise ValueError("lower indices must stay positive")
-        for (n, _, c), (n_next, _, _) in zip(self.terms, self.terms[1:]):
-            if n - n // c <= n_next:
-                raise ValueError(
-                    f"gap condition fails: {n} - {n // c} <= {n_next}"
-                )
-
-    def __str__(self) -> str:
-        return "+".join(f"C({n},{j})_{c}" for n, j, c in self.terms)
-
 
 @lru_cache(maxsize=None)
 def colored_cascade_decompose(m: int, k: int, r: int) -> ColoredCascadeRep:
@@ -69,20 +32,12 @@ def colored_cascade_decompose(m: int, k: int, r: int) -> ColoredCascadeRep:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1 or r < k:
         raise ValueError(f"need r >= k >= 1, got k={k}, r={r}")
-    terms = []
-    rem, j, c = m, k, r
-    while rem > 0:
-        n = _max_turan_index(rem, j, c)
-        terms.append((n, j, c))
-        rem -= turan_coefficient(n, j, c)
-        j -= 1
-        c -= 1
-    return ColoredCascadeRep(k, r, tuple(terms))
+    return ColoredCascadeRep(k, r, _greedy(m, k, r))
 
 
 def colored_cascade_evaluate(rep: ColoredCascadeRep) -> int:
     """The integer a ColoredCascadeRep stands for."""
-    return sum(turan_coefficient(n, j, c) for n, j, c in rep.terms)
+    return _shadow_sum(rep, rep.k)
 
 
 def colored_shadow_bound(m: int, k: int, p: int, r: int) -> int:
@@ -98,11 +53,7 @@ def colored_shadow_bound(m: int, k: int, p: int, r: int) -> int:
         raise ValueError(f"need k <= r, got k={k}, r={r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    drop = k - p
-    return sum(
-        turan_coefficient(n, j - drop, c)
-        for n, j, c in colored_cascade_decompose(m, k, r).terms
-    )
+    return _shadow_sum(colored_cascade_decompose(m, k, r), p)
 
 
 def validate_colored_face_vector(f: FaceVector, r: int) -> ValidationResult:
@@ -116,7 +67,4 @@ def validate_colored_face_vector(f: FaceVector, r: int) -> ValidationResult:
         raise ValueError(f"r must be >= 1, got {r}")
     if len(f.entries) - 1 > r:
         return ValidationResult(False, r + 1)
-    for k in range(2, len(f.entries)):
-        if f.entries[k - 1] < colored_shadow_bound(f.entries[k], k, k - 1, r):
-            return ValidationResult(False, k)
-    return ValidationResult(True, None)
+    return _first_failure(f, lambda m, k, p: colored_shadow_bound(m, k, p, r))

@@ -317,8 +317,12 @@ def _suite_fuzz_soundness(scale: str) -> tuple[int, list[str]]:
     return checks, failures
 
 
-def geometric_grid(m_start: int, m_end: int, samples: int) -> list[int]:
-    """samples strictly increasing integers from m_start to m_end, equal ratios."""
+def _spaced_grid(m_start: int, m_end: int, samples: int, target) -> list[int]:
+    """samples strictly increasing integers from m_start to m_end.
+
+    The i-th is the integer nearest target(m_start, m_end, i / (samples - 1)),
+    moved just far enough to keep the values distinct and inside the range.
+    """
     if m_start < 1 or m_end < m_start:
         raise ValueError(f"need 1 <= m_start <= m_end, got {m_start}, {m_end}")
     if samples < 2:
@@ -327,17 +331,24 @@ def geometric_grid(m_start: int, m_end: int, samples: int) -> list[int]:
         raise ValueError(
             f"cannot place {samples} distinct integers in [{m_start}, {m_end}]"
         )
-    log_start, log_end = math.log(m_start), math.log(m_end)
     out: list[int] = []
     prev = m_start - 1
     for i in range(samples):
-        t = i / (samples - 1)
-        target = math.exp(log_start + t * (log_end - log_start))
-        v = max(round(target), prev + 1)
+        v = max(round(target(m_start, m_end, i / (samples - 1))), prev + 1)
         v = min(v, m_end - (samples - 1 - i))
         out.append(v)
         prev = v
     return out
+
+
+def geometric_grid(m_start: int, m_end: int, samples: int) -> list[int]:
+    """samples strictly increasing integers from m_start to m_end, equal ratios."""
+    return _spaced_grid(
+        m_start,
+        m_end,
+        samples,
+        lambda a, b, t: math.exp(math.log(a) + t * (math.log(b) - math.log(a))),
+    )
 
 
 SUITES = (
