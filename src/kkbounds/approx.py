@@ -6,7 +6,7 @@ import math
 from typing import NamedTuple
 
 from .binomials import binom_real, binomial
-from .cascade import FaceVector, cascade_decompose, shadow_bound
+from .cascade import FaceVector, _max_index, _shadow_sum, cascade_decompose
 
 
 def _pow_frac(m: int, num: int, den: int) -> float:
@@ -28,38 +28,69 @@ def _ratio_pow(num: int, den: int, p: int, k: int) -> float:
         return math.exp((math.log(num) - math.log(den)) * (p / k))
 
 
+def _lovasz_root(m: int, k: int, n: int) -> float:
+    """lovasz_x(m, k) given the leading cascade index n, so C(n, k) <= m < C(n+1, k)."""
+    c = binomial(n, k)
+    if c == m:
+        return float(n)
+    target = float(m)
+    tol = target * k * 2e-16
+    a, b = float(n), float(n + 1)
+    # Regula falsi through the exact endpoints, C(n+1, k) - C(n, k) = C(n, k) k / (n-k+1).
+    x = n + (m - c) * (n - k + 1) / (c * k)
+    while True:
+        try:
+            fx = binom_real(x, k)
+        except OverflowError:
+            fx = math.inf
+        if abs(fx - target) <= tol:
+            break
+        if fx < target:
+            a = x
+        else:
+            b = x
+        # Newton step, f/f' = 1 / sum 1/(x-i); an overflow makes it nan and so a bisection.
+        x_new = x - (fx - target) / (fx * sum(1.0 / (x - i) for i in range(k)))
+        if not a < x_new < b:
+            x_new = 0.5 * (a + b)
+            if not a < x_new < b:
+                break
+        x = x_new
+    lo = hi = x
+    f_lo = f_hi = fx
+    while f_lo >= target:
+        hi, f_hi = lo, f_lo
+        lo = math.nextafter(lo, -math.inf)
+        f_lo = binom_real(lo, k)
+    while f_hi < target:
+        lo, f_lo = hi, f_hi
+        hi = math.nextafter(hi, math.inf)
+        f_hi = binom_real(hi, k)
+    return lo if abs(f_lo - target) <= abs(f_hi - target) else hi
+
+
 def lovasz_x(m: int, k: int) -> float:
     """The unique x > k-1 with binom_real(x, k) = m, to float precision.
 
-    Bisection on a bracket derived from (x-k+1)^k / k! <= binom_real(x, k);
-    when m is exactly C(n, k) for an integer n the exact n is returned, which
-    keeps integer coincidences exact and the output deterministic.
+    The root lies in [n, n+1] for the leading cascade index n, as
+    C(n, k) <= m < C(n+1, k), and when m = C(n, k) exactly the exact n is
+    returned, which keeps integer coincidences exact.  Otherwise a regula
+    falsi step through the two exact endpoints starts Newton steps that are
+    kept inside a bracket shrunk by every evaluation, falling back to
+    bisection when a step leaves it.  They stop once
+    |binom_real(x, k) - m| <= m * k * 2e-16, or when the bracket holds no
+    float strictly inside.  From there the result walks ulp by ulp to the two
+    adjacent floats lo < hi with binom_real(lo, k) < m <= binom_real(hi, k)
+    (in float arithmetic, so possibly just outside [n, n+1]) and returns the
+    one with the smaller residual, lo on a tie.  That is the final rule of a
+    bisection run to the last bit, and it takes about 5 evaluations of
+    binom_real where such a bisection takes 55.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = cascade_decompose(m, k).terms[0][0]
-    if binomial(n, k) == m:
-        return float(n)
-    target = float(m)
-    lo = float(k - 1)
-    hi = k - 1 + _pow_frac(math.factorial(k) * m, 1, k) + k
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        try:
-            below = binom_real(mid, k) < target
-        except OverflowError:
-            below = False
-        if below:
-            lo = mid
-        else:
-            hi = mid
-    if abs(binom_real(lo, k) - target) <= abs(binom_real(hi, k) - target):
-        return lo
-    return hi
+    return _lovasz_root(m, k, _max_index(m, k, None)[0])
 
 
 def lovasz_bound(m: int, k: int, p: int) -> float:
@@ -137,7 +168,12 @@ def best_r(m: int, k: int) -> int:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    r = max(k, cascade_decompose(m, k).terms[0][0])
+    return _best_r(m, k, _max_index(m, k, None)[0])
+
+
+def _best_r(m: int, k: int, n: int) -> int:
+    """best_r(m, k) given the leading cascade index n."""
+    r = max(k, n)
     while r > k and m <= binomial(r - 1, k) + binomial(r - 2, k - 1):
         r -= 1
     while m > binomial(r, k) + binomial(r - 1, k - 1):
@@ -155,7 +191,7 @@ def flag_r(m: int, k: int) -> int:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return cascade_decompose(m, k).terms[0][0]
+    return _max_index(m, k, None)[0]
 
 
 class BoundReport(NamedTuple):
@@ -179,7 +215,9 @@ def bound_report(m: int, k: int, p: int, r: int | None = None) -> BoundReport:
     """Evaluate every bound at one (m, k, p).
 
     The colored bound uses the given r when supplied (which must be >= k),
-    otherwise best_r(m, k); the flag bound always uses flag_r(m, k).
+    otherwise best_r(m, k); the flag bound always uses flag_r(m, k).  One
+    cascade of m gives kk_exact, and its leading index n is flag_r, the start
+    of the best_r search and the bracket of the Lovasz root.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -187,20 +225,21 @@ def bound_report(m: int, k: int, p: int, r: int | None = None) -> BoundReport:
         raise ValueError(f"need 1 <= p < k, got p={p}, k={k}")
     if r is not None and r < k:
         raise ValueError(f"need k <= r, got k={k}, r={r}")
-    x = lovasz_x(m, k)
-    withr_r = r if r is not None else best_r(m, k)
-    fr = flag_r(m, k)
+    rep = cascade_decompose(m, k)
+    n = rep.terms[0][0]
+    x = _lovasz_root(m, k, n)
+    withr_r = r if r is not None else _best_r(m, k, n)
     return BoundReport(
         m=m,
         k=k,
         p=p,
-        kk_exact=shadow_bound(m, k, p),
+        kk_exact=_shadow_sum(rep, p),
         lovasz_x=x,
         lovasz=binom_real(x, p),
         withoutr=withoutr_bound(m, k, p),
         noreasy=noreasy_bound(m, k, p),
         withr_r=withr_r,
         withr=colorapprox_bound(m, k, p, withr_r),
-        flag_r=fr,
-        flag=colorapprox_bound(m, k, p, fr),
+        flag_r=n,
+        flag=colorapprox_bound(m, k, p, n),
     )

@@ -4,13 +4,16 @@ The greedy, the index search, the term checks and the shadow sum here also
 serve the colored cascades of colored.py.  A plain cascade is a colored one
 whose color budget c exceeds every index, because T(n, j)_c = C(n, j) when
 c > n; throughout, a budget of None stands for that unbounded c.
+
+Cascades are not cached: each call runs the greedy again, so memory stays
+flat over long sweeps, and callers that need several numbers from one
+cascade (approx.bound_report) build it once and derive them from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .binomials import binomial, turan_coefficient
@@ -126,7 +129,6 @@ class CascadeRep(_Cascade):
     terms: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=None)
 def cascade_decompose(m: int, k: int) -> CascadeRep:
     """Greedy cascade of m at level k: peel off the largest C(n_j, j) each step."""
     if m < 1:

@@ -19,7 +19,8 @@ from .colored import (
     validate_colored_face_vector,
 )
 from .complexes import realize_face_vector, serialize
-from .selftest import _spaced_grid, geometric_grid, run_selftest
+from .grid import geometric_grid, linear_grid
+from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,10 +59,7 @@ def sample_grid(m_start: int, m_end: int, samples, linear: bool = False) -> list
         if m_start < 1 or m_end < m_start:
             raise ValueError(f"need 1 <= m_start <= m_end, got {m_start}, {m_end}")
         return list(range(m_start, m_end + 1))
-    samples = int(samples)
-    if not linear:
-        return geometric_grid(m_start, m_end, samples)
-    return _spaced_grid(m_start, m_end, samples, lambda a, b, t: a + t * (b - a))
+    return (linear_grid if linear else geometric_grid)(m_start, m_end, int(samples))
 
 
 def _cmd_bound(args) -> int:

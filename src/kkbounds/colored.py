@@ -7,7 +7,6 @@ budget that starts at r and drops with the lower index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cascade import FaceVector, ValidationResult, _Cascade, _first_failure, _greedy, _shadow_sum
 
@@ -25,7 +24,6 @@ class ColoredCascadeRep(_Cascade):
     terms: tuple[tuple[int, int, int], ...]
 
 
-@lru_cache(maxsize=None)
 def colored_cascade_decompose(m: int, k: int, r: int) -> ColoredCascadeRep:
     """Greedy cascade of m over Turán coefficients, decrementing k and r together."""
     if m < 1:

@@ -13,6 +13,7 @@ import random
 from itertools import combinations
 
 from . import approx, binomials, cascade, colored, complexes
+from .grid import geometric_grid
 
 MAX_REPORTED = 3
 ORDERING_SLACK = 1e-9
@@ -200,21 +201,32 @@ def _suite_colored_roundtrip(scale: str) -> tuple[int, list[str]]:
     return checks, failures
 
 
+def revlex_face_counts(m_max: int, k: int):
+    """Yield (m, counts) for m = 1..m_max along the rev-lex k-sets.
+
+    counts[p] is the number of p-vertex faces of the complex generated by the
+    first m k-sets in rev-lex order.  It is one list, updated in place as each
+    facet's faces are closed in.
+    """
+    seen: set[tuple[int, ...]] = set()
+    counts = [0] * (k + 1)
+    for m, kset in enumerate(complexes.revlex_ksets(m_max, k), start=1):
+        facet = tuple(sorted(kset))
+        for size in range(1, k + 1):
+            for sub in combinations(facet, size):
+                if sub not in seen:
+                    seen.add(sub)
+                    counts[size] += 1
+        yield m, counts
+
+
 def _suite_revlex_sharpness(scale: str) -> tuple[int, list[str]]:
     """shadow_bound equals the face counts of the rev-lex complex, every level."""
     m_max, k_max = (500, 5) if scale == "full" else (120, 4)
     checks, failures = 0, []
     for k in range(2, k_max + 1):
-        seen: set[tuple[int, ...]] = set()
-        counts = [0] * (k + 1)
         previous: dict[int, int] = {}
-        for m, kset in enumerate(complexes.revlex_ksets(m_max, k), start=1):
-            facet = tuple(sorted(kset))
-            for size in range(1, k + 1):
-                for sub in combinations(facet, size):
-                    if sub not in seen:
-                        seen.add(sub)
-                        counts[size] += 1
+        for m, counts in revlex_face_counts(m_max, k):
             for p in range(1, k):
                 checks += 1
                 bound = cascade.shadow_bound(m, k, p)
@@ -315,40 +327,6 @@ def _suite_fuzz_soundness(scale: str) -> tuple[int, list[str]]:
         checks += c
         failures.extend(f"seed={seed}: {msg}" for msg in f)
     return checks, failures
-
-
-def _spaced_grid(m_start: int, m_end: int, samples: int, target) -> list[int]:
-    """samples strictly increasing integers from m_start to m_end.
-
-    The i-th is the integer nearest target(m_start, m_end, i / (samples - 1)),
-    moved just far enough to keep the values distinct and inside the range.
-    """
-    if m_start < 1 or m_end < m_start:
-        raise ValueError(f"need 1 <= m_start <= m_end, got {m_start}, {m_end}")
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    if samples > m_end - m_start + 1:
-        raise ValueError(
-            f"cannot place {samples} distinct integers in [{m_start}, {m_end}]"
-        )
-    out: list[int] = []
-    prev = m_start - 1
-    for i in range(samples):
-        v = max(round(target(m_start, m_end, i / (samples - 1))), prev + 1)
-        v = min(v, m_end - (samples - 1 - i))
-        out.append(v)
-        prev = v
-    return out
-
-
-def geometric_grid(m_start: int, m_end: int, samples: int) -> list[int]:
-    """samples strictly increasing integers from m_start to m_end, equal ratios."""
-    return _spaced_grid(
-        m_start,
-        m_end,
-        samples,
-        lambda a, b, t: math.exp(math.log(a) + t * (math.log(b) - math.log(a))),
-    )
 
 
 SUITES = (

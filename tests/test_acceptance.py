@@ -11,7 +11,6 @@ import io
 import math
 import random
 from contextlib import redirect_stdout
-from itertools import combinations
 
 from kkbounds import (
     binom_real,
@@ -24,7 +23,6 @@ from kkbounds import (
     noreasy_bound,
     random_complex,
     revlex_complex,
-    revlex_ksets,
     shadow_bound,
     turan_clique_count_oracle,
     turan_coefficient,
@@ -35,6 +33,7 @@ from kkbounds.selftest import (
     check_complex_soundness,
     geometric_grid,
     narrow_window_margin,
+    revlex_face_counts,
     shifted_root_margin,
 )
 
@@ -50,14 +49,7 @@ def _report(number: int, description: str, failures: list) -> None:
 def test_criterion_01_revlex_oracle_sharpness():
     failures = []
     for k in range(2, 6):
-        seen, counts = set(), [0] * (k + 1)
-        for m, kset in enumerate(revlex_ksets(500, k), start=1):
-            facet = tuple(sorted(kset))
-            for size in range(1, k + 1):
-                for sub in combinations(facet, size):
-                    if sub not in seen:
-                        seen.add(sub)
-                        counts[size] += 1
+        for m, counts in revlex_face_counts(500, k):
             for p in range(1, k):
                 if shadow_bound(m, k, p) != counts[p]:
                     failures.append(f"m={m} k={k} p={p}")

@@ -1,0 +1,165 @@
+"""The bracketed Lovasz root: bit-identical to bisection, cheap, and exact at large m.
+
+_bisection_root is a frozen copy of the bisection lovasz_x used before the
+bracketed method; it is the reference for bit-identity.  mpmath serves as a
+50-digit reference for the roots themselves.
+"""
+
+import math
+import random
+
+import mpmath
+import pytest
+
+from kkbounds import (
+    approx,
+    best_r,
+    binom_real,
+    binomial,
+    bound_report,
+    cascade_decompose,
+    colored_cascade_decompose,
+    flag_r,
+    lovasz_x,
+    shadow_bound,
+)
+from kkbounds.selftest import geometric_grid
+
+MAX_MEAN_EVALUATIONS = 10
+
+
+def _bisection_root(m: int, k: int) -> float:
+    """The former lovasz_x: bisection from [k-1, (k! m)^(1/k) + 2k - 1]."""
+    n = cascade_decompose(m, k).terms[0][0]
+    if binomial(n, k) == m:
+        return float(n)
+    target = float(m)
+    lo = float(k - 1)
+    km = math.factorial(k) * m
+    root = float(km) ** (1 / k) if km.bit_length() <= 53 else math.exp(math.log(km) / k)
+    hi = k - 1 + root + k
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        try:
+            below = binom_real(mid, k) < target
+        except OverflowError:
+            below = False
+        if below:
+            lo = mid
+        else:
+            hi = mid
+    if abs(binom_real(lo, k) - target) <= abs(binom_real(hi, k) - target):
+        return lo
+    return hi
+
+
+def _random_cases() -> list[tuple[int, int]]:
+    rng = random.Random(31337)
+    cases = []
+    for k in (1, 2, 4, 7, 15, 25, 40):
+        for _ in range(300):
+            cases.append((rng.randint(1, 10**14), k))
+            cases.append((max(1, int(math.exp(rng.uniform(0.0, math.log(1e14))))), k))
+    return cases
+
+
+CASE_SETS = {
+    "k3_all_m_to_20000": [(m, 3) for m in range(1, 20_001)],
+    "k10_paper_grid": [(m, 10) for m in geometric_grid(1, 12777711870, 2000)],
+    "random_m_to_1e14": _random_cases(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASE_SETS))
+def test_bit_identical_to_bisection_in_few_evaluations(name, monkeypatch):
+    cases = CASE_SETS[name]
+    expected = [_bisection_root(m, k) for m, k in cases]
+    calls = 0
+
+    def counted(x, k):
+        nonlocal calls
+        calls += 1
+        return binom_real(x, k)
+
+    monkeypatch.setattr(approx, "binom_real", counted)
+    got = [lovasz_x(m, k) for m, k in cases]
+    differ = [(m, k, e, g) for (m, k), e, g in zip(cases, expected, got) if e != g]
+    assert not differ, differ[:5]
+    assert calls / len(cases) <= MAX_MEAN_EVALUATIONS
+
+
+def _mp_root(m: int, k: int, start: float) -> mpmath.mpf:
+    """50-digit root of x(x-1)...(x-k+1) = k! m by Newton from a float start."""
+    with mpmath.workdps(50):
+        target = mpmath.factorial(k) * m
+        x = mpmath.mpf(start)
+        for _ in range(30):
+            g = mpmath.fprod([x - i for i in range(k)]) / target
+            x -= (g - 1) / (g * mpmath.fsum([1 / (x - i) for i in range(k)]))
+        return x
+
+
+def _ulps_off(x: float, m: int, k: int) -> float:
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(x) - _mp_root(m, k, x)) / math.ulp(x))
+
+
+def test_large_m_root_within_two_ulps_of_mpmath():
+    # Bisection returned the end of its bracket here, 7 ulps below the root:
+    # the upper end, from exp(log(k! m) / k), had rounded below it.
+    m = 9957667416274576305949578375064030571160
+    assert _bisection_root(m, 2) == 1.4112170220256387e20
+    assert binom_real(1.4112170220256387e20, 2) < m
+    assert _ulps_off(lovasz_x(m, 2), m, 2) <= 2
+    rng = random.Random(4242)
+    for k in (2, 3, 5, 10):
+        for exponent in (*range(1, 301, 3), 300):
+            m = int(mpmath.mpf(10) ** (exponent - rng.random()))
+            x = lovasz_x(m, k)
+            assert _ulps_off(x, m, k) <= 2, (m, k, x)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 10])
+def test_root_when_the_bracket_collapses_above_2_53(k):
+    n = 2**53 + 12344
+    assert float(n) == float(n + 1)
+    for m in (binomial(n, k) + 1, binomial(n, k) + binomial(n, k - 1) // 2, binomial(n + 1, k) - 1):
+        assert cascade_decompose(m, k).terms[0][0] == n
+        x = lovasz_x(m, k)
+        assert _ulps_off(x, m, k) <= 2, (m, k, x)
+    assert lovasz_x(binomial(n, k), k) == float(n)
+
+
+def test_overflow_still_raises():
+    with pytest.raises(OverflowError):
+        lovasz_x(5, 400)
+    with pytest.raises(OverflowError):
+        lovasz_x(10**320, 10)
+
+
+def test_bound_report_builds_one_cascade(monkeypatch):
+    calls = 0
+
+    def counted(m, k):
+        nonlocal calls
+        calls += 1
+        return cascade_decompose(m, k)
+
+    monkeypatch.setattr(approx, "cascade_decompose", counted)
+    rng = random.Random(7)
+    for _ in range(200):
+        k = rng.randint(2, 12)
+        m = rng.randint(1, 10**12)
+        report = bound_report(m, k, k - 1)
+        assert report.kk_exact == shadow_bound(m, k, k - 1)
+        assert report.flag_r == flag_r(m, k)
+        assert report.withr_r == best_r(m, k)
+        assert report.lovasz_x == lovasz_x(m, k)
+    assert calls == 200
+
+
+def test_cascades_are_not_cached():
+    for fn in (cascade_decompose, colored_cascade_decompose):
+        assert not hasattr(fn, "cache_info")
