@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .binomials import binom_real, binomial
-from .cascade import FaceVector, _max_index, _shadow_sum, cascade_decompose
+from .cascade import FaceVector, _CascadeCursor, _max_index, _shadow_sum, cascade_decompose
 
 
 def _pow_frac(m: int, num: int, den: int) -> float:
@@ -109,9 +109,18 @@ def withoutr_bound(m: int, k: int, p: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 < p < k:
         raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
-    lead = math.factorial(k) ** (p / k) / math.factorial(p)
+    return _withoutr(m, k, p, _power_lead(k, p), _pow_frac(m, p, k))
+
+
+def _power_lead(k: int, p: int) -> float:
+    """(k!)^(p/k) / p!, the constant factor of withoutr_bound and noreasy_bound."""
+    return math.factorial(k) ** (p / k) / math.factorial(p)
+
+
+def _withoutr(m: int, k: int, p: int, lead: float, m_pow: float) -> float:
+    """withoutr_bound(m, k, p) given lead = _power_lead(k, p) and m_pow = m^(p/k)."""
     root = _pow_frac(math.factorial(k) * m, 1, k)
-    return lead * (1.0 + (k - p) / (2.0 * root)) ** p * _pow_frac(m, p, k)
+    return lead * (1.0 + (k - p) / (2.0 * root)) ** p * m_pow
 
 
 def noreasy_bound(m: int, k: int, p: int) -> float:
@@ -122,7 +131,7 @@ def noreasy_bound(m: int, k: int, p: int) -> float:
         raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
     if m == 0:
         return 0.0
-    return math.factorial(k) ** (p / k) / math.factorial(p) * _pow_frac(m, p, k)
+    return _power_lead(k, p) * _pow_frac(m, p, k)
 
 
 class SymmetricChain(NamedTuple):
@@ -212,34 +221,79 @@ class BoundReport(NamedTuple):
 
 
 def bound_report(m: int, k: int, p: int, r: int | None = None) -> BoundReport:
-    """Evaluate every bound at one (m, k, p).
+    """Evaluate every bound at one (m, k, p): the one-row case of bound_reports.
 
     The colored bound uses the given r when supplied (which must be >= k),
-    otherwise best_r(m, k); the flag bound always uses flag_r(m, k).  One
-    cascade of m gives kk_exact, and its leading index n is flag_r, the start
-    of the best_r search and the bracket of the Lovasz root.
+    otherwise best_r(m, k); the flag bound always uses flag_r(m, k).
     """
+    return next(bound_reports((m,), k, p, r))
+
+
+def bound_reports(
+    ms: Iterable[int], k: int, p: int, r: int | None = None
+) -> Iterator[BoundReport]:
+    """bound_report(m, k, p, r) for each m of a strictly increasing sequence, lazily.
+
+    The first cascade comes from cascade_decompose and each later one from a
+    _CascadeCursor, which reuses the previous cascade's terms.  One cascade
+    per row gives kk_exact, and its leading index n is flag_r, the bracket
+    [n, n+1] of the Lovasz root, and best_r: for k >= 2 that is n when
+    m <= C(n, k) + C(n-1, k-1) and n + 1 otherwise.  The constants of
+    (k, p) are computed once and the binomials of n only when n changes, so
+    memory stays flat however many rows are drawn.  The arguments are
+    checked, in bound_report's order, when the first row is computed; an m
+    that does not exceed the one before raises ValueError when it is reached.
+    """
+    rows = iter(ms)
+    m = next(rows, None)
+    if m is None:
+        return
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 1 <= p < k:
         raise ValueError(f"need 1 <= p < k, got p={p}, k={k}")
     if r is not None and r < k:
         raise ValueError(f"need k <= r, got k={k}, r={r}")
+    lead = _power_lead(k, p)
+    if r is not None:
+        r_p, r_k = binomial(r, p), binomial(r, k)
     rep = cascade_decompose(m, k)
-    n = rep.terms[0][0]
-    x = _lovasz_root(m, k, n)
-    withr_r = r if r is not None else _best_r(m, k, n)
-    return BoundReport(
-        m=m,
-        k=k,
-        p=p,
-        kk_exact=_shadow_sum(rep, p),
-        lovasz_x=x,
-        lovasz=binom_real(x, p),
-        withoutr=withoutr_bound(m, k, p),
-        noreasy=noreasy_bound(m, k, p),
-        withr_r=withr_r,
-        withr=colorapprox_bound(m, k, p, withr_r),
-        flag_r=n,
-        flag=colorapprox_bound(m, k, p, n),
-    )
+    cursor = n_at = None
+    while True:
+        n = rep.terms[0][0]
+        if n != n_at:
+            n_at = n
+            n_p, n_k = binomial(n, p), binomial(n, k)
+            up_p, up_k = binomial(n + 1, p), binomial(n + 1, k)
+            n_reach = n_k + binomial(n - 1, k - 1)  # the largest m with best_r = n
+        x = _lovasz_root(m, k, n)
+        m_pow = _pow_frac(m, p, k)
+        flag = n_p * _ratio_pow(m, n_k, p, k)
+        if r is not None:
+            withr_r, withr = r, r_p * _ratio_pow(m, r_k, p, k)
+        elif m <= n_reach:
+            withr_r, withr = n, flag
+        else:
+            withr_r, withr = n + 1, up_p * _ratio_pow(m, up_k, p, k)
+        # Positional, in field order: cheaper per row than keywords.
+        yield BoundReport(
+            m,
+            k,
+            p,
+            _shadow_sum(rep, p),  # kk_exact
+            x,  # lovasz_x
+            binom_real(x, p),  # lovasz
+            _withoutr(m, k, p, lead, m_pow),
+            lead * m_pow,  # noreasy
+            withr_r,
+            withr,
+            n,  # flag_r
+            flag,
+        )
+        m_next = next(rows, None)
+        if m_next is None:
+            return
+        if cursor is None:  # built at the second row, so bound_report never pays for it
+            cursor = _CascadeCursor(m, rep)
+        m = m_next
+        rep = cursor.advance(m)

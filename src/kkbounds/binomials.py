@@ -27,7 +27,10 @@ def binom_real(x: float, k: int) -> float:
 
     Strictly increasing for x > k-1, zero at x = 0, 1, ..., k-1, and equal to
     binomial(x, k) at nonnegative integer x (exactly so whenever the numerator
-    product stays below 2**53).
+    product stays below 2**53).  When the product or k! overflows a float,
+    the value is the running product of (x - i) / (k - i) instead; for x >= k-1
+    every partial product lies between 1 and the value, or between the value
+    and 1, so it overflows only when the value itself does.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -37,9 +40,16 @@ def binom_real(x: float, k: int) -> float:
     num = 1.0
     for i in range(k):
         num *= x - i
-    value = num / math.factorial(k)
+    try:
+        value = num / math.factorial(k)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
-        raise OverflowError(f"binom_real({x}, {k}) does not fit in a float")
+        value = 1.0
+        for i in range(k):
+            value *= (x - i) / (k - i)
+        if not math.isfinite(value):
+            raise OverflowError(f"binom_real({x}, {k}) does not fit in a float")
     return value
 
 

@@ -5,9 +5,11 @@ serve the colored cascades of colored.py.  A plain cascade is a colored one
 whose color budget c exceeds every index, because T(n, j)_c = C(n, j) when
 c > n; throughout, a budget of None stands for that unbounded c.
 
-Cascades are not cached: each call runs the greedy again, so memory stays
-flat over long sweeps, and callers that need several numbers from one
-cascade (approx.bound_report) build it once and derive them from it.
+Cascades are not cached, so memory stays flat over long sweeps.  A single
+cascade_decompose runs the greedy from the top; a _CascadeCursor walks a
+strictly increasing sequence of m instead, each cascade from the one before
+(approx.bound_reports, where a sweep's rows come from).  Callers that need
+several numbers from one cascade build it once and derive them from it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from typing import NamedTuple
 from .binomials import binomial, turan_coefficient
 
 
-def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
+def _max_index(
+    m: int, j: int, c: int | None, floor: tuple[int, int] | None = None
+) -> tuple[int, int]:
     """Largest n with T(n, j)_c <= m, and T(n, j)_c itself; C(n, j) when c is None.
 
     Needs m >= 1 and j <= c, so n >= j.  The float seed solves
@@ -28,18 +32,23 @@ def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
     arithmetic, and taking a relative 1e-12 off covers rounding.  Galloping up
     from it, then bisecting on exact integer comparisons, makes the answer
     independent of the seed: one that overshoots anyway costs a bisection from
-    j, and one beyond float range is replaced by the exact start j.
+    j, and one beyond float range is replaced by the exact start j.  A floor
+    (n0, T(n0, j)_c) with T(n0, j)_c <= m replaces the seed: the gallop starts
+    at n0, which suits an answer known to lie just above it.
     """
-    try:
-        if c is None:
-            seed = math.exp((math.lgamma(j + 1) + math.log(m)) / j) + 0.5 * (j - 1)
-        else:
-            log_ways = math.lgamma(c + 1) - math.lgamma(j + 1) - math.lgamma(c - j + 1)
-            seed = c * math.exp((math.log(m) - log_ways) / j)
-        lo = max(j, int(seed) - int(seed * 1e-12))
-    except OverflowError:
-        lo = j
-    value = binomial(lo, j) if c is None else turan_coefficient(lo, j, c)
+    if floor is not None:
+        lo, value = floor
+    else:
+        try:
+            if c is None:
+                seed = math.exp((math.lgamma(j + 1) + math.log(m)) / j) + 0.5 * (j - 1)
+            else:
+                log_ways = math.lgamma(c + 1) - math.lgamma(j + 1) - math.lgamma(c - j + 1)
+                seed = c * math.exp((math.log(m) - log_ways) / j)
+            lo = max(j, int(seed) - int(seed * 1e-12))
+        except OverflowError:
+            lo = j
+        value = binomial(lo, j) if c is None else turan_coefficient(lo, j, c)
     hi, step = None, 1
     if value > m:
         lo, value, hi = j, 1, lo  # T(j, j)_c = 1 <= m
@@ -138,6 +147,49 @@ def cascade_decompose(m: int, k: int) -> CascadeRep:
     return CascadeRep(k, _greedy(m, k, None))
 
 
+class _CascadeCursor:
+    """Cascades of a strictly increasing sequence of m, each built from the one before.
+
+    Cascades grow lexicographically with m, so a larger m keeps a prefix of
+    the previous terms, raises the next index, and runs the greedy afresh
+    only below it.  Each level keeps (n_j, C(n_j, j), C(n_j + 1, j)), so
+    checking that n_j stays is one comparison, and the index that grows
+    gallops up from n_j + 1.  Memory stays at one entry per level.
+    """
+
+    def __init__(self, m: int, rep: CascadeRep) -> None:
+        self.m = m
+        self.k = rep.k
+        self.levels = []
+        for n, j in rep.terms:
+            value = binomial(n, j)
+            self.levels.append((n, value, value * (n + 1) // (n + 1 - j)))
+
+    def advance(self, m: int) -> CascadeRep:
+        """The cascade of m, which must exceed the previous m."""
+        if m <= self.m:
+            raise ValueError(f"m must increase strictly, got {m} after {self.m}")
+        k, levels, rem = self.k, self.levels, m
+        # Above the first level that grows, every remainder rises by m - self.m.
+        for pos, (n, value, above) in enumerate(levels):
+            if rem >= above:
+                j = k - pos
+                n, value = _max_index(rem, j, None, (n + 1, above))
+                levels[pos] = (n, value, value * (n + 1) // (n + 1 - j))
+                del levels[pos + 1 :]
+                rem -= value
+                break
+            rem -= value
+        j = k - len(levels)
+        while rem > 0:
+            n, value = _max_index(rem, j, None)
+            levels.append((n, value, value * (n + 1) // (n + 1 - j)))
+            rem -= value
+            j -= 1
+        self.m = m
+        return CascadeRep(k, tuple([(level[0], k - pos) for pos, level in enumerate(levels)]))
+
+
 def cascade_evaluate(rep: CascadeRep) -> int:
     """The integer a CascadeRep stands for (inverse of cascade_decompose)."""
     return _shadow_sum(rep, rep.k)
@@ -182,15 +234,21 @@ class FaceVector:
 
 
 class ValidationResult(NamedTuple):
+    """Whether a face vector passed; if not, the smallest failing k and the broken inequality."""
+
     ok: bool
     failing_k: int | None
+    reason: str | None = None
 
 
 def _first_failure(f: FaceVector, bound) -> ValidationResult:
     """Smallest k with f_{k-2} < bound(f_{k-1}, k, k-1), if any."""
-    for k in range(2, len(f.entries)):
-        if f.entries[k - 1] < bound(f.entries[k], k, k - 1):
-            return ValidationResult(False, k)
+    entries = f.entries
+    for k in range(2, len(entries)):
+        required = bound(entries[k], k, k - 1)
+        if entries[k - 1] < required:
+            reason = f"f_{k - 2}={entries[k - 1]} < {required} required by f_{k - 1}={entries[k]}"
+            return ValidationResult(False, k, reason)
     return ValidationResult(True, None)
 
 

@@ -2,16 +2,22 @@
 
 Exit codes: 0 success, 2 usage error or a value out of arithmetic range,
 3 validation failure, 4 self-test failure.
+
+sweep writes each row as soon as it is computed, so its memory does not grow
+with the row count.  A sweep that fails at some row has therefore already
+written the rows before it (a JSON sweep then lacks its closing bracket);
+one that fails at its first row writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from operator import attrgetter
 
-from .approx import BoundReport, bound_report
+from .approx import bound_report, bound_reports
 from .cascade import FaceVector, cascade_decompose, cascade_evaluate, validate_face_vector
 from .colored import (
     colored_cascade_decompose,
@@ -101,7 +107,7 @@ def _cmd_validate(args) -> int:
     else:
         result = validate_colored_face_vector(f, args.r)
     if not result.ok:
-        print(f"invalid at k={result.failing_k}")
+        print(f"invalid at k={result.failing_k}: {result.reason}")
         return EXIT_INVALID
     print("valid")
     if args.realize:
@@ -109,13 +115,16 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(m: int, k: int, p: int, r_mode: str, fixed_r) -> BoundReport:
-    report = bound_report(m, k, p, fixed_r if r_mode == "fixed" else None)
+def _sweep_rows(ms, k: int, p: int, r_mode: str, fixed_r):
+    reports = bound_reports(ms, k, p, fixed_r if r_mode == "fixed" else None)
     if r_mode == "auto-flag":
-        return report._replace(withr_r=report.flag_r, withr=report.flag)
+        return (report._replace(withr_r=report.flag_r, withr=report.flag) for report in reports)
     if r_mode == "off":
-        return report._replace(withr_r=None, withr=None, flag_r=None, flag=None)
-    return report
+        return (
+            report._replace(withr_r=None, withr=None, flag_r=None, flag=None)
+            for report in reports
+        )
+    return reports
 
 
 def _cmd_sweep(args) -> int:
@@ -127,14 +136,30 @@ def _cmd_sweep(args) -> int:
         if args.r < args.k:
             raise ValueError(f"need k <= r, got k={args.k}, r={args.r}")
     ms = sample_grid(args.m_start, args.m_end, args.samples, linear=args.linear)
-    rows = [_sweep_row(m, args.k, args.p, args.r_mode, args.r) for m in ms]
+    rows = _sweep_rows(ms, args.k, args.p, args.r_mode, args.r)
     columns = attrgetter(*SWEEP_COLUMNS)
+    # The first row is computed before anything is written, so a sweep that
+    # cannot start leaves stdout empty.
+    first = next(rows)
+    write = sys.stdout.write
     if args.format == "json":
-        print(json.dumps([dict(zip(SWEEP_COLUMNS, columns(row))) for row in rows]))
-    else:
-        print(",".join(SWEEP_COLUMNS))
+        write("[" + json.dumps(dict(zip(SWEEP_COLUMNS, columns(first)))))
         for row in rows:
-            print(",".join(_fmt(value) for value in columns(row)))
+            write(", " + json.dumps(dict(zip(SWEEP_COLUMNS, columns(row)))))
+        write("]\n")
+    else:
+        # Every row has the first row's cell types, so one printf template
+        # applies _fmt's rules to all of them: integers verbatim, reals with
+        # 12 significant digits, and None as an empty cell.
+        cells = list(zip(SWEEP_COLUMNS, columns(first)))
+        template = ",".join(
+            "" if value is None else "%d" if isinstance(value, int) else "%.12g"
+            for _, value in cells
+        )
+        present = attrgetter(*[name for name, value in cells if value is not None])
+        write(",".join(SWEEP_COLUMNS) + "\n")
+        for row in itertools.chain((first,), rows):
+            write(template % present(row) + "\n")
     return EXIT_OK
 
 

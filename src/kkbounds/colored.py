@@ -64,5 +64,6 @@ def validate_colored_face_vector(f: FaceVector, r: int) -> ValidationResult:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if len(f.entries) - 1 > r:
-        return ValidationResult(False, r + 1)
+        reason = f"f_{r}={f.entries[r + 1]} faces on {r + 1} vertices need more than r={r} colors"
+        return ValidationResult(False, r + 1, reason)
     return _first_failure(f, lambda m, k, p: colored_shadow_bound(m, k, p, r))

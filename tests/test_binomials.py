@@ -52,6 +52,16 @@ def test_binom_real_strictly_increasing():
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
+def test_binom_real_large_k_where_the_product_overflows():
+    # x(x-1)...(x-k+1) overflows, or k! does not convert, though C(x, k) fits.
+    for n, k in ((200, 170), (400, 200), (600, 400), (1100, 1000)):
+        exact = binomial(n, k)
+        assert abs(binom_real(float(n), k) - exact) <= exact * 1e-12
+    assert binom_real(5.0, 400) == 0.0
+    with pytest.raises(OverflowError):
+        binom_real(3000.0, 1500)
+
+
 def test_binomial_sandwich():
     # (n-k+1)^k <= k! C(n,k) and 2^k k! C(n,k) <= (2n-k+1)^k, checked exactly
     for n in range(1, 41):

@@ -91,6 +91,18 @@ def test_validate_colored(capsys):
     assert code == EXIT_OK
 
 
+def test_validate_names_the_broken_inequality(capsys):
+    code, out, _ = run(capsys, "validate", "1,3,3,2")
+    assert code == EXIT_INVALID
+    assert out == "invalid at k=3: f_1=3 < 5 required by f_2=2\n"
+    code, out, _ = run(capsys, "validate", "1,4,6", "--r", "2")
+    assert code == EXIT_INVALID
+    assert out == "invalid at k=2: f_0=4 < 5 required by f_1=6\n"
+    code, out, _ = run(capsys, "validate", "1,3,3,2", "--r", "2")
+    assert code == EXIT_INVALID
+    assert out == "invalid at k=3: f_2=2 faces on 3 vertices need more than r=2 colors\n"
+
+
 def test_validate_parse_errors(capsys):
     code, _, err = run(capsys, "validate", "1,two,3")
     assert code == EXIT_USAGE and "cannot parse" in err

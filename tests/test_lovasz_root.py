@@ -133,8 +133,16 @@ def test_root_when_the_bracket_collapses_above_2_53(k):
 
 
 def test_overflow_still_raises():
-    with pytest.raises(OverflowError):
-        lovasz_x(5, 400)
+    # Large k: the product x(x-1)...(x-k+1), or k! itself, overflows a float
+    # although C(x, k) fits, so binom_real falls back to a running quotient.
+    assert 172 < lovasz_x(10**5, 170) < 173
+    assert 400 < lovasz_x(5, 400) < 401
+    rng = random.Random(170400)
+    for k in (170, 400):
+        drawn = [rng.randint(2, 10 ** rng.randint(1, 300)) for _ in range(8)]
+        for m in (2, 5, 10**5, 10**40, 10**300, *drawn):
+            x = lovasz_x(m, k)
+            assert _ulps_off(x, m, k) <= 2, (m, k, x)
     with pytest.raises(OverflowError):
         lovasz_x(10**320, 10)
 

@@ -1,0 +1,226 @@
+"""The sweep kernel: a cascade cursor over increasing m, bound_reports equal to
+row-by-row bound_report, and sweep rows written as they are computed."""
+
+import io
+import json
+import math
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kkbounds import (
+    BoundReport,
+    best_r,
+    binom_real,
+    binomial,
+    bound_report,
+    bound_reports,
+    cascade_decompose,
+    colorapprox_bound,
+    lovasz_x,
+    noreasy_bound,
+    shadow_bound,
+    withoutr_bound,
+)
+from kkbounds import cli
+from kkbounds.cascade import _CascadeCursor
+from kkbounds.cli import EXIT_OK, EXIT_USAGE, main
+from kkbounds.grid import geometric_grid
+
+M_MAX = 10**15
+
+
+def _frozen_bound_report(m, k, p, r=None):
+    """bound_report as it was before bound_reports: every column from the public functions."""
+    n = cascade_decompose(m, k).terms[0][0]
+    x = lovasz_x(m, k)
+    withr_r = r if r is not None else best_r(m, k)
+    return BoundReport(
+        m=m,
+        k=k,
+        p=p,
+        kk_exact=shadow_bound(m, k, p),
+        lovasz_x=x,
+        lovasz=binom_real(x, p),
+        withoutr=withoutr_bound(m, k, p),
+        noreasy=noreasy_bound(m, k, p),
+        withr_r=withr_r,
+        withr=colorapprox_bound(m, k, p, withr_r),
+        flag_r=n,
+        flag=colorapprox_bound(m, k, p, n),
+    )
+
+
+def _run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@st.composite
+def increasing_runs(draw):
+    """k <= 12 and a strictly increasing list of m <= 10**15 that crosses cascade boundaries."""
+    k = draw(st.integers(min_value=1, max_value=12))
+    n_top = cascade_decompose(M_MAX, k).terms[0][0]
+    anchors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        n = draw(st.integers(min_value=k, max_value=n_top))
+        anchors.append(binomial(n, k))  # a one-term cascade: every level below changes
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        m = draw(st.integers(min_value=1, max_value=M_MAX))
+        total = 0
+        for n, j in cascade_decompose(m, k).terms:
+            total += binomial(n, j)
+            anchors.append(total)  # where the cascade gains or changes a lower term
+    ms = set(draw(st.lists(st.integers(min_value=1, max_value=M_MAX), max_size=20)))
+    for anchor in anchors:
+        width = draw(st.integers(min_value=0, max_value=3))
+        ms.update(range(anchor - width, anchor + width + 1))
+    return k, sorted(m for m in ms if 1 <= m <= M_MAX)
+
+
+@settings(max_examples=300, deadline=None)
+@given(increasing_runs())
+def test_cursor_cascades_equal_decompose(case):
+    k, ms = case
+    cursor = _CascadeCursor(ms[0], cascade_decompose(ms[0], k))
+    for m in ms[1:]:
+        assert cursor.advance(m) == cascade_decompose(m, k), (m, k)
+
+
+def test_cursor_runs_through_every_m():
+    for k in (2, 3, 5):
+        cursor = _CascadeCursor(1, cascade_decompose(1, k))
+        for m in range(2, 5000):
+            assert cursor.advance(m) == cascade_decompose(m, k)
+
+
+SWEEPS = {
+    "dense_k3": ([*range(1, 3001)], 3, 2),
+    "paper_k10": (geometric_grid(1, 12777711870, 400), 10, 7),
+    "k2_to_1e15": (geometric_grid(1, M_MAX, 300), 2, 1),
+    "k12_to_1e15": (geometric_grid(1, M_MAX, 300), 12, 5),
+    "k4_to_1e300": (geometric_grid(1, 10**300, 150), 4, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_bound_reports_equal_frozen_rows(name):
+    ms, k, p = SWEEPS[name]
+    assert list(bound_reports(ms, k, p)) == [_frozen_bound_report(m, k, p) for m in ms]
+    r = k + 7
+    assert list(bound_reports(ms, k, p, r)) == [_frozen_bound_report(m, k, p, r) for m in ms]
+
+
+@pytest.mark.parametrize("mode", ["auto-best", "auto-flag", "fixed", "off"])
+def test_sweep_rows_equal_frozen_rows_in_every_r_mode(mode):
+    ms, k, p = SWEEPS["paper_k10"]
+    fixed_r = 60 if mode == "fixed" else None
+    expected = [_frozen_bound_report(m, k, p, fixed_r) for m in ms]
+    if mode == "auto-flag":
+        expected = [row._replace(withr_r=row.flag_r, withr=row.flag) for row in expected]
+    if mode == "off":
+        off = dict.fromkeys(("withr_r", "withr", "flag_r", "flag"))
+        expected = [row._replace(**off) for row in expected]
+    assert list(cli._sweep_rows(ms, k, p, mode, fixed_r)) == expected
+
+
+@pytest.mark.parametrize("mode", ["auto-best", "auto-flag", "fixed", "off"])
+def test_csv_cells_follow_fmt_in_every_r_mode(capsys, mode):
+    argv = ["sweep", "--k", "10", "--p", "7", "--m-end", "12777711870", "--samples", "400"]
+    argv += ["--r-mode", mode] + (["--r", "60"] if mode == "fixed" else [])
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_OK
+    ms, k, p = SWEEPS["paper_k10"]
+    expected = list(cli._sweep_rows(ms, k, p, mode, 60 if mode == "fixed" else None))
+    lines = [",".join(cli.SWEEP_COLUMNS)]
+    lines += [",".join(cli._fmt(getattr(row, c)) for c in cli.SWEEP_COLUMNS) for row in expected]
+    assert out == "\n".join(lines) + "\n"
+
+
+def test_bound_report_is_the_one_row_case():
+    for m, k, p, r in ((11, 3, 2, None), (binomial(50, 10), 10, 7, None), (10**40, 5, 2, 9)):
+        assert bound_report(m, k, p, r) == _frozen_bound_report(m, k, p, r)
+        assert [bound_report(m, k, p, r)] == list(bound_reports([m], k, p, r))
+    assert list(bound_reports([], 3, 2)) == []
+
+
+@pytest.mark.parametrize("ms", [[5, 5], [5, 4], [1, 2, 3, 3], [10, 20, 15]])
+def test_non_increasing_ms_raise(ms):
+    rows = bound_reports(ms, 3, 2)
+    with pytest.raises(ValueError, match="increase strictly"):
+        for _ in rows:
+            pass
+
+
+def test_arguments_checked_in_bound_report_order():
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        next(bound_reports([0, 1], 3, 3))
+    with pytest.raises(ValueError, match="p < k"):
+        next(bound_reports([1, 2], 3, 3))
+    with pytest.raises(ValueError, match="k <= r"):
+        next(bound_reports([1, 2], 3, 2, 2))
+
+
+def test_first_row_written_before_last_row_is_computed(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    written_before_last = []
+    real = cli.bound_reports
+
+    def watched(ms, k, p, r=None):
+        ms = list(ms)
+        yield from real(ms[:-1], k, p, r)
+        written_before_last.append(out.getvalue())
+        yield from real(ms[-1:], k, p, r)
+
+    monkeypatch.setattr(cli, "bound_reports", watched)
+    assert main(["sweep", "--k", "3", "--p", "2", "--m-end", "50", "--samples", "all"]) == EXIT_OK
+    header, first = out.getvalue().splitlines()[:2]
+    assert written_before_last[0].startswith(f"{header}\n{first}\n")
+    assert first.startswith("1,")
+
+
+def test_failing_sweep_keeps_the_rows_before_the_failure(capsys):
+    # float(m) overflows from 2**1024 - 2**970 on, where the Lovasz root starts.
+    first_bad = 2**1024 - 2**970
+    argv = (
+        "sweep", "--k", "10", "--p", "7", "--m-start", str(first_bad - 2),
+        "--m-end", str(first_bad), "--samples", "all",
+    )
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err == "error: int too large to convert to float\n"
+    lines = out.splitlines()
+    assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
+    assert [line.split(",")[0] for line in lines[1:]] == [str(first_bad - 2), str(first_bad - 1)]
+    code, out, err = _run(capsys, *argv, "--format", "json")
+    assert code == EXIT_USAGE and err.startswith("error: ")
+    assert out.startswith("[{") and not out.endswith("]\n")  # an unterminated array
+
+
+def test_sweep_that_cannot_start_writes_nothing(capsys):
+    # Fails in the geometric grid, before the first row.
+    argv = ("sweep", "--k", "10", "--p", "7", "--m-end", str(10**320), "--samples", "5")
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ")
+    # Fails in the first row: nothing, not even the header, is written.
+    argv = ("sweep", "--k", "400", "--p", "1", "--m-end", "100", "--samples", "5")
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ")
+
+
+def test_streamed_json_is_the_array(capsys):
+    argv = ("sweep", "--k", "4", "--p", "2", "--m-end", "5000", "--samples", "30")
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    rows = json.loads(out)
+    assert out == json.dumps(rows) + "\n"
+    ms = geometric_grid(1, 5000, 30)
+    expected = [_frozen_bound_report(m, 4, 2) for m in ms]
+    assert rows == [{c: getattr(row, c) for c in cli.SWEEP_COLUMNS} for row in expected]
+    assert all(math.isfinite(row["lovasz"]) for row in rows)
