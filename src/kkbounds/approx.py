@@ -164,14 +164,21 @@ def colorapprox_bound(m: int, k: int, p: int, r: int) -> float:
         raise ValueError(f"m must be >= 0, got {m}")
     if m == 0:
         return 0.0
-    return binomial(r, p) * _ratio_pow(m, binomial(r, k), p, k)
+    return _colorapprox(m, binomial(r, p), binomial(r, k), p, k)
+
+
+def _colorapprox(m: int, r_p: int, r_k: int, p: int, k: int) -> float:
+    """colorapprox_bound(m, k, p, r) given r_p = C(r, p) and r_k = C(r, k)."""
+    return r_p * _ratio_pow(m, r_k, p, k)
 
 
 def best_r(m: int, k: int) -> int:
     """Smallest r >= k with m <= C(r, k) + C(r-1, k-1).
 
-    For k >= 2 this is the leading cascade index n_k or n_k + 1; the search
-    starts there and settles minimality by direct comparison.
+    For k = 1 the condition reads m <= r + 1, so r = max(1, m - 1).  For
+    k >= 2 it is the leading cascade index n, C(n, k) <= m < C(n+1, k), when
+    m <= C(n, k) + C(n-1, k-1), and n + 1 otherwise: C(n+1, k) + C(n, k-1)
+    exceeds m, while r = n - 1 gives C(n-1, k) + C(n-2, k-1) < C(n, k) <= m.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -182,12 +189,9 @@ def best_r(m: int, k: int) -> int:
 
 def _best_r(m: int, k: int, n: int) -> int:
     """best_r(m, k) given the leading cascade index n."""
-    r = max(k, n)
-    while r > k and m <= binomial(r - 1, k) + binomial(r - 2, k - 1):
-        r -= 1
-    while m > binomial(r, k) + binomial(r - 1, k - 1):
-        r += 1
-    return r
+    if k == 1:
+        return max(1, m - 1)
+    return n if m <= binomial(n, k) + binomial(n - 1, k - 1) else n + 1
 
 
 def flag_r(m: int, k: int) -> int:
@@ -237,12 +241,12 @@ def bound_reports(
     The first cascade comes from cascade_decompose and each later one from a
     _CascadeCursor, which reuses the previous cascade's terms.  One cascade
     per row gives kk_exact, and its leading index n is flag_r, the bracket
-    [n, n+1] of the Lovasz root, and best_r: for k >= 2 that is n when
-    m <= C(n, k) + C(n-1, k-1) and n + 1 otherwise.  The constants of
-    (k, p) are computed once and the binomials of n only when n changes, so
-    memory stays flat however many rows are drawn.  The arguments are
-    checked, in bound_report's order, when the first row is computed; an m
-    that does not exceed the one before raises ValueError when it is reached.
+    [n, n+1] of the Lovasz root, and best_r (n or n + 1).  The constants of
+    (k, p) are computed once and C(n, p), C(n, k), C(n+1, p), C(n+1, k) only
+    when n changes; beyond those and the cursor's one entry per cascade
+    level, nothing is kept from row to row.  The arguments are checked, in
+    bound_report's order, when the first row is computed; an m that does not
+    exceed the one before raises ValueError when it is reached.
     """
     rows = iter(ms)
     m = next(rows, None)
@@ -265,16 +269,14 @@ def bound_reports(
             n_at = n
             n_p, n_k = binomial(n, p), binomial(n, k)
             up_p, up_k = binomial(n + 1, p), binomial(n + 1, k)
-            n_reach = n_k + binomial(n - 1, k - 1)  # the largest m with best_r = n
         x = _lovasz_root(m, k, n)
         m_pow = _pow_frac(m, p, k)
-        flag = n_p * _ratio_pow(m, n_k, p, k)
+        flag = _colorapprox(m, n_p, n_k, p, k)
         if r is not None:
-            withr_r, withr = r, r_p * _ratio_pow(m, r_k, p, k)
-        elif m <= n_reach:
-            withr_r, withr = n, flag
+            withr_r, withr = r, _colorapprox(m, r_p, r_k, p, k)
         else:
-            withr_r, withr = n + 1, up_p * _ratio_pow(m, up_k, p, k)
+            withr_r = _best_r(m, k, n)
+            withr = flag if withr_r == n else _colorapprox(m, up_p, up_k, p, k)
         # Positional, in field order: cheaper per row than keywords.
         yield BoundReport(
             m,

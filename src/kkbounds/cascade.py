@@ -5,9 +5,9 @@ serve the colored cascades of colored.py.  A plain cascade is a colored one
 whose color budget c exceeds every index, because T(n, j)_c = C(n, j) when
 c > n; throughout, a budget of None stands for that unbounded c.
 
-Cascades are not cached, so memory stays flat over long sweeps.  A single
-cascade_decompose runs the greedy from the top; a _CascadeCursor walks a
-strictly increasing sequence of m instead, each cascade from the one before
+Cascades are not cached, so building many holds no more than the last.  A
+single cascade_decompose runs the greedy from the top; a _CascadeCursor walks
+a strictly increasing sequence of m instead, each cascade from the one before
 (approx.bound_reports, where a sweep's rows come from).  Callers that need
 several numbers from one cascade build it once and derive them from it.
 """
@@ -21,9 +21,7 @@ from typing import NamedTuple
 from .binomials import binomial, turan_coefficient
 
 
-def _max_index(
-    m: int, j: int, c: int | None, floor: tuple[int, int] | None = None
-) -> tuple[int, int]:
+def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
     """Largest n with T(n, j)_c <= m, and T(n, j)_c itself; C(n, j) when c is None.
 
     Needs m >= 1 and j <= c, so n >= j.  The float seed solves
@@ -32,23 +30,18 @@ def _max_index(
     arithmetic, and taking a relative 1e-12 off covers rounding.  Galloping up
     from it, then bisecting on exact integer comparisons, makes the answer
     independent of the seed: one that overshoots anyway costs a bisection from
-    j, and one beyond float range is replaced by the exact start j.  A floor
-    (n0, T(n0, j)_c) with T(n0, j)_c <= m replaces the seed: the gallop starts
-    at n0, which suits an answer known to lie just above it.
+    j, and one beyond float range is replaced by the exact start j.
     """
-    if floor is not None:
-        lo, value = floor
-    else:
-        try:
-            if c is None:
-                seed = math.exp((math.lgamma(j + 1) + math.log(m)) / j) + 0.5 * (j - 1)
-            else:
-                log_ways = math.lgamma(c + 1) - math.lgamma(j + 1) - math.lgamma(c - j + 1)
-                seed = c * math.exp((math.log(m) - log_ways) / j)
-            lo = max(j, int(seed) - int(seed * 1e-12))
-        except OverflowError:
-            lo = j
-        value = binomial(lo, j) if c is None else turan_coefficient(lo, j, c)
+    try:
+        if c is None:
+            seed = math.exp((math.lgamma(j + 1) + math.log(m)) / j) + 0.5 * (j - 1)
+        else:
+            log_ways = math.lgamma(c + 1) - math.lgamma(j + 1) - math.lgamma(c - j + 1)
+            seed = c * math.exp((math.log(m) - log_ways) / j)
+        lo = max(j, int(seed) - int(seed * 1e-12))
+    except OverflowError:
+        lo = j
+    value = binomial(lo, j) if c is None else turan_coefficient(lo, j, c)
     hi, step = None, 1
     if value > m:
         lo, value, hi = j, 1, lo  # T(j, j)_c = 1 <= m
@@ -151,10 +144,10 @@ class _CascadeCursor:
     """Cascades of a strictly increasing sequence of m, each built from the one before.
 
     Cascades grow lexicographically with m, so a larger m keeps a prefix of
-    the previous terms, raises the next index, and runs the greedy afresh
-    only below it.  Each level keeps (n_j, C(n_j, j), C(n_j + 1, j)), so
-    checking that n_j stays is one comparison, and the index that grows
-    gallops up from n_j + 1.  Memory stays at one entry per level.
+    the previous terms and runs the greedy afresh only from the first index
+    that grows.  Each level keeps (n_j, C(n_j, j), C(n_j + 1, j)), so
+    checking that n_j stays is one comparison.  Memory stays at one entry
+    per level.
     """
 
     def __init__(self, m: int, rep: CascadeRep) -> None:
@@ -173,11 +166,15 @@ class _CascadeCursor:
         # Above the first level that grows, every remainder rises by m - self.m.
         for pos, (n, value, above) in enumerate(levels):
             if rem >= above:
+                del levels[pos:]
+                # The index most often grows by one: n + 1 stands when rem is
+                # below C(n+2, j), which its entry needs anyway.  Otherwise
+                # the greedy below searches this level afresh.
                 j = k - pos
-                n, value = _max_index(rem, j, None, (n + 1, above))
-                levels[pos] = (n, value, value * (n + 1) // (n + 1 - j))
-                del levels[pos + 1 :]
-                rem -= value
+                above_next = above * (n + 2) // (n + 2 - j)
+                if rem < above_next:
+                    levels.append((n + 1, above, above_next))
+                    rem -= above
                 break
             rem -= value
         j = k - len(levels)

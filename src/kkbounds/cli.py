@@ -3,10 +3,11 @@
 Exit codes: 0 success, 2 usage error or a value out of arithmetic range,
 3 validation failure, 4 self-test failure.
 
-sweep writes each row as soon as it is computed, so its memory does not grow
-with the row count.  A sweep that fails at some row has therefore already
-written the rows before it (a JSON sweep then lacks its closing bracket);
-one that fails at its first row writes nothing.
+sweep writes each row as soon as it is computed and keeps no rows; only the
+list of sampled m values, one integer per row, grows with the row count.  A
+sweep that fails at some row has therefore already written the rows before it
+(a JSON sweep then lacks its closing bracket); one that fails at its first
+row writes nothing.
 """
 
 from __future__ import annotations
@@ -46,13 +47,14 @@ SWEEP_COLUMNS = (
 )
 
 
+# printf formats of a cell by type: exact integers verbatim, reals with 12
+# significant digits.  A blank (None) cell is empty.
+_CELL_FORMATS = {int: "%d", float: "%.12g"}
+
+
 def _fmt(value) -> str:
-    """Exact integers verbatim, reals with 12 significant digits, blanks empty."""
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".12g")
+    """One cell: exact integers verbatim, reals with 12 significant digits, blanks empty."""
+    return "" if value is None else _CELL_FORMATS[type(value)] % value
 
 
 def sample_grid(m_start: int, m_end: int, samples, linear: bool = False) -> list[int]:
@@ -148,13 +150,13 @@ def _cmd_sweep(args) -> int:
             write(", " + json.dumps(dict(zip(SWEEP_COLUMNS, columns(row)))))
         write("]\n")
     else:
-        # Every row has the first row's cell types, so one printf template
-        # applies _fmt's rules to all of them: integers verbatim, reals with
-        # 12 significant digits, and None as an empty cell.
+        # Each BoundReport field has one type, and an r-mode blanks the same
+        # cells in every row, so the first row's types give one printf
+        # template for all rows, with _fmt's formats; it formats a row in
+        # half the time of _fmt cell by cell.
         cells = list(zip(SWEEP_COLUMNS, columns(first)))
         template = ",".join(
-            "" if value is None else "%d" if isinstance(value, int) else "%.12g"
-            for _, value in cells
+            "" if value is None else _CELL_FORMATS[type(value)] for _, value in cells
         )
         present = attrgetter(*[name for name, value in cells if value is not None])
         write(",".join(SWEEP_COLUMNS) + "\n")
