@@ -28,9 +28,30 @@ def _ratio_pow(num: int, den: int, p: int, k: int) -> float:
         return math.exp((math.log(num) - math.log(den)) * (p / k))
 
 
-def _lovasz_root(m: int, k: int, n: int) -> float:
-    """lovasz_x(m, k) given the leading cascade index n, so C(n, k) <= m < C(n+1, k)."""
-    c = binomial(n, k)
+def _binom_real_at(k: int):
+    """x -> binom_real(x, k) bit for bit: its product, divided by float(k!) converted once.
+
+    binom_real itself evaluates where k! (k > 170) or the value does not fit
+    in a float, so its fallback and its errors are kept too.
+    """
+    if k > 170:
+        return lambda x: binom_real(x, k)
+    fact = float(math.factorial(k))
+    shifts = tuple(map(float, range(k)))  # x - float(i) is x - i, without the conversion
+    isfinite = math.isfinite
+
+    def evaluate(x: float) -> float:
+        num = 1.0
+        for i in shifts:
+            num *= x - i
+        value = num / fact
+        return value if isfinite(value) else binom_real(x, k)
+
+    return evaluate
+
+
+def _lovasz_root(m: int, k: int, n: int, c: int, f) -> float:
+    """lovasz_x(m, k) given the leading cascade index n, c = C(n, k) and f = _binom_real_at(k)."""
     if c == m:
         return float(n)
     target = float(m)
@@ -40,7 +61,7 @@ def _lovasz_root(m: int, k: int, n: int) -> float:
     x = n + (m - c) * (n - k + 1) / (c * k)
     while True:
         try:
-            fx = binom_real(x, k)
+            fx = f(x)
         except OverflowError:
             fx = math.inf
         if abs(fx - target) <= tol:
@@ -50,7 +71,10 @@ def _lovasz_root(m: int, k: int, n: int) -> float:
         else:
             b = x
         # Newton step, f/f' = 1 / sum 1/(x-i); an overflow makes it nan and so a bisection.
-        x_new = x - (fx - target) / (fx * sum(1.0 / (x - i) for i in range(k)))
+        slope = 0.0
+        for i in range(k):
+            slope += 1.0 / (x - i)
+        x_new = x - (fx - target) / (fx * slope)
         if not a < x_new < b:
             x_new = 0.5 * (a + b)
             if not a < x_new < b:
@@ -61,11 +85,11 @@ def _lovasz_root(m: int, k: int, n: int) -> float:
     while f_lo >= target:
         hi, f_hi = lo, f_lo
         lo = math.nextafter(lo, -math.inf)
-        f_lo = binom_real(lo, k)
+        f_lo = f(lo)
     while f_hi < target:
         lo, f_lo = hi, f_hi
         hi = math.nextafter(hi, math.inf)
-        f_hi = binom_real(hi, k)
+        f_hi = f(hi)
     return lo if abs(f_lo - target) <= abs(f_hi - target) else hi
 
 
@@ -83,14 +107,23 @@ def lovasz_x(m: int, k: int) -> float:
     adjacent floats lo < hi with binom_real(lo, k) < m <= binom_real(hi, k)
     (in float arithmetic, so possibly just outside [n, n+1]) and returns the
     one with the smaller residual, lo on a tie.  That is the final rule of a
-    bisection run to the last bit, and it takes about 5 evaluations of
-    binom_real where such a bisection takes 55.
+    bisection run to the last bit, and it takes 4 to 6 evaluations of the
+    polynomial where such a bisection takes 55.
+
+    The pair does not depend on the path to it.  For x > k-1 every factor
+    x - i is positive, and a rounded subtraction, product or division of
+    positive floats is monotone in each operand, so binom_real is
+    non-decreasing on the floats there (within its direct product and within
+    its fallback for a product that overflows): the floats below m and those
+    at or above it form two runs, and one adjacent pair straddles them.  The
+    evaluations are those of _binom_real_at(k), equal to binom_real bit for
+    bit, which calls binom_real only when k > 170 or a value does not fit.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _lovasz_root(m, k, _max_index(m, k, None)[0])
+    return _lovasz_root(m, k, *_max_index(m, k, None), _binom_real_at(k))
 
 
 def lovasz_bound(m: int, k: int, p: int) -> float:
@@ -109,17 +142,24 @@ def withoutr_bound(m: int, k: int, p: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 < p < k:
         raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
-    return _withoutr(m, k, p, _power_lead(k, p), _pow_frac(m, p, k))
+    return _withoutr(m, k, p, _power_lead(k, p), math.factorial(k), _pow_frac(m, p, k))
 
 
 def _power_lead(k: int, p: int) -> float:
-    """(k!)^(p/k) / p!, the constant factor of withoutr_bound and noreasy_bound."""
-    return math.factorial(k) ** (p / k) / math.factorial(p)
+    """(k!)^(p/k) / p!, the constant factor of withoutr_bound and noreasy_bound.
+
+    From log-gamma only when k! or p! does not fit in a float (k > 170), so
+    every smaller k keeps its exact-factorial value.
+    """
+    try:
+        return math.factorial(k) ** (p / k) / math.factorial(p)
+    except OverflowError:
+        return math.exp(math.lgamma(k + 1) * p / k - math.lgamma(p + 1))
 
 
-def _withoutr(m: int, k: int, p: int, lead: float, m_pow: float) -> float:
-    """withoutr_bound(m, k, p) given lead = _power_lead(k, p) and m_pow = m^(p/k)."""
-    root = _pow_frac(math.factorial(k) * m, 1, k)
+def _withoutr(m: int, k: int, p: int, lead: float, fact_k: int, m_pow: float) -> float:
+    """withoutr_bound(m, k, p) given lead = _power_lead(k, p), fact_k = k! and m_pow = m^(p/k)."""
+    root = _pow_frac(fact_k * m, 1, k)
     return lead * (1.0 + (k - p) / (2.0 * root)) ** p * m_pow
 
 
@@ -184,14 +224,10 @@ def best_r(m: int, k: int) -> int:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _best_r(m, k, _max_index(m, k, None)[0])
-
-
-def _best_r(m: int, k: int, n: int) -> int:
-    """best_r(m, k) given the leading cascade index n."""
     if k == 1:
         return max(1, m - 1)
-    return n if m <= binomial(n, k) + binomial(n - 1, k - 1) else n + 1
+    n, c = _max_index(m, k, None)
+    return n if m <= c + binomial(n - 1, k - 1) else n + 1
 
 
 def flag_r(m: int, k: int) -> int:
@@ -241,9 +277,11 @@ def bound_reports(
     The first cascade comes from cascade_decompose and each later one from a
     _CascadeCursor, which reuses the previous cascade's terms.  One cascade
     per row gives kk_exact, and its leading index n is flag_r, the bracket
-    [n, n+1] of the Lovasz root, and best_r (n or n + 1).  The constants of
-    (k, p) are computed once and C(n, p), C(n, k), C(n+1, p), C(n+1, k) only
-    when n changes; beyond those and the cursor's one entry per cascade
+    [n, n+1] of the Lovasz root, and best_r (n or n + 1).  What does not
+    depend on m is hoisted: (k!)^(p/k)/p!, k!, the root's polynomial
+    evaluator and, for a fixed r, C(r, p) and C(r, k) once per call; C(n, p),
+    C(n, k), C(n+1, p), C(n+1, k) and best_r's threshold C(n, k) + C(n-1, k-1)
+    only when n changes.  Beyond those and the cursor's one entry per cascade
     level, nothing is kept from row to row.  The arguments are checked, in
     bound_report's order, when the first row is computed; an m that does not
     exceed the one before raises ValueError when it is reached.
@@ -258,7 +296,7 @@ def bound_reports(
         raise ValueError(f"need 1 <= p < k, got p={p}, k={k}")
     if r is not None and r < k:
         raise ValueError(f"need k <= r, got k={k}, r={r}")
-    lead = _power_lead(k, p)
+    lead, fact_k, evaluate = _power_lead(k, p), math.factorial(k), _binom_real_at(k)
     if r is not None:
         r_p, r_k = binomial(r, p), binomial(r, k)
     rep = cascade_decompose(m, k)
@@ -269,14 +307,16 @@ def bound_reports(
             n_at = n
             n_p, n_k = binomial(n, p), binomial(n, k)
             up_p, up_k = binomial(n + 1, p), binomial(n + 1, k)
-        x = _lovasz_root(m, k, n)
+            reach = n_k + binomial(n - 1, k - 1)  # best_r's threshold, k >= 2 here
+        x = _lovasz_root(m, k, n, n_k, evaluate)
         m_pow = _pow_frac(m, p, k)
         flag = _colorapprox(m, n_p, n_k, p, k)
         if r is not None:
             withr_r, withr = r, _colorapprox(m, r_p, r_k, p, k)
+        elif m <= reach:
+            withr_r, withr = n, flag
         else:
-            withr_r = _best_r(m, k, n)
-            withr = flag if withr_r == n else _colorapprox(m, up_p, up_k, p, k)
+            withr_r, withr = n + 1, _colorapprox(m, up_p, up_k, p, k)
         # Positional, in field order: cheaper per row than keywords.
         yield BoundReport(
             m,
@@ -285,7 +325,7 @@ def bound_reports(
             _shadow_sum(rep, p),  # kk_exact
             x,  # lovasz_x
             binom_real(x, p),  # lovasz
-            _withoutr(m, k, p, lead, m_pow),
+            _withoutr(m, k, p, lead, fact_k, m_pow),
             lead * m_pow,  # noreasy
             withr_r,
             withr,

@@ -10,6 +10,12 @@ single cascade_decompose runs the greedy from the top; a _CascadeCursor walks
 a strictly increasing sequence of m instead, each cascade from the one before
 (approx.bound_reports, where a sweep's rows come from).  Callers that need
 several numbers from one cascade build it once and derive them from it.
+
+Validation: every CascadeRep and ColoredCascadeRep built by a caller,
+cascade_decompose included, checks all its terms at construction.  The
+cursor's cascades skip that check: each term is checked once, when the
+cursor creates it, against the level above, and the prefix a later cascade
+keeps is never changed, so it was checked already.
 """
 
 from __future__ import annotations
@@ -145,9 +151,9 @@ class _CascadeCursor:
 
     Cascades grow lexicographically with m, so a larger m keeps a prefix of
     the previous terms and runs the greedy afresh only from the first index
-    that grows.  Each level keeps (n_j, C(n_j, j), C(n_j + 1, j)), so
-    checking that n_j stays is one comparison.  Memory stays at one entry
-    per level.
+    that grows.  Each level keeps its term (n_j, j), C(n_j, j) and
+    C(n_j + 1, j), so checking that n_j stays is one comparison.  Memory
+    stays at one entry per level.
     """
 
     def __init__(self, m: int, rep: CascadeRep) -> None:
@@ -156,35 +162,53 @@ class _CascadeCursor:
         self.levels = []
         for n, j in rep.terms:
             value = binomial(n, j)
-            self.levels.append((n, value, value * (n + 1) // (n + 1 - j)))
+            self.levels.append(((n, j), value, value * (n + 1) // (n + 1 - j)))
 
     def advance(self, m: int) -> CascadeRep:
-        """The cascade of m, which must exceed the previous m."""
+        """The cascade of m, which must exceed the previous m.
+
+        The levels created here are checked (1 <= j <= n_j below the index
+        above, and all levels summing to m) and the kept prefix is not; a
+        check that fails raises ValueError and returns no cascade.
+        """
         if m <= self.m:
             raise ValueError(f"m must increase strictly, got {m} after {self.m}")
-        k, levels, rem = self.k, self.levels, m
+        levels, rem = self.levels, m
+        kept = len(levels)
         # Above the first level that grows, every remainder rises by m - self.m.
-        for pos, (n, value, above) in enumerate(levels):
+        for pos, (term, value, above) in enumerate(levels):
             if rem >= above:
                 del levels[pos:]
+                kept = pos
                 # The index most often grows by one: n + 1 stands when rem is
                 # below C(n+2, j), which its entry needs anyway.  Otherwise
                 # the greedy below searches this level afresh.
-                j = k - pos
+                n, j = term
                 above_next = above * (n + 2) // (n + 2 - j)
                 if rem < above_next:
-                    levels.append((n + 1, above, above_next))
+                    levels.append(((n + 1, j), above, above_next))
                     rem -= above
                 break
             rem -= value
-        j = k - len(levels)
-        while rem > 0:
+        j = self.k - len(levels)
+        while rem > 0 and j > 0:
             n, value = _max_index(rem, j, None)
-            levels.append((n, value, value * (n + 1) // (n + 1 - j)))
+            levels.append(((n, j), value, value * (n + 1) // (n + 1 - j)))
             rem -= value
             j -= 1
+        if rem:
+            raise ValueError(f"cascade levels do not sum to m={m}")
+        terms = tuple([level[0] for level in levels])
+        top = terms[kept - 1][0] if kept else math.inf
+        for n, j in terms[kept:]:
+            if not 0 < j <= n < top:
+                raise ValueError(f"term {(n, j)} is not within 1 <= j <= n < {top}")
+            top = n
         self.m = m
-        return CascadeRep(k, tuple([(level[0], k - pos) for pos, level in enumerate(levels)]))
+        rep = object.__new__(CascadeRep)
+        fields = rep.__dict__  # frozen: set as the dataclass's own __init__ would
+        fields["k"], fields["terms"] = self.k, terms
+        return rep
 
 
 def cascade_evaluate(rep: CascadeRep) -> int:

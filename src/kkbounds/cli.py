@@ -3,11 +3,11 @@
 Exit codes: 0 success, 2 usage error or a value out of arithmetic range,
 3 validation failure, 4 self-test failure.
 
-sweep writes each row as soon as it is computed and keeps no rows; only the
-list of sampled m values, one integer per row, grows with the row count.  A
-sweep that fails at some row has therefore already written the rows before it
-(a JSON sweep then lacks its closing bracket); one that fails at its first
-row writes nothing.
+sweep writes each row as soon as it is computed, so a sweep that fails at
+some row has already written the rows before it (a JSON sweep then lacks its
+closing bracket); one that fails at its first row writes nothing.  It keeps
+no rows, and with --samples all its grid is a range, so its memory does not
+grow with the row count; a sampled grid is a list of its m values.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import itertools
 import json
 import sys
 from operator import attrgetter
+from typing import Sequence
 
 from .approx import bound_report, bound_reports
 from .cascade import FaceVector, cascade_decompose, cascade_evaluate, validate_face_vector
@@ -57,16 +58,17 @@ def _fmt(value) -> str:
     return "" if value is None else _CELL_FORMATS[type(value)] % value
 
 
-def sample_grid(m_start: int, m_end: int, samples, linear: bool = False) -> list[int]:
+def sample_grid(m_start: int, m_end: int, samples, linear: bool = False) -> Sequence[int]:
     """Strictly increasing m values from m_start to m_end inclusive.
 
-    samples is an integer >= 2 or the string "all"; spacing is geometric by
-    default because the bounds are power laws.
+    samples is an integer >= 2, for a list with geometric spacing by default
+    because the bounds are power laws, or the string "all", for the range of
+    every m.
     """
     if samples == "all":
         if m_start < 1 or m_end < m_start:
             raise ValueError(f"need 1 <= m_start <= m_end, got {m_start}, {m_end}")
-        return list(range(m_start, m_end + 1))
+        return range(m_start, m_end + 1)
     return (linear_grid if linear else geometric_grid)(m_start, m_end, int(samples))
 
 

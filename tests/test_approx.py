@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from kkbounds import (
@@ -220,3 +221,18 @@ def test_bound_report_fields():
         bound_report(11, 3, 2, r=2)
     with pytest.raises(ValueError):
         bound_report(0, 3, 2)
+
+
+@pytest.mark.parametrize("k", [171, 400])
+def test_power_law_bounds_beyond_float_factorial(k):
+    # k! no longer fits in a float, so (k!)^(p/k) / p! comes from log-gamma.
+    with mpmath.workdps(50):
+        for p in (1, k // 2, k - 1):
+            lead = mpmath.factorial(k) ** (mpmath.mpf(p) / k) / mpmath.factorial(p)
+            for m in (1, 5, 10**5, 10**40, 10**300):
+                noreasy = lead * mpmath.mpf(m) ** (mpmath.mpf(p) / k)
+                root = (mpmath.factorial(k) * m) ** (mpmath.mpf(1) / k)
+                withoutr = noreasy * (1 + (k - p) / (2 * root)) ** p
+                for got, want in ((noreasy_bound(m, k, p), noreasy),
+                                  (withoutr_bound(m, k, p), withoutr)):
+                    assert abs(got - want) <= 1e-12 * want, (m, k, p, got)

@@ -178,7 +178,7 @@ def test_sample_grid_properties():
     assert all(a < b for a, b in zip(grid, grid[1:]))
     linear = sample_grid(10, 100, 10, linear=True)
     assert linear == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-    assert sample_grid(3, 7, "all") == [3, 4, 5, 6, 7]
+    assert sample_grid(3, 7, "all") == range(3, 8)
 
 
 def test_sweep_rows_keep_bound_ordering(capsys):

@@ -69,10 +69,24 @@ def test_cli_cascade_beyond_float_range(capsys):
 
 
 def test_cli_arithmetic_error_exits_2(capsys):
-    code, out, err = run(capsys, "bound", "--m", "5", "--k", "400", "--p", "1")
+    code, out, err = run(capsys, "bound", "--m", str(HUGE), "--k", "10", "--p", "7")
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--m", "5", "--k", "400", "--p", "1"),
+        ("sweep", "--k", "400", "--p", "1", "--m-end", "100", "--samples", "5"),
+    ],
+)
+def test_cli_bounds_beyond_float_factorial(capsys, argv):
+    # k! exceeds the largest float from k = 171 on, but every bound still fits.
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert "inf" not in out and "nan" not in out
 
 
 @pytest.mark.parametrize(

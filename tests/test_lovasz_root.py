@@ -7,9 +7,13 @@ bracketed method; it is the reference for bit-identity.  mpmath serves as a
 
 import math
 import random
+import struct
+import sys
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kkbounds import (
     approx,
@@ -171,3 +175,80 @@ def test_bound_report_builds_one_cascade(monkeypatch):
 def test_cascades_are_not_cached():
     for fn in (cascade_decompose, colored_cascade_decompose):
         assert not hasattr(fn, "cache_info")
+
+
+KS = st.one_of(st.integers(min_value=1, max_value=40), st.sampled_from([170, 171, 400]))
+
+
+def _outcome(k, evaluate, x):
+    try:
+        return evaluate(x).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data(), KS)
+def test_fixed_k_evaluator_is_binom_real_bit_for_bit(data, k):
+    x = data.draw(
+        st.one_of(
+            st.floats(min_value=k - 1, max_value=k + 50, exclude_min=True),
+            st.floats(min_value=k - 1, max_value=1e20, exclude_min=True),
+            st.floats(min_value=k - 1, max_value=1e300, exclude_min=True),
+        )
+    )
+    evaluate = approx._binom_real_at(k)
+    assert _outcome(k, evaluate, x) == _outcome(k, lambda y: binom_real(y, k), x)
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _from_bits(b: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", b))[0]
+
+
+def _straddling_pair(m: int, k: int) -> tuple[float, float]:
+    """Adjacent floats lo < hi above k-1 with binom_real(lo, k) < m <= binom_real(hi, k).
+
+    Bisects on the bit patterns of the positive floats, which are ordered as
+    the floats are; an overflow counts as at or above m.
+    """
+    target = float(m)
+
+    def at_or_above(b: int) -> bool:
+        try:
+            return binom_real(_from_bits(b), k) >= target
+        except OverflowError:
+            return True
+
+    lo, hi = _bits(float(k - 1)), _bits(sys.float_info.max)  # binom_real(k-1, k) = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if at_or_above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return _from_bits(lo), _from_bits(hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=1, max_value=10**15),
+        st.integers(min_value=1, max_value=10**300),
+    ),
+    KS,
+)
+def test_root_is_the_rule_applied_to_the_unique_straddling_pair(m, k):
+    lo, hi = _straddling_pair(m, k)
+    target = float(m)
+    if binomial(cascade_decompose(m, k).terms[0][0], k) == m:
+        expected = float(cascade_decompose(m, k).terms[0][0])  # an exact integer coincidence
+    elif abs(binom_real(lo, k) - target) <= abs(binom_real(hi, k) - target):
+        expected = lo
+    else:
+        expected = hi
+    assert lovasz_x(m, k) == expected

@@ -97,6 +97,40 @@ def test_cursor_runs_through_every_m():
             assert cursor.advance(m) == cascade_decompose(m, k)
 
 
+# Corruptions of a cursor's stored level at k = 3 after which a later cascade
+# needs a level that breaks the cascade's order, or cannot reach m.
+def _top_stale_next_binomial(levels):
+    term, value, above = levels[0]
+    levels[0] = (term, value, above + 1000)  # C(n+1, 3) too large: the top misses its growth
+
+
+def _top_short_binomial(levels):
+    term, value, above = levels[0]
+    levels[0] = (term, value - 200, above)  # C(n, 3) too small: the level below must outgrow it
+
+
+def _last_stale_next_binomial(levels):
+    term, value, above = levels[-1]
+    levels[-1] = (term, value, above + 1000)  # C(n+1, 1) too large: m is not reached by j = 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_top_stale_next_binomial, "not within"),
+        (_top_short_binomial, "not within"),
+        (_last_stale_next_binomial, "do not sum"),
+    ],
+)
+def test_cursor_rejects_a_corrupted_level(corrupt, message):
+    k, m = 3, binomial(20, 3) - 5  # 1135 = C(19,3) + C(18,2) + C(13,1)
+    cursor = _CascadeCursor(m, cascade_decompose(m, k))
+    corrupt(cursor.levels)
+    with pytest.raises(ValueError, match=message):
+        for m in range(m + 1, binomial(21, 3)):
+            assert cursor.advance(m) == cascade_decompose(m, k), m
+
+
 SWEEPS = {
     "dense_k3": ([*range(1, 3001)], 3, 2),
     "paper_k10": (geometric_grid(1, 12777711870, 400), 10, 7),
@@ -207,8 +241,11 @@ def test_sweep_that_cannot_start_writes_nothing(capsys):
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: ")
-    # Fails in the first row: nothing, not even the header, is written.
-    argv = ("sweep", "--k", "400", "--p", "1", "--m-end", "100", "--samples", "5")
+    # Fails in the first row, whose root needs float(m): nothing, not even
+    # the header, is written.
+    m = 10**320
+    argv = ("sweep", "--k", "10", "--p", "7", "--m-start", str(m), "--m-end", str(m + 4),
+            "--samples", "all")
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: ")
