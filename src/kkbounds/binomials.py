@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -53,26 +52,63 @@ def binom_real(x: float, k: int) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class TuranGraph:
+_set = object.__setattr__
+
+
+class _Record:
+    """Immutable record over __slots__: equality, hash and repr field by field.
+
+    The base of the package's records; it lives here because each module
+    that defines one imports this one.  A subclass's own __init__ checks and
+    converts its fields and stores them with _set; assigning or deleting a
+    field afterwards raises AttributeError, as on a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete {name!r} of an immutable record")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class TuranGraph(_Record):
     """Complete multipartite graph on {1..n} with r parts as even as possible."""
 
-    n: int
-    r: int
-    parts: tuple[frozenset[int], ...]
+    __slots__ = ("n", "r", "parts")
 
-    def __post_init__(self) -> None:
-        if self.r < 1 or self.n < 0:
-            raise ValueError(f"need n >= 0 and r >= 1, got n={self.n}, r={self.r}")
-        if len(self.parts) != self.r:
+    def __init__(self, n: int, r: int, parts: tuple[frozenset[int], ...]) -> None:
+        if r < 1 or n < 0:
+            raise ValueError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
+        if len(parts) != r:
             raise ValueError("number of parts must equal r")
-        sizes = sorted(len(part) for part in self.parts)
-        if sum(sizes) != self.n:
+        sizes = sorted(len(part) for part in parts)
+        if sum(sizes) != n:
             raise ValueError("part sizes must sum to n")
         if sizes and sizes[-1] - sizes[0] > 1:
             raise ValueError("part sizes may differ by at most one")
-        if set().union(*self.parts) != set(range(1, self.n + 1)):
+        if set().union(*parts) != set(range(1, n + 1)):
             raise ValueError("parts must partition {1..n}")
+        _set(self, "n", n)
+        _set(self, "r", r)
+        _set(self, "parts", parts)
 
     def part_of(self, v: int) -> int:
         for i, part in enumerate(self.parts):

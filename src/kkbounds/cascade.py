@@ -13,18 +13,17 @@ several numbers from one cascade build it once and derive them from it.
 
 Validation: every CascadeRep and ColoredCascadeRep built by a caller,
 cascade_decompose included, checks all its terms at construction.  The
-cursor's cascades skip that check: each term is checked once, when the
-cursor creates it, against the level above, and the prefix a later cascade
-keeps is never changed, so it was checked already.
+cursor's cascades skip that check (CascadeRep._unchecked): each term is
+checked once, when the cursor creates it, against the level above, and the
+prefix a later cascade keeps is never changed, so it was checked already.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .binomials import binomial, turan_coefficient
+from .binomials import _Record, _set, binomial, turan_coefficient
 
 
 def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
@@ -89,16 +88,13 @@ def _shadow_sum(rep, p: int) -> int:
     return total
 
 
-class _Cascade:
+class _Cascade(_Record):
     """Term checks and rendering shared by CascadeRep and ColoredCascadeRep."""
 
-    def __post_init__(self) -> None:
-        k, r = self.k, getattr(self, "r", None)
-        if r is None:
-            terms = tuple([(int(n), int(j)) for n, j in self.terms])
-        else:
-            terms = tuple([(int(n), int(j), int(c)) for n, j, c in self.terms])
-        object.__setattr__(self, "terms", terms)
+    __slots__ = ()
+
+    def _check(self) -> None:
+        k, r, terms = self.k, getattr(self, "r", None), self.terms
         if k < 1 or (r is not None and r < k):
             raise ValueError(f"need r >= k >= 1, got k={k}, r={r}")
         if not terms:
@@ -125,7 +121,6 @@ class _Cascade:
         )
 
 
-@dataclass(frozen=True)
 class CascadeRep(_Cascade):
     """The unique representation m = C(n_k, k) + C(n_{k-1}, k-1) + ...
 
@@ -133,8 +128,20 @@ class CascadeRep(_Cascade):
     n_j strictly decreasing, ending at some n_{k-s} >= k-s > 0.
     """
 
-    k: int
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ("k", "terms")
+
+    def __init__(self, k: int, terms) -> None:
+        _set(self, "k", k)
+        _set(self, "terms", tuple([(int(n), int(j)) for n, j in terms]))
+        self._check()
+
+    @classmethod
+    def _unchecked(cls, k: int, terms: tuple[tuple[int, int], ...]) -> CascadeRep:
+        """A CascadeRep of terms its caller has checked already, stored as given."""
+        rep = object.__new__(cls)
+        _set(rep, "k", k)
+        _set(rep, "terms", terms)
+        return rep
 
 
 def cascade_decompose(m: int, k: int) -> CascadeRep:
@@ -205,10 +212,7 @@ class _CascadeCursor:
                 raise ValueError(f"term {(n, j)} is not within 1 <= j <= n < {top}")
             top = n
         self.m = m
-        rep = object.__new__(CascadeRep)
-        fields = rep.__dict__  # frozen: set as the dataclass's own __init__ would
-        fields["k"], fields["terms"] = self.k, terms
-        return rep
+        return CascadeRep._unchecked(self.k, terms)
 
 
 def cascade_evaluate(rep: CascadeRep) -> int:
@@ -229,21 +233,20 @@ def shadow_bound(m: int, k: int, p: int) -> int:
     return _shadow_sum(cascade_decompose(m, k), p)
 
 
-@dataclass(frozen=True)
-class FaceVector:
+class FaceVector(_Record):
     """Face counts (f_{-1}, f_0, ..., f_{d-1}) with f_{-1} = 1 for the empty face.
 
     Trailing zeros are trimmed at construction; a zero anywhere else is
     rejected so that "positive integer vector" is unambiguous.
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = tuple(int(e) for e in self.entries)
+    def __init__(self, entries) -> None:
+        entries = tuple(int(e) for e in entries)
         while len(entries) > 1 and entries[-1] == 0:
             entries = entries[:-1]
-        object.__setattr__(self, "entries", entries)
+        _set(self, "entries", entries)
         if not entries or entries[0] != 1:
             raise ValueError("face vector must start with f_{-1} = 1")
         if any(e <= 0 for e in entries):

@@ -1,34 +1,30 @@
 """Command line: bound evaluation, cascade display, validation, sweeps, self-test.
 
 Exit codes: 0 success, 2 usage error or a value out of arithmetic range,
-3 validation failure, 4 self-test failure.
+3 validation failure, 4 self-test failure.  A closed stdout pipe exits 0
+silently; any other failure to write stdout prints an error line and exits 2.
 
 sweep writes each row as soon as it is computed, so a sweep that fails at
 some row has already written the rows before it (a JSON sweep then lacks its
 closing bracket); one that fails at its first row writes nothing.  It keeps
 no rows, and with --samples all its grid is a range, so its memory does not
 grow with the row count; a sampled grid is a list of its m values.
+
+For a short start-up, colored, complexes, selftest and json load on use.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
+import os
 import sys
 from operator import attrgetter
 from typing import Sequence
 
 from .approx import bound_report, bound_reports
 from .cascade import FaceVector, cascade_decompose, cascade_evaluate, validate_face_vector
-from .colored import (
-    colored_cascade_decompose,
-    colored_cascade_evaluate,
-    validate_colored_face_vector,
-)
-from .complexes import realize_face_vector, serialize
 from .grid import geometric_grid, linear_grid
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,6 +71,8 @@ def sample_grid(m_start: int, m_end: int, samples, linear: bool = False) -> Sequ
 def _cmd_bound(args) -> int:
     report = bound_report(args.m, args.k, args.p, args.r)
     if args.format == "json":
+        import json
+
         print(json.dumps(report._asdict()))
         return EXIT_OK
     print(f"m         {report.m}")
@@ -94,6 +92,8 @@ def _cmd_cascade(args) -> int:
         rep = cascade_decompose(args.m, args.k)
         total = cascade_evaluate(rep)
     else:
+        from .colored import colored_cascade_decompose, colored_cascade_evaluate
+
         rep = colored_cascade_decompose(args.m, args.k, args.r)
         total = colored_cascade_evaluate(rep)
     print(f"{total} = {rep}")
@@ -109,12 +109,16 @@ def _cmd_validate(args) -> int:
     if args.r is None:
         result = validate_face_vector(f)
     else:
+        from .colored import validate_colored_face_vector
+
         result = validate_colored_face_vector(f, args.r)
     if not result.ok:
         print(f"invalid at k={result.failing_k}: {result.reason}")
         return EXIT_INVALID
     print("valid")
     if args.realize:
+        from .complexes import realize_face_vector, serialize
+
         print(serialize(realize_face_vector(f)))
     return EXIT_OK
 
@@ -147,6 +151,8 @@ def _cmd_sweep(args) -> int:
     first = next(rows)
     write = sys.stdout.write
     if args.format == "json":
+        import json
+
         write("[" + json.dumps(dict(zip(SWEEP_COLUMNS, columns(first)))))
         for row in rows:
             write(", " + json.dumps(dict(zip(SWEEP_COLUMNS, columns(row)))))
@@ -168,6 +174,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     return EXIT_OK if run_selftest(args.scale) else EXIT_SELFTEST
 
 
@@ -237,9 +245,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if sys.stdout is None:  # started with file descriptor 1 closed
+        print("error: stdout is closed", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # stdout failed: point it at devnull, so the interpreter's final flush is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_OK  # the reader has all it wanted
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

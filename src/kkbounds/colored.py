@@ -6,12 +6,10 @@ budget that starts at r and drops with the lower index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .binomials import _set
 from .cascade import FaceVector, ValidationResult, _Cascade, _first_failure, _greedy, _shadow_sum
 
 
-@dataclass(frozen=True)
 class ColoredCascadeRep(_Cascade):
     """m = T(n_k, k)_r + T(n_{k-1}, k-1)_{r-1} + ... with descending color budgets.
 
@@ -19,9 +17,13 @@ class ColoredCascadeRep(_Cascade):
     n - floor(n / c) > n' and the last term has n >= j > 0.
     """
 
-    k: int
-    r: int
-    terms: tuple[tuple[int, int, int], ...]
+    __slots__ = ("k", "r", "terms")
+
+    def __init__(self, k: int, r: int, terms) -> None:
+        _set(self, "k", k)
+        _set(self, "r", r)
+        _set(self, "terms", tuple([(int(n), int(j), int(c)) for n, j, c in terms]))
+        self._check()
 
 
 def colored_cascade_decompose(m: int, k: int, r: int) -> ColoredCascadeRep:
