@@ -8,14 +8,15 @@ c > n; throughout, a budget of None stands for that unbounded c.
 Cascades are not cached, so building many holds no more than the last.  A
 single cascade_decompose runs the greedy from the top; a _CascadeCursor walks
 a strictly increasing sequence of m instead, each cascade from the one before
-(approx.bound_reports, where a sweep's rows come from).  Callers that need
-several numbers from one cascade build it once and derive them from it.
+(approx.bound_reports, where a sweep's rows come from) with the shadow sum at
+one level p, and builds no CascadeRep per m.  Callers that need several
+numbers from one cascade build it once and derive them from it.
 
 Validation: every CascadeRep and ColoredCascadeRep built by a caller,
 cascade_decompose included, checks all its terms at construction.  The
-cursor's cascades skip that check (CascadeRep._unchecked): each term is
-checked once, when the cursor creates it, against the level above, and the
-prefix a later cascade keeps is never changed, so it was checked already.
+cursor's terms skip that check (so does its cascade(), CascadeRep._unchecked):
+each is checked once, when the cursor creates it, against the level above,
+and the prefix a later m keeps is never changed, so it was checked already.
 """
 
 from __future__ import annotations
@@ -158,61 +159,66 @@ class _CascadeCursor:
 
     Cascades grow lexicographically with m, so a larger m keeps a prefix of
     the previous terms and runs the greedy afresh only from the first index
-    that grows.  Each level keeps its term (n_j, j), C(n_j, j) and
-    C(n_j + 1, j), so checking that n_j stays is one comparison.  Memory
-    stays at one entry per level.
+    that grows.  Each level is (n_j, j, C(n_j, j), C(n_j + 1, j), shadow),
+    so checking that n_j stays is one comparison; shadow sums C(n_i, i - (k-p))
+    over this level and those above, so the last one is _shadow_sum at p and
+    only created levels cost binomials.  Memory stays at one entry per level.
     """
 
-    def __init__(self, m: int, rep: CascadeRep) -> None:
-        self.m = m
-        self.k = rep.k
-        self.levels = []
+    def __init__(self, m: int, rep: CascadeRep, p: int) -> None:
+        self.m, self.k, self.drop = m, rep.k, rep.k - p
+        self.levels, shadow = [], 0
         for n, j in rep.terms:
             value = binomial(n, j)
-            self.levels.append(((n, j), value, value * (n + 1) // (n + 1 - j)))
+            shadow += binomial(n, j - self.drop)
+            self.levels.append((n, j, value, value * (n + 1) // (n + 1 - j), shadow))
 
-    def advance(self, m: int) -> CascadeRep:
-        """The cascade of m, which must exceed the previous m.
+    def advance(self, m: int) -> tuple[int, int]:
+        """Move to m, which must exceed the previous m: its leading index and shadow sum.
 
-        The levels created here are checked (1 <= j <= n_j below the index
-        above, and all levels summing to m) and the kept prefix is not; a
-        check that fails raises ValueError and returns no cascade.
+        Each level created here is checked as it is made (1 <= j <= n_j below
+        the index above), then all levels summing to m; the kept prefix is
+        not.  A check that fails raises ValueError.
         """
         if m <= self.m:
             raise ValueError(f"m must increase strictly, got {m} after {self.m}")
-        levels, rem = self.levels, m
-        kept = len(levels)
+        levels, rem, drop, top = self.levels, m, self.drop, math.inf
         # Above the first level that grows, every remainder rises by m - self.m.
-        for pos, (term, value, above) in enumerate(levels):
+        for pos, (n, j, value, above, shadow) in enumerate(levels):
             if rem >= above:
                 del levels[pos:]
-                kept = pos
                 # The index most often grows by one: n + 1 stands when rem is
                 # below C(n+2, j), which its entry needs anyway.  Otherwise
-                # the greedy below searches this level afresh.
-                n, j = term
+                # the greedy below searches this level afresh.  Its shadow
+                # term grows by C(n, i-1), as C(n+1, i) = C(n, i) + C(n, i-1).
                 above_next = above * (n + 2) // (n + 2 - j)
                 if rem < above_next:
-                    levels.append(((n + 1, j), above, above_next))
+                    if n + 1 >= top:
+                        raise ValueError(f"term {(n + 1, j)} is not within 1 <= j <= n < {top}")
+                    levels.append((n + 1, j, above, above_next, shadow + binomial(n, j - drop - 1)))
                     rem -= above
+                    top = n + 1
                 break
             rem -= value
-        j = self.k - len(levels)
-        while rem > 0 and j > 0:
-            n, value = _max_index(rem, j, None)
-            levels.append(((n, j), value, value * (n + 1) // (n + 1 - j)))
-            rem -= value
-            j -= 1
-        if rem:
-            raise ValueError(f"cascade levels do not sum to m={m}")
-        terms = tuple([level[0] for level in levels])
-        top = terms[kept - 1][0] if kept else math.inf
-        for n, j in terms[kept:]:
-            if not 0 < j <= n < top:
-                raise ValueError(f"term {(n, j)} is not within 1 <= j <= n < {top}")
             top = n
+        if rem:
+            j, shadow = self.k - len(levels), levels[-1][4] if levels else 0
+            while rem > 0 and j > 0:
+                n, value = _max_index(rem, j, None)
+                if not j <= n < top:
+                    raise ValueError(f"term {(n, j)} is not within 1 <= j <= n < {top}")
+                shadow += binomial(n, j - drop)
+                levels.append((n, j, value, value * (n + 1) // (n + 1 - j), shadow))
+                rem -= value
+                top, j = n, j - 1
+            if rem:
+                raise ValueError(f"cascade levels do not sum to m={m}")
         self.m = m
-        return CascadeRep._unchecked(self.k, terms)
+        return levels[0][0], levels[-1][4]
+
+    def cascade(self) -> CascadeRep:
+        """The cascade of the current m."""
+        return CascadeRep._unchecked(self.k, tuple([level[:2] for level in self.levels]))
 
 
 def cascade_evaluate(rep: CascadeRep) -> int:

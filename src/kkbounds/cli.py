@@ -165,11 +165,11 @@ def _cmd_sweep(args) -> int:
         cells = list(zip(SWEEP_COLUMNS, columns(first)))
         template = ",".join(
             "" if value is None else _CELL_FORMATS[type(value)] for _, value in cells
-        )
+        ) + "\n"
         present = attrgetter(*[name for name, value in cells if value is not None])
         write(",".join(SWEEP_COLUMNS) + "\n")
         for row in itertools.chain((first,), rows):
-            write(template % present(row) + "\n")
+            write(template % present(row))
     return EXIT_OK
 
 

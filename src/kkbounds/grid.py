@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 
 
-def _spaced_grid(m_start: int, m_end: int, samples: int, target) -> list[int]:
+def _spaced_grid(m_start: int, m_end: int, samples: int, point) -> list[int]:
     """samples strictly increasing integers from m_start to m_end.
 
-    The i-th is the integer nearest target(m_start, m_end, i / (samples - 1)),
+    Between the two ends, the i-th is point(m_start, m_end, i, samples - 1),
     moved just far enough to keep the values distinct and inside the range.
     """
     if m_start < 1 or m_end < m_start:
@@ -19,26 +19,37 @@ def _spaced_grid(m_start: int, m_end: int, samples: int, target) -> list[int]:
         raise ValueError(
             f"cannot place {samples} distinct integers in [{m_start}, {m_end}]"
         )
-    out: list[int] = []
-    prev = m_start - 1
-    for i in range(samples):
-        v = max(round(target(m_start, m_end, i / (samples - 1))), prev + 1)
-        v = min(v, m_end - (samples - 1 - i))
-        out.append(v)
-        prev = v
+    last = samples - 1
+    out = [m_start]
+    for i in range(1, last):
+        out.append(min(max(point(m_start, m_end, i, last), out[-1] + 1), m_end - (last - i)))
+    out.append(m_end)
     return out
+
+
+def _geometric_point(a: int, b: int, i: int, last: int) -> int:
+    """The integer nearest a (b/a)^(i/last), to float precision."""
+    log_v = math.log(a) + i / last * (math.log(b) - math.log(a))
+    try:
+        return round(math.exp(log_v))
+    except OverflowError:  # beyond float range: the leading 60 bits from log space
+        shift = int(log_v / math.log(2)) - 60
+        return int(math.exp(log_v - shift * math.log(2))) << shift
+
+
+def _linear_point(a: int, b: int, i: int, last: int) -> int:
+    """The integer nearest a + (b - a) i / last, in float arithmetic where that fits."""
+    try:
+        return round(a + i / last * (b - a))
+    except OverflowError:  # beyond float range: exact, halves rounded up
+        return a + (2 * i * (b - a) + last) // (2 * last)
 
 
 def geometric_grid(m_start: int, m_end: int, samples: int) -> list[int]:
     """samples strictly increasing integers from m_start to m_end, equal ratios."""
-    return _spaced_grid(
-        m_start,
-        m_end,
-        samples,
-        lambda a, b, t: math.exp(math.log(a) + t * (math.log(b) - math.log(a))),
-    )
+    return _spaced_grid(m_start, m_end, samples, _geometric_point)
 
 
 def linear_grid(m_start: int, m_end: int, samples: int) -> list[int]:
     """samples strictly increasing integers from m_start to m_end, equal steps."""
-    return _spaced_grid(m_start, m_end, samples, lambda a, b, t: a + t * (b - a))
+    return _spaced_grid(m_start, m_end, samples, _linear_point)

@@ -2,6 +2,8 @@
 arithmetic errors at the command line, one grid routine, one bound-row path."""
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -129,3 +131,28 @@ def test_sweep_rows_are_bound_reports(capsys):
         off = modes["off"][i]
         assert [off[key] for key in ("withr_r", "withr", "flag_r", "flag")] == [None] * 4
         assert off["kk_exact"] == best["kk_exact"] and off["lovasz"] == best["lovasz"]
+
+
+@pytest.mark.parametrize("m_start, m_end", [(1, HUGE), (7, 2**1024 + 1), (10**310, 10**1000)])
+@pytest.mark.parametrize("samples", [2, 5, 200])
+def test_grids_reach_beyond_float_range(m_start, m_end, samples):
+    geometric = geometric_grid(m_start, m_end, samples)
+    linear = sample_grid(m_start, m_end, samples, linear=True)
+    for grid in (geometric, linear):
+        assert len(grid) == samples and (grid[0], grid[-1]) == (m_start, m_end)
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+    last = samples - 1
+    # Linear points beyond float range are exact, halves rounded up; geometric
+    # ones keep equal ratios to float precision.
+    for i in range(1, last):
+        step = Fraction(i * (m_end - m_start), last)
+        assert linear[i] == m_start + math.floor(step + Fraction(1, 2))
+        if geometric[i] > 2**1024:
+            expected = math.log(m_start) + i / last * (math.log(m_end) - math.log(m_start))
+            assert math.isclose(math.log(geometric[i]), expected, rel_tol=1e-15)
+
+
+def test_grid_ends_are_the_range_ends():
+    # In float arithmetic alone, these grids ended at a double next to m_end.
+    assert geometric_grid(7, 10**300, 5)[::4] == [7, 10**300]
+    assert sample_grid(3, 10**200, 5, linear=True)[::4] == [3, 10**200]

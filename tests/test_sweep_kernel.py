@@ -24,10 +24,10 @@ from kkbounds import (
     shadow_bound,
     withoutr_bound,
 )
-from kkbounds import cli
-from kkbounds.cascade import _CascadeCursor
+from kkbounds import approx, cli
+from kkbounds.cascade import _CascadeCursor, _shadow_sum
 from kkbounds.cli import EXIT_OK, EXIT_USAGE, main
-from kkbounds.grid import geometric_grid
+from kkbounds.grid import geometric_grid, linear_grid
 
 M_MAX = 10**15
 
@@ -81,37 +81,47 @@ def increasing_runs(draw):
     return k, sorted(m for m in ms if 1 <= m <= M_MAX)
 
 
+def _advance(cursor, m, p):
+    """Advance the cursor to m and check what it carries against a fresh cascade."""
+    rep = cascade_decompose(m, cursor.k)
+    assert cursor.advance(m) == (rep.terms[0][0], _shadow_sum(rep, p)), (m, cursor.k, p)
+    assert cursor.cascade() == rep, (m, cursor.k)
+
+
 @settings(max_examples=300, deadline=None)
-@given(increasing_runs())
-def test_cursor_cascades_equal_decompose(case):
+@given(increasing_runs(), st.data())
+def test_cursor_cascades_equal_decompose(case, data):
     k, ms = case
-    cursor = _CascadeCursor(ms[0], cascade_decompose(ms[0], k))
+    p = data.draw(st.integers(min_value=0, max_value=k))  # p = k carries m itself
+    cursor = _CascadeCursor(ms[0], cascade_decompose(ms[0], k), p)
     for m in ms[1:]:
-        assert cursor.advance(m) == cascade_decompose(m, k), (m, k)
+        _advance(cursor, m, p)
 
 
 def test_cursor_runs_through_every_m():
     for k in (2, 3, 5):
-        cursor = _CascadeCursor(1, cascade_decompose(1, k))
-        for m in range(2, 5000):
-            assert cursor.advance(m) == cascade_decompose(m, k)
+        for p in range(1, k):
+            cursor = _CascadeCursor(1, cascade_decompose(1, k), p)
+            for m in range(2, 5000):
+                _advance(cursor, m, p)
 
 
-# Corruptions of a cursor's stored level at k = 3 after which a later cascade
-# needs a level that breaks the cascade's order, or cannot reach m.
+# Corruptions of a cursor's stored level (n, j, C(n, j), C(n+1, j), shadow) at
+# k = 3 after which a later cascade needs a level that breaks the cascade's
+# order, or cannot reach m.
 def _top_stale_next_binomial(levels):
-    term, value, above = levels[0]
-    levels[0] = (term, value, above + 1000)  # C(n+1, 3) too large: the top misses its growth
+    n, j, value, above, shadow = levels[0]
+    levels[0] = (n, j, value, above + 1000, shadow)  # C(n+1, 3) too large: the top cannot grow
 
 
 def _top_short_binomial(levels):
-    term, value, above = levels[0]
-    levels[0] = (term, value - 200, above)  # C(n, 3) too small: the level below must outgrow it
+    n, j, value, above, shadow = levels[0]
+    levels[0] = (n, j, value - 200, above, shadow)  # C(n, 3) too small: the level below outgrows it
 
 
 def _last_stale_next_binomial(levels):
-    term, value, above = levels[-1]
-    levels[-1] = (term, value, above + 1000)  # C(n+1, 1) too large: m is not reached by j = 1
+    n, j, value, above, shadow = levels[-1]
+    levels[-1] = (n, j, value, above + 1000, shadow)  # C(n+1, 1) too large: j = 1 cannot reach m
 
 
 @pytest.mark.parametrize(
@@ -124,11 +134,12 @@ def _last_stale_next_binomial(levels):
 )
 def test_cursor_rejects_a_corrupted_level(corrupt, message):
     k, m = 3, binomial(20, 3) - 5  # 1135 = C(19,3) + C(18,2) + C(13,1)
-    cursor = _CascadeCursor(m, cascade_decompose(m, k))
+    cursor = _CascadeCursor(m, cascade_decompose(m, k), 2)
     corrupt(cursor.levels)
     with pytest.raises(ValueError, match=message):
         for m in range(m + 1, binomial(21, 3)):
-            assert cursor.advance(m) == cascade_decompose(m, k), m
+            cursor.advance(m)
+            assert cursor.cascade() == cascade_decompose(m, k), m
 
 
 SWEEPS = {
@@ -146,6 +157,66 @@ def test_bound_reports_equal_frozen_rows(name):
     assert list(bound_reports(ms, k, p)) == [_frozen_bound_report(m, k, p) for m in ms]
     r = k + 7
     assert list(bound_reports(ms, k, p, r)) == [_frozen_bound_report(m, k, p, r) for m in ms]
+
+
+@st.composite
+def warm_runs(draw):
+    """k, p < k and a strictly increasing list of m: runs of consecutive m,
+    jumps across C(n, k), and m up to 10**300.  k > 170 evaluates through
+    binom_real's fallback."""
+    k = draw(st.one_of(st.integers(min_value=2, max_value=12), st.integers(171, 200)))
+    p = draw(st.integers(min_value=1, max_value=k - 1))
+    top = draw(st.sampled_from([10**6, 10**15, 10**300]))
+    ms = set(draw(st.lists(st.integers(min_value=1, max_value=top), max_size=6)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        m = draw(st.integers(min_value=1, max_value=top))
+        ms.update(range(m, m + draw(st.integers(min_value=1, max_value=8))))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        n = cascade_decompose(draw(st.integers(min_value=1, max_value=top)), k).terms[0][0]
+        ms.update(range(max(1, binomial(n, k) - 2), binomial(n, k) + 3))
+    return k, p, sorted(ms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(warm_runs())
+def test_warm_rows_equal_cold_rows(case):
+    k, p, ms = case
+    # Rows compare field by field, their floats by ==.
+    assert list(bound_reports(ms, k, p)) == [bound_report(m, k, p) for m in ms]
+
+
+def _root_evaluations_per_row(monkeypatch, ms, k, p, rows):
+    """Mean evaluations of the root's polynomial per row of rows(ms, k, p)."""
+    calls = 0
+    real = approx._binom_real_at
+
+    def counting(j):
+        evaluate = real(j)
+        if j != k:
+            return evaluate  # the lovasz column's C(x, p)
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return evaluate(x)
+
+        return counted
+
+    monkeypatch.setattr(approx, "_binom_real_at", counting)
+    count = len(rows(ms, k, p))
+    return calls / count
+
+
+@pytest.mark.parametrize(
+    "ms, k, p, most",
+    [(range(1, 20001), 3, 2, 2.4), (geometric_grid(1, 12777711870, 400), 10, 7, 3.3)],
+)
+def test_warm_root_evaluations_per_row(monkeypatch, ms, k, p, most):
+    warm = _root_evaluations_per_row(monkeypatch, ms, k, p, lambda *a: list(bound_reports(*a)))
+    cold = _root_evaluations_per_row(
+        monkeypatch, ms, k, p, lambda ms, k, p: [bound_report(m, k, p) for m in ms]
+    )
+    assert warm <= most < cold
 
 
 @pytest.mark.parametrize("mode", ["auto-best", "auto-flag", "fixed", "off"])
@@ -233,14 +304,18 @@ def test_failing_sweep_keeps_the_rows_before_the_failure(capsys):
     code, out, err = _run(capsys, *argv, "--format", "json")
     assert code == EXIT_USAGE and err.startswith("error: ")
     assert out.startswith("[{") and not out.endswith("]\n")  # an unterminated array
+    # A grid reaching beyond float range: the rows below 2**1024 are written.
+    argv = ("sweep", "--k", "10", "--p", "7", "--m-end", str(10**320), "--samples", "5")
+    for spacing, written in (((), 4), (("--linear",), 1)):
+        code, out, err = _run(capsys, *argv, *spacing)
+        assert (code, err) == (EXIT_USAGE, "error: int too large to convert to float\n")
+        lines = out.splitlines()
+        assert lines[0] == ",".join(cli.SWEEP_COLUMNS) and len(lines) == 1 + written
+        grid = (linear_grid if spacing else geometric_grid)(1, 10**320, 5)
+        assert [int(line.split(",")[0]) for line in lines[1:]] == grid[:written]
 
 
 def test_sweep_that_cannot_start_writes_nothing(capsys):
-    # Fails in the geometric grid, before the first row.
-    argv = ("sweep", "--k", "10", "--p", "7", "--m-end", str(10**320), "--samples", "5")
-    code, out, err = _run(capsys, *argv)
-    assert (code, out) == (EXIT_USAGE, "")
-    assert err.startswith("error: ")
     # Fails in the first row, whose root needs float(m): nothing, not even
     # the header, is written.
     m = 10**320
