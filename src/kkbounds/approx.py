@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .binomials import binom_real, binomial
-from .cascade import FaceVector, _CascadeCursor, _max_index, _shadow_sum, cascade_decompose
+from .cascade import FaceVector, _CascadeCursor, _max_index
 
 
 def _pow_frac(m: int, num: int, den: int) -> float:
@@ -18,21 +19,13 @@ def _pow_frac(m: int, num: int, den: int) -> float:
     return math.exp(math.log(m) * num / den)
 
 
-def _ratio_pow(num: int, den: int, p: int, k: int) -> float:
-    """(num / den) ** (p / k) for positive integers; exactly 1.0 when num == den."""
-    if num == den:
-        return 1.0
-    try:
-        return (num / den) ** (p / k)
-    except OverflowError:
-        return math.exp((math.log(num) - math.log(den)) * (p / k))
-
-
+@lru_cache(maxsize=256)
 def _binom_real_at(k: int):
     """x -> binom_real(x, k) bit for bit: its product, divided by float(k!) converted once.
 
     binom_real itself evaluates where k! (k > 170) or the value does not fit
-    in a float, so its fallback and its errors are kept too.
+    in a float, so its fallback and its errors are kept too.  The evaluators
+    of the 256 k used last are cached, so bound_report builds none anew.
     """
     if k > 170:
         return lambda x: binom_real(x, k)
@@ -50,18 +43,33 @@ def _binom_real_at(k: int):
     return evaluate
 
 
+def _cold_start(m: int, k: int) -> float:
+    """y + (k-1)/2 + (k^2-1)/(24y), y = (k! m)^(1/k): the root of C(x, k) = m to O(1/y^3).
+
+    In u = x - (k-1)/2, x(x-1)...(x-k+1) = u^k - k(k^2-1)/24 u^(k-2) + ...
+    """
+    if k > 170:  # k! does not fit in a float
+        y = math.exp((math.lgamma(k + 1) + math.log(m)) / k)
+    else:
+        y = _pow_frac(math.factorial(k) * m, 1, k)
+    return y + 0.5 * (k - 1) + (k * k - 1) / (24.0 * y)
+
+
 def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float | None = None) -> float:
     """lovasz_x(m, k) given the leading cascade index n, c = C(n, k) and f = _binom_real_at(k).
 
-    The search starts from start when it lies strictly inside (n, n+1), else
-    by regula falsi through the exact endpoints, C(n+1, k) - C(n, k) = C(n, k) k / (n-k+1).
+    The search starts from start, or _cold_start(m, k) when None, if it lies
+    strictly inside (n, n+1), else by regula falsi through the exact
+    endpoints, C(n+1, k) - C(n, k) = C(n, k) k / (n-k+1).
     """
     if c == m:
         return float(n)
     target = float(m)
     tol = target * k * 2e-16
     a, b = float(n), float(n + 1)
-    x = start if start is not None and a < start < b else n + (m - c) * (n - k + 1) / (c * k)
+    if start is None:
+        start = _cold_start(m, k)
+    x = start if a < start < b else n + (m - c) * (n - k + 1) / (c * k)
     while True:
         try:
             fx = f(x)
@@ -122,19 +130,20 @@ def lovasz_x(m: int, k: int) -> float:
 
     The root lies in [n, n+1] for the leading cascade index n, as
     C(n, k) <= m < C(n+1, k), and when m = C(n, k) exactly the exact n is
-    returned, which keeps integer coincidences exact.  Otherwise a regula
-    falsi step through the two exact endpoints starts Newton steps that are
-    kept inside a bracket shrunk by every evaluation, falling back to
-    bisection when a step leaves it.  They stop once
+    returned, which keeps integer coincidences exact.  Otherwise Newton
+    steps start from the closed-form inverse of C(x, k) (_cold_start) if it
+    lies in (n, n+1), else from a regula falsi step through the two exact
+    endpoints.  They stay inside a bracket shrunk by every evaluation,
+    bisecting when a step leaves it, and stop once
     |binom_real(x, k) - m| <= m * k * 2e-16, or when the bracket holds no
     float strictly inside.  From there the result walks ulp by ulp to the two
     adjacent floats lo < hi with binom_real(lo, k) < m <= binom_real(hi, k)
     (in float arithmetic, so possibly just outside [n, n+1]) and returns the
-    one with the smaller residual, lo on a tie.  That is the final rule of a
-    bisection run to the last bit, and it takes 4 to 6 evaluations of the
-    polynomial where such a bisection takes 55.  bound_reports starts from
-    _warm_start's step off the previous row's root instead, if it lies in
-    (n, n+1): 2.1 a row over every m at k = 3, 2.9 on the paper's grid.
+    one with the smaller residual, lo on a tie: the final rule of a bisection
+    run to the last bit, which takes 55 evaluations of the polynomial.  This
+    takes 3.0 a call over every m to 20000 at k = 3 and 4.6 on the paper's
+    grid; bound_reports takes 2.1 and 2.9 a row, from a step off the
+    previous row's root (_warm_start) while n is unchanged.
 
     The pair, and so the result, does not depend on the path to it.  For
     x > k-1 every factor x - i is positive, and a rounded subtraction,
@@ -160,16 +169,42 @@ def lovasz_bound(m: int, k: int, p: int) -> float:
     return binom_real(lovasz_x(m, k), p)
 
 
+def _too_large(name: str, *args: int) -> OverflowError:
+    """The one outcome of an approximation beyond float range, worded as binom_real's."""
+    return OverflowError(f"{name}(m, {', '.join(map(str, args))}) does not fit in a float")
+
+
+def _fitting(bound, name: str, *args: int) -> float:
+    """bound(), or _too_large(name, *args) when it is infinite or overflows on the way.
+
+    An overflow on the way means the value does not fit either: the factors
+    of withoutr and noreasy are at least 1, and _colorapprox goes to log
+    space when C(r, p) or its power of m does not fit.
+    """
+    try:
+        value = bound()
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise _too_large(name, *args)
+    return value
+
+
 def withoutr_bound(m: int, k: int, p: int) -> float:
     """Root-free lower bound: power law times a first-order correction factor.
 
         (k!)^(p/k) / p! * (1 + (k-p) / (2 (k! m)^(1/k)))^p * m^(p/k)
+
+    Raises OverflowError when the value does not fit in a float.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 < p < k:
         raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
-    return _withoutr(m, k, p, _power_lead(k, p), math.factorial(k), _pow_frac(m, p, k))
+    return _fitting(
+        lambda: _withoutr(m, k, p, _power_lead(k, p), math.factorial(k), _pow_frac(m, p, k)),
+        "withoutr_bound", k, p,
+    )
 
 
 def _power_lead(k: int, p: int) -> float:
@@ -187,18 +222,24 @@ def _power_lead(k: int, p: int) -> float:
 def _withoutr(m: int, k: int, p: int, lead: float, fact_k: int, m_pow: float) -> float:
     """withoutr_bound(m, k, p) given lead = _power_lead(k, p), fact_k = k! and m_pow = m^(p/k)."""
     root = _pow_frac(fact_k * m, 1, k)
-    return lead * (1.0 + (k - p) / (2.0 * root)) ** p * m_pow
+    value = lead * (1.0 + (k - p) / (2.0 * root)) ** p * m_pow
+    if value == math.inf:
+        raise _too_large("withoutr_bound", k, p)
+    return value
 
 
 def noreasy_bound(m: int, k: int, p: int) -> float:
-    """Plain power-law lower bound (k!)^(p/k) / p! * m^(p/k); zero at m = 0."""
+    """Plain power-law lower bound (k!)^(p/k) / p! * m^(p/k); zero at m = 0.
+
+    Raises OverflowError when the value does not fit in a float.
+    """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if not 0 < p < k:
         raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
     if m == 0:
         return 0.0
-    return _power_lead(k, p) * _pow_frac(m, p, k)
+    return _fitting(lambda: _power_lead(k, p) * _pow_frac(m, p, k), "noreasy_bound", k, p)
 
 
 class SymmetricChain(NamedTuple):
@@ -221,7 +262,8 @@ def colorapprox_bound(m: int, k: int, p: int, r: int) -> float:
 
     Valid for r-colorable complexes for the given r, and for any complex when
     m <= C(r, k) + C(r-1, k-1) (see best_r) or for flag complexes when
-    m < C(r+1, k) (see flag_r).
+    m < C(r+1, k) (see flag_r).  Raises OverflowError when the value does not
+    fit in a float; C(r, p) alone may exceed float range.
     """
     if not 0 < p < k:
         raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
@@ -231,12 +273,22 @@ def colorapprox_bound(m: int, k: int, p: int, r: int) -> float:
         raise ValueError(f"m must be >= 0, got {m}")
     if m == 0:
         return 0.0
-    return _colorapprox(m, binomial(r, p), binomial(r, k), p, k)
+    return _fitting(
+        lambda: _colorapprox(m, binomial(r, p), binomial(r, k), p, k),
+        "colorapprox_bound", k, p, r,
+    )
 
 
 def _colorapprox(m: int, r_p: int, r_k: int, p: int, k: int) -> float:
     """colorapprox_bound(m, k, p, r) given r_p = C(r, p) and r_k = C(r, k)."""
-    return r_p * _ratio_pow(m, r_k, p, k)
+    try:
+        return r_p * (m / r_k) ** (p / k)
+    except OverflowError:  # m / C(r, k), then C(r, p), beyond float range: from log space
+        log_ratio = (math.log(m) - math.log(r_k)) * (p / k)
+        try:
+            return r_p * math.exp(log_ratio)
+        except OverflowError:
+            return math.exp(math.log(r_p) + log_ratio)
 
 
 def best_r(m: int, k: int) -> int:
@@ -291,7 +343,9 @@ def bound_report(m: int, k: int, p: int, r: int | None = None) -> BoundReport:
     """Evaluate every bound at one (m, k, p): the one-row case of bound_reports.
 
     The colored bound uses the given r when supplied (which must be >= k),
-    otherwise best_r(m, k); the flag bound always uses flag_r(m, k).
+    otherwise best_r(m, k); the flag bound always uses flag_r(m, k).  The row
+    takes a sweep's path from an empty cursor: one greedy descent of the
+    cascade and a root from the closed-form start (_cold_start).
     """
     return next(bound_reports((m,), k, p, r))
 
@@ -301,20 +355,21 @@ def bound_reports(
 ) -> Iterator[BoundReport]:
     """bound_report(m, k, p, r) for each m of a strictly increasing sequence, lazily.
 
-    The first row's cascade comes from cascade_decompose; from the second
-    row on, a _CascadeCursor carries it, and its shadow sum kk_exact, from m
-    to m, and no cascade record is built.  Its leading index n is flag_r, the
-    bracket [n, n+1] of the Lovasz root, and best_r (n or n + 1).  While n is
-    unchanged, each root starts from a Taylor step off the previous one
-    (_warm_start), which leaves it bit for bit as lovasz_x(m, k).  What
-    does not depend on m is hoisted: (k!)^(p/k)/p!, k!, the polynomial
-    evaluators of C(x, k) and, from the second row, C(x, p), and for a fixed
-    r, C(r, p) and C(r, k) once per call; C(n, p), C(n, k), C(n+1, p),
-    C(n+1, k) and best_r's threshold C(n, k) + C(n-1, k-1) only when n
-    changes.  Beyond those, the previous root and the cursor's one entry per
-    cascade level, nothing is kept from row to row.  The arguments are
-    checked, in bound_report's order, when the first row is computed; an m
-    that does not exceed the one before raises ValueError when it is reached.
+    Every row, the first one included, comes from one _CascadeCursor, which
+    carries the cascade and its shadow sum kk_exact from m to m (from m = 0
+    for the first) and builds no cascade record.  Its leading index n is
+    flag_r, the bracket [n, n+1] of the Lovasz root, and best_r (n or n + 1).
+    The root starts from _cold_start, or while n is unchanged from a Taylor
+    step off the previous one (_warm_start); either way it is lovasz_x(m, k)
+    bit for bit.  Hoisted: (k!)^(p/k)/p!, k!, the cached evaluators of
+    C(x, k) and C(x, p), and for a fixed r, C(r, p) and C(r, k).  When n
+    changes, C(n, k) and C(n+1, k) are the cursor's top level, C(n, p) is
+    one binomial, and C(n+1, p) and best_r's threshold
+    C(n, k) + C(n-1, k-1) follow by exact division.  Beyond those, the
+    previous root and the cursor's one entry per cascade level, nothing is
+    kept from row to row.  The arguments are checked, in bound_report's
+    order, when the first row is computed; an m that does not exceed the one
+    before raises ValueError when it is reached.
     """
     rows = iter(ms)
     m = next(rows, None)
@@ -326,18 +381,20 @@ def bound_reports(
         raise ValueError(f"need 1 <= p < k, got p={p}, k={k}")
     if r is not None and r < k:
         raise ValueError(f"need k <= r, got k={k}, r={r}")
-    lead, fact_k, evaluate = _power_lead(k, p), math.factorial(k), _binom_real_at(k)
+    lead, fact_k = _power_lead(k, p), math.factorial(k)
+    evaluate, lovasz_at = _binom_real_at(k), _binom_real_at(p)
     if r is not None:
         r_p, r_k = binomial(r, p), binomial(r, k)
-    rep = cascade_decompose(m, k)
-    n, kk_exact = rep.terms[0][0], _shadow_sum(rep, p)
-    cursor = n_at = start = lovasz_at = None
+    cursor, n_at = _CascadeCursor(k, p), None
     while True:
-        if n != n_at:
-            n_at = n
-            n_p, n_k = binomial(n, p), binomial(n, k)
-            up_p, up_k = binomial(n + 1, p), binomial(n + 1, k)
-            reach = n_k + binomial(n - 1, k - 1)  # best_r's threshold, k >= 2 here
+        n, kk_exact = cursor.advance(m)
+        if n == n_at:
+            start = _warm_start(x, m_before, m, k)
+        else:  # C(n, k) and C(n+1, k) are the cursor's top level
+            n_at, start, n_k, up_k = n, None, *cursor.levels[0][2:4]
+            n_p = binomial(n, p)
+            up_p = n_p * (n + 1) // (n + 1 - p)
+            reach = n_k + n_k * k // n  # best_r's C(n, k) + C(n-1, k-1), k >= 2 here
         x = _lovasz_root(m, k, n, n_k, evaluate, start)
         m_pow = _pow_frac(m, p, k)
         flag = _colorapprox(m, n_p, n_k, p, k)
@@ -347,17 +404,12 @@ def bound_reports(
             withr_r, withr = n, flag
         else:
             withr_r, withr = n + 1, _colorapprox(m, up_p, up_k, p, k)
-        lovasz = binom_real(x, p) if lovasz_at is None else lovasz_at(x)
+        lovasz = lovasz_at(x)
         withoutr = _withoutr(m, k, p, lead, fact_k, m_pow)
         # The fields in order through tuple.__new__, as BoundReport._make does:
         # half the cost of a BoundReport(...) call.
         fields = m, k, p, kk_exact, x, lovasz, withoutr, lead * m_pow, withr_r, withr, n, flag
         yield tuple.__new__(BoundReport, fields)
-        m_next = next(rows, None)
-        if m_next is None:
+        m_before, m = m, next(rows, None)
+        if m is None:
             return
-        if cursor is None:  # built at the second row, so bound_report never pays for them
-            cursor, lovasz_at = _CascadeCursor(m, rep, p), _binom_real_at(p)
-        n_next, kk_exact = cursor.advance(m_next)
-        start = _warm_start(x, m, m_next, k) if n_next == n else None
-        m, n = m_next, n_next

@@ -7,10 +7,11 @@ c > n; throughout, a budget of None stands for that unbounded c.
 
 Cascades are not cached, so building many holds no more than the last.  A
 single cascade_decompose runs the greedy from the top; a _CascadeCursor walks
-a strictly increasing sequence of m instead, each cascade from the one before
-(approx.bound_reports, where a sweep's rows come from) with the shadow sum at
-one level p, and builds no CascadeRep per m.  Callers that need several
-numbers from one cascade build it once and derive them from it.
+a strictly increasing sequence of m from m = 0, each cascade from the one
+before, with the shadow sum at one level p, and builds no CascadeRep per m.
+approx.bound_reports takes every row from one, bound_report's one row too.
+Callers that need several numbers from one cascade build it once and derive
+them from it.
 
 Validation: every CascadeRep and ColoredCascadeRep built by a caller,
 cascade_decompose included, checks all its terms at construction.  The
@@ -157,21 +158,18 @@ def cascade_decompose(m: int, k: int) -> CascadeRep:
 class _CascadeCursor:
     """Cascades of a strictly increasing sequence of m, each built from the one before.
 
-    Cascades grow lexicographically with m, so a larger m keeps a prefix of
-    the previous terms and runs the greedy afresh only from the first index
-    that grows.  Each level is (n_j, j, C(n_j, j), C(n_j + 1, j), shadow),
-    so checking that n_j stays is one comparison; shadow sums C(n_i, i - (k-p))
-    over this level and those above, so the last one is _shadow_sum at p and
-    only created levels cost binomials.  Memory stays at one entry per level.
+    A new cursor stands at m = 0 with no levels, so its first advance runs
+    the greedy from the top.  Cascades grow lexicographically with m, so a
+    larger m keeps a prefix of the previous terms and runs the greedy afresh
+    only from the first index that grows.  Each level is
+    (n_j, j, C(n_j, j), C(n_j + 1, j), shadow), so checking that n_j stays
+    is one comparison; shadow sums C(n_i, i - (k-p)) over this level and
+    those above, so the last one is _shadow_sum at p and only created levels
+    cost binomials.  Memory stays at one entry per level.
     """
 
-    def __init__(self, m: int, rep: CascadeRep, p: int) -> None:
-        self.m, self.k, self.drop = m, rep.k, rep.k - p
-        self.levels, shadow = [], 0
-        for n, j in rep.terms:
-            value = binomial(n, j)
-            shadow += binomial(n, j - self.drop)
-            self.levels.append((n, j, value, value * (n + 1) // (n + 1 - j), shadow))
+    def __init__(self, k: int, p: int) -> None:
+        self.m, self.k, self.drop, self.levels = 0, k, k - p, []
 
     def advance(self, m: int) -> tuple[int, int]:
         """Move to m, which must exceed the previous m: its leading index and shadow sum.

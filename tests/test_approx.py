@@ -2,12 +2,14 @@
 
 import math
 import random
+import re
 
 import mpmath
 import pytest
 
 from kkbounds import (
     FaceVector,
+    approx,
     best_r,
     binom_real,
     binomial,
@@ -236,3 +238,37 @@ def test_power_law_bounds_beyond_float_factorial(k):
                 for got, want in ((noreasy_bound(m, k, p), noreasy),
                                   (withoutr_bound(m, k, p), withoutr)):
                     assert abs(got - want) <= 1e-12 * want, (m, k, p, got)
+
+
+# Beyond float range each approximation raises one OverflowError, worded as
+# binom_real's; before, withoutr returned inf and the others "math range error".
+def _too_large(call):
+    return pytest.raises(OverflowError, match=rf"^{re.escape(call)} does not fit in a float$")
+
+
+def test_withoutr_beyond_float_range_raises():
+    with _too_large("withoutr_bound(m, 1000, 500)"):
+        withoutr_bound(10**300, 1000, 500)
+    m, k, p = 10**300, 1000, 500  # the sweep's withoutr column, through the same kernel
+    lead, m_pow = approx._power_lead(k, p), approx._pow_frac(m, p, k)
+    with _too_large("withoutr_bound(m, 1000, 500)"):
+        approx._withoutr(m, k, p, lead, math.factorial(k), m_pow)
+    assert 1e9 < withoutr_bound(10**1000, 400, 2) < 1e10
+
+
+def test_noreasy_beyond_float_range_raises():
+    with _too_large("noreasy_bound(m, 400, 200)"):
+        noreasy_bound(10**1000, 400, 200)
+    with _too_large("noreasy_bound(m, 2, 1)"):
+        noreasy_bound(10**700, 2, 1)
+    assert 1e9 < noreasy_bound(10**1000, 400, 2) < 1e10
+
+
+def test_colorapprox_beyond_float_range_raises():
+    with _too_large("colorapprox_bound(m, 400, 200, 500)"):
+        colorapprox_bound(10**1000, 400, 200, 500)
+    # C(2000, 1000) alone does not fit in a float, but the bound does.
+    got = colorapprox_bound(1, 1500, 1000, 2000)
+    with mpmath.workdps(50):
+        want = mpmath.binomial(2000, 1000) / mpmath.binomial(2000, 1500) ** (mpmath.mpf(2) / 3)
+        assert abs(got - want) <= 1e-12 * want

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from kkbounds import (
     approx,
+    cascade,
     best_r,
     binom_real,
     binomial,
@@ -152,29 +153,38 @@ def test_overflow_still_raises():
 
 
 def test_bound_report_builds_one_cascade(monkeypatch):
-    calls = 0
+    # Every greedy descent, the cursor's first one included, starts with an
+    # index search at the top level j = k; one call must make exactly one.
+    top_searches = 0
+    real = cascade._max_index
 
-    def counted(m, k):
-        nonlocal calls
-        calls += 1
-        return cascade_decompose(m, k)
+    def counted(m, j, c):
+        nonlocal top_searches
+        top_searches += j == k
+        return real(m, j, c)
 
-    monkeypatch.setattr(approx, "cascade_decompose", counted)
+    monkeypatch.setattr(cascade, "_max_index", counted)
+    monkeypatch.setattr(approx, "_max_index", counted)
     rng = random.Random(7)
     for _ in range(200):
         k = rng.randint(2, 12)
         m = rng.randint(1, 10**12)
+        before = top_searches
         report = bound_report(m, k, k - 1)
+        assert top_searches == before + 1, (m, k)
         assert report.kk_exact == shadow_bound(m, k, k - 1)
         assert report.flag_r == flag_r(m, k)
         assert report.withr_r == best_r(m, k)
         assert report.lovasz_x == lovasz_x(m, k)
-    assert calls == 200
 
 
 def test_cascades_are_not_cached():
     for fn in (cascade_decompose, colored_cascade_decompose):
         assert not hasattr(fn, "cache_info")
+
+
+def test_evaluator_cache_is_bounded():
+    assert approx._binom_real_at.cache_parameters()["maxsize"] == 256
 
 
 KS = st.one_of(st.integers(min_value=1, max_value=40), st.sampled_from([170, 171, 400]))
@@ -252,3 +262,36 @@ def test_root_is_the_rule_applied_to_the_unique_straddling_pair(m, k):
     else:
         expected = hi
     assert lovasz_x(m, k) == expected
+
+
+@st.composite
+def root_inputs(draw):
+    """(m, k): m anywhere up to 10**300, or within 3 of some C(n, k), where
+    the closed-form start can fall outside (n, n+1)."""
+    k = draw(KS)
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=k, max_value=k + 10**draw(st.integers(0, 6))))
+        return max(1, binomial(n, k) + draw(st.integers(min_value=-3, max_value=3))), k
+    top = draw(st.sampled_from([10**6, 10**15, 10**300]))
+    return draw(st.integers(min_value=1, max_value=top)), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_inputs(), st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=3))
+def test_root_does_not_depend_on_its_start(case, fractions):
+    m, k = case
+    n, c = approx._max_index(m, k, None)
+    f = approx._binom_real_at(k)
+
+    def outcome(*start):
+        try:
+            return approx._lovasz_root(m, k, n, c, f, *start).hex()
+        except OverflowError as exc:  # float(m), for m beyond float range
+            return repr(exc)
+
+    expected = outcome()
+    starts = [n + t for t in fractions]
+    if m < 2**1024:  # beyond, the root fails at float(m) before any start is taken
+        starts.append(approx._cold_start(m, k))
+    for start in starts:
+        assert outcome(start) == expected, (m, k, start)

@@ -129,8 +129,8 @@ def test_cursor_cascades_equal_decompose_with_equal_hashes():
     rng = random.Random(6)
     for k in (1, 2, 3, 5, 10):
         ms = sorted(rng.sample(range(1, 3 * binomial(30, k) + 1000), 300))
-        cursor = _CascadeCursor(ms[0], cascade_decompose(ms[0], k), k)
-        for m in ms[1:]:
+        cursor = _CascadeCursor(k, k)
+        for m in ms:
             cursor.advance(m)
             got, want = cursor.cascade(), cascade_decompose(m, k)
             assert type(got) is CascadeRep

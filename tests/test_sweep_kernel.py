@@ -93,16 +93,16 @@ def _advance(cursor, m, p):
 def test_cursor_cascades_equal_decompose(case, data):
     k, ms = case
     p = data.draw(st.integers(min_value=0, max_value=k))  # p = k carries m itself
-    cursor = _CascadeCursor(ms[0], cascade_decompose(ms[0], k), p)
-    for m in ms[1:]:
+    cursor = _CascadeCursor(k, p)  # at m = 0: the first advance builds the first cascade
+    for m in ms:
         _advance(cursor, m, p)
 
 
 def test_cursor_runs_through_every_m():
     for k in (2, 3, 5):
         for p in range(1, k):
-            cursor = _CascadeCursor(1, cascade_decompose(1, k), p)
-            for m in range(2, 5000):
+            cursor = _CascadeCursor(k, p)
+            for m in range(1, 5000):
                 _advance(cursor, m, p)
 
 
@@ -134,7 +134,8 @@ def _last_stale_next_binomial(levels):
 )
 def test_cursor_rejects_a_corrupted_level(corrupt, message):
     k, m = 3, binomial(20, 3) - 5  # 1135 = C(19,3) + C(18,2) + C(13,1)
-    cursor = _CascadeCursor(m, cascade_decompose(m, k), 2)
+    cursor = _CascadeCursor(k, 2)
+    cursor.advance(m)
     corrupt(cursor.levels)
     with pytest.raises(ValueError, match=message):
         for m in range(m + 1, binomial(21, 3)):
@@ -217,6 +218,19 @@ def test_warm_root_evaluations_per_row(monkeypatch, ms, k, p, most):
         monkeypatch, ms, k, p, lambda ms, k, p: [bound_report(m, k, p) for m in ms]
     )
     assert warm <= most < cold
+
+
+@pytest.mark.parametrize(
+    "ms, k, most",
+    [(range(1, 20001), 3, 3.05), (geometric_grid(1, 12777711870, 2000), 10, 4.7)],
+)
+def test_cold_root_evaluations_per_call(monkeypatch, ms, k, most):
+    # From the closed-form start: 3.01 at k = 3 and 4.63 on the paper's grid
+    # (4.55 and 5.50 from the regula falsi start alone).
+    def roots(ms, k, p):
+        return [lovasz_x(m, k) for m in ms]
+
+    assert _root_evaluations_per_row(monkeypatch, ms, k, k - 1, roots) <= most
 
 
 @pytest.mark.parametrize("mode", ["auto-best", "auto-flag", "fixed", "off"])
