@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .binomials import binom_real, binomial
 from .cascade import FaceVector, _CascadeCursor, _max_index
+
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 
 def _pow_frac(m: int, num: int, den: int) -> float:
@@ -282,13 +285,16 @@ def colorapprox_bound(m: int, k: int, p: int, r: int) -> float:
 def _colorapprox(m: int, r_p: int, r_k: int, p: int, k: int) -> float:
     """colorapprox_bound(m, k, p, r) given r_p = C(r, p) and r_k = C(r, k)."""
     try:
-        return r_p * (m / r_k) ** (p / k)
+        ratio = m / r_k
+        if ratio >= _FLOAT_MIN:  # a subnormal or zero ratio has lost digits: from log space
+            return r_p * ratio ** (p / k)
     except OverflowError:  # m / C(r, k), then C(r, p), beyond float range: from log space
-        log_ratio = (math.log(m) - math.log(r_k)) * (p / k)
-        try:
-            return r_p * math.exp(log_ratio)
-        except OverflowError:
-            return math.exp(math.log(r_p) + log_ratio)
+        pass
+    log_ratio = (math.log(m) - math.log(r_k)) * (p / k)
+    try:
+        return r_p * math.exp(log_ratio)
+    except OverflowError:
+        return math.exp(math.log(r_p) + log_ratio)
 
 
 def best_r(m: int, k: int) -> int:

@@ -264,6 +264,17 @@ def test_noreasy_beyond_float_range_raises():
     assert 1e9 < noreasy_bound(10**1000, 400, 2) < 1e10
 
 
+def test_colorapprox_where_the_ratio_is_below_normal_floats():
+    # 1 / C(r, 550) is subnormal from r = 1040 and zero at r = 1100: the
+    # power of the ratio loses digits, so the bound goes to log space.
+    with mpmath.workdps(40):
+        for r in (1040, 1060, 1070, 1080, 1100):
+            got = colorapprox_bound(1, 550, 1, r)
+            want = r / mpmath.binomial(r, 550) ** (mpmath.mpf(1) / 550)
+            assert abs(got - want) <= 1e-12 * want, (r, got)
+        assert bound_report(1, 550, 1, 1100).withr == colorapprox_bound(1, 550, 1, 1100)
+
+
 def test_colorapprox_beyond_float_range_raises():
     with _too_large("colorapprox_bound(m, 400, 200, 500)"):
         colorapprox_bound(10**1000, 400, 200, 500)

@@ -1,5 +1,7 @@
 """Cascade decomposition, shadow bounds, and face-vector validation."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,8 @@ from kkbounds import (
     shadow_bound,
     validate_face_vector,
 )
+from kkbounds import cascade
+from kkbounds.cascade import _WALK, _CascadeCursor
 
 
 def test_decompose_examples():
@@ -43,6 +47,74 @@ def test_roundtrip_and_uniqueness_small():
 @given(m=st.integers(min_value=1, max_value=10**24), k=st.integers(min_value=1, max_value=12))
 def test_roundtrip_large(m, k):
     assert cascade_evaluate(cascade_decompose(m, k)) == m
+
+
+def _plain_greedy(m, k):
+    """The cascade by its definition: the largest C(n, j) <= rem at each level, by math.comb."""
+    terms, rem, j = [], m, k
+    while rem > 0:
+        lo, hi = j, 2 * j
+        while math.comb(hi, j) <= rem:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if math.comb(mid, j) <= rem else (lo, mid)
+        terms.append((lo, j))
+        rem -= math.comb(lo, j)
+        j -= 1
+    return tuple(terms)
+
+
+def _fresh_cursor_terms(m, k):
+    cursor = _CascadeCursor(k, k)
+    cursor.advance(m)
+    return cursor.cascade().terms
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_descent_equals_the_plain_greedy_for_every_small_m(k):
+    for m in range(1, 20001):
+        want = _plain_greedy(m, k)
+        assert cascade_decompose(m, k).terms == want, (m, k)
+        assert _fresh_cursor_terms(m, k) == want, (m, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=40),
+    jumps=st.lists(st.integers(min_value=1, max_value=10**80), min_size=1, max_size=8),
+)
+def test_descent_equals_the_plain_greedy_across_large_jumps(k, jumps):
+    warm, m = _CascadeCursor(k, k), 0
+    for jump in jumps:
+        m += jump
+        want = _plain_greedy(m, k)
+        assert cascade_decompose(m, k).terms == want, (m, k)
+        assert _fresh_cursor_terms(m, k) == want, (m, k)
+        warm.advance(m)
+        assert warm.cascade().terms == want, (m, k)
+
+
+@pytest.mark.parametrize("k", [3, 5, 10, 25])
+def test_descent_falls_back_beyond_the_step_cap(k, monkeypatch):
+    # The level below C(n, k) lies n - (k-1) steps down for m = C(n, k) + 1
+    # and 12 steps down for m = C(n, k) + C(n-12, k-1): more than _WALK.
+    assert _WALK < 12
+    searches = []
+    real = cascade._max_index
+
+    def counted(m, j, c):
+        searches.append(j)
+        return real(m, j, c)
+
+    monkeypatch.setattr(cascade, "_max_index", counted)
+    for n in (k + 20, 60, 200):
+        for m in (binomial(n, k) + 1, binomial(n, k) + binomial(n - 12, k - 1)):
+            searches.clear()
+            want = _plain_greedy(m, k)
+            assert cascade_decompose(m, k).terms == want, (m, k)
+            assert searches[0] == k and k - 1 in searches, (m, k, searches)
+            assert _fresh_cursor_terms(m, k) == want, (m, k)
 
 
 def test_malformed_reps_rejected():

@@ -178,6 +178,26 @@ def test_bound_report_builds_one_cascade(monkeypatch):
         assert report.lovasz_x == lovasz_x(m, k)
 
 
+def test_cold_bound_report_seeded_searches_per_call(monkeypatch):
+    # Below the top, a cold cascade descends from the level above by exact
+    # steps; float-seeded index searches at j >= 3 are the top level's and
+    # the walks longer than the step cap (1.83 a call, 7.6 with a search at
+    # every level).
+    seeded = 0
+    real = cascade._max_index
+
+    def counted(m, j, c):
+        nonlocal seeded
+        seeded += j >= 3
+        return real(m, j, c)
+
+    monkeypatch.setattr(cascade, "_max_index", counted)
+    grid = geometric_grid(1, 12777711870, 2000)
+    for m in grid:
+        bound_report(m, 10, 7)
+    assert seeded / len(grid) <= 2.1
+
+
 def test_cascades_are_not_cached():
     for fn in (cascade_decompose, colored_cascade_decompose):
         assert not hasattr(fn, "cache_info")

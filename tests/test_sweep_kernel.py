@@ -143,6 +143,20 @@ def test_cursor_rejects_a_corrupted_level(corrupt, message):
             assert cursor.cascade() == cascade_decompose(m, k), m
 
 
+def test_cursor_checks_a_kept_level_by_a_fresh_search():
+    # The first level an advance creates is searched afresh, not walked down
+    # from the kept level above it, so a kept C(25, 9) short by C(25, 8) - 1
+    # leaves a remainder whose level outgrows it: the walk could not see that.
+    k, m = 10, binomial(30, 10) + binomial(25, 9)
+    cursor = _CascadeCursor(k, 7)
+    cursor.advance(m)
+    n, j, value, above, shadow = cursor.levels[1]
+    assert (n, j) == (25, 9)
+    cursor.levels[1] = (n, j, value - binomial(25, 8) + 1, above, shadow)
+    with pytest.raises(ValueError, match="not within"):
+        cursor.advance(m + 1)
+
+
 SWEEPS = {
     "dense_k3": ([*range(1, 3001)], 3, 2),
     "paper_k10": (geometric_grid(1, 12777711870, 400), 10, 7),
