@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .binomials import binom_real, binomial
+from .binomials import _binom_real_at, binom_real, binomial
 from .cascade import FaceVector, _CascadeCursor, _max_index
 
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
@@ -20,30 +19,6 @@ def _pow_frac(m: int, num: int, den: int) -> float:
     if m.bit_length() <= 53:
         return float(m) ** (num / den)
     return math.exp(math.log(m) * num / den)
-
-
-@lru_cache(maxsize=256)
-def _binom_real_at(k: int):
-    """x -> binom_real(x, k) bit for bit: its product, divided by float(k!) converted once.
-
-    binom_real itself evaluates where k! (k > 170) or the value does not fit
-    in a float, so its fallback and its errors are kept too.  The evaluators
-    of the 256 k used last are cached, so bound_report builds none anew.
-    """
-    if k > 170:
-        return lambda x: binom_real(x, k)
-    fact = float(math.factorial(k))
-    shifts = tuple(map(float, range(k)))  # x - float(i) is x - i, without the conversion
-    isfinite = math.isfinite
-
-    def evaluate(x: float) -> float:
-        num = 1.0
-        for i in shifts:
-            num *= x - i
-        value = num / fact
-        return value if isfinite(value) else binom_real(x, k)
-
-    return evaluate
 
 
 def _cold_start(m: int, k: int) -> float:
@@ -68,7 +43,7 @@ def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float | None = None) 
     if c == m:
         return float(n)
     target = float(m)
-    tol = target * k * 2e-16
+    tol = target * (k * 2e-16)  # target * k overflows where float(m) k > 1.8e308
     a, b = float(n), float(n + 1)
     if start is None:
         start = _cold_start(m, k)
@@ -154,9 +129,8 @@ def lovasz_x(m: int, k: int) -> float:
     binom_real is non-decreasing on the floats there (within its direct
     product and within its fallback for a product that overflows): the
     floats below m and those at or above it form two runs, and one adjacent
-    pair straddles them.  The evaluations are those of _binom_real_at(k),
-    equal to binom_real bit for bit, which calls binom_real only when
-    k > 170 or a value does not fit.
+    pair straddles them.  The evaluations are binom_real's own, through its
+    fixed-k evaluator _binom_real_at(k).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -177,20 +151,12 @@ def _too_large(name: str, *args: int) -> OverflowError:
     return OverflowError(f"{name}(m, {', '.join(map(str, args))}) does not fit in a float")
 
 
-def _fitting(bound, name: str, *args: int) -> float:
-    """bound(), or _too_large(name, *args) when it is infinite or overflows on the way.
-
-    An overflow on the way means the value does not fit either: the factors
-    of withoutr and noreasy are at least 1, and _colorapprox goes to log
-    space when C(r, p) or its power of m does not fit.
-    """
+def _exp(x: float) -> float:
+    """math.exp(x), or inf where it overflows."""
     try:
-        value = bound()
+        return math.exp(x)
     except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise _too_large(name, *args)
-    return value
+        return math.inf
 
 
 def withoutr_bound(m: int, k: int, p: int) -> float:
@@ -204,14 +170,11 @@ def withoutr_bound(m: int, k: int, p: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 < p < k:
         raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
-    return _fitting(
-        lambda: _withoutr(m, k, p, _power_lead(k, p), math.factorial(k), _pow_frac(m, p, k)),
-        "withoutr_bound", k, p,
-    )
+    return _withoutr(m, k, p, _power_lead(k, p), math.factorial(k), _m_pow(m, k, p))
 
 
 def _power_lead(k: int, p: int) -> float:
-    """(k!)^(p/k) / p!, the constant factor of withoutr_bound and noreasy_bound.
+    """(k!)^(p/k) / p!, the constant factor of withoutr_bound and noreasy_bound, or inf.
 
     From log-gamma only when k! or p! does not fit in a float (k > 170), so
     every smaller k keeps its exact-factorial value.
@@ -219,13 +182,28 @@ def _power_lead(k: int, p: int) -> float:
     try:
         return math.factorial(k) ** (p / k) / math.factorial(p)
     except OverflowError:
-        return math.exp(math.lgamma(k + 1) * p / k - math.lgamma(p + 1))
+        return _exp(math.lgamma(k + 1) * p / k - math.lgamma(p + 1))
+
+
+def _m_pow(m: int, k: int, p: int) -> float:
+    """m^(p/k), the power of withoutr_bound and noreasy_bound, or inf."""
+    try:
+        return _pow_frac(m, p, k)
+    except OverflowError:
+        return math.inf
 
 
 def _withoutr(m: int, k: int, p: int, lead: float, fact_k: int, m_pow: float) -> float:
-    """withoutr_bound(m, k, p) given lead = _power_lead(k, p), fact_k = k! and m_pow = m^(p/k)."""
-    root = _pow_frac(fact_k * m, 1, k)
-    value = lead * (1.0 + (k - p) / (2.0 * root)) ** p * m_pow
+    """withoutr_bound(m, k, p) given lead = _power_lead(k, p), k! and m_pow = _m_pow(m, k, p).
+
+    Its factors are at least 1, so an inf one, or an overflow on the way,
+    means that the value does not fit either; lead * m_pow, noreasy, is at
+    most the value in float arithmetic too.
+    """
+    try:
+        value = lead * (1.0 + (k - p) / (2.0 * _pow_frac(fact_k * m, 1, k))) ** p * m_pow
+    except OverflowError:
+        value = math.inf
     if value == math.inf:
         raise _too_large("withoutr_bound", k, p)
     return value
@@ -242,7 +220,10 @@ def noreasy_bound(m: int, k: int, p: int) -> float:
         raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
     if m == 0:
         return 0.0
-    return _fitting(lambda: _power_lead(k, p) * _pow_frac(m, p, k), "noreasy_bound", k, p)
+    value = _power_lead(k, p) * _m_pow(m, k, p)
+    if value == math.inf:
+        raise _too_large("noreasy_bound", k, p)
+    return value
 
 
 class SymmetricChain(NamedTuple):
@@ -276,25 +257,26 @@ def colorapprox_bound(m: int, k: int, p: int, r: int) -> float:
         raise ValueError(f"m must be >= 0, got {m}")
     if m == 0:
         return 0.0
-    return _fitting(
-        lambda: _colorapprox(m, binomial(r, p), binomial(r, k), p, k),
-        "colorapprox_bound", k, p, r,
-    )
+    return _colorapprox(m, k, p, r, binomial(r, p), binomial(r, k))
 
 
-def _colorapprox(m: int, r_p: int, r_k: int, p: int, k: int) -> float:
-    """colorapprox_bound(m, k, p, r) given r_p = C(r, p) and r_k = C(r, k)."""
+def _colorapprox(m: int, k: int, p: int, r: int, r_p: int, r_k: int) -> float:
+    """colorapprox_bound(m, k, p, r) for m >= 1 given r_p = C(r, p) and r_k = C(r, k)."""
     try:
         ratio = m / r_k
-        if ratio >= _FLOAT_MIN:  # a subnormal or zero ratio has lost digits: from log space
-            return r_p * ratio ** (p / k)
+        # A subnormal or zero ratio has lost digits: from log space.
+        value = r_p * ratio ** (p / k) if ratio >= _FLOAT_MIN else None
     except OverflowError:  # m / C(r, k), then C(r, p), beyond float range: from log space
-        pass
-    log_ratio = (math.log(m) - math.log(r_k)) * (p / k)
-    try:
-        return r_p * math.exp(log_ratio)
-    except OverflowError:
-        return math.exp(math.log(r_p) + log_ratio)
+        value = None
+    if value is None:
+        log_ratio = (math.log(m) - math.log(r_k)) * (p / k)
+        try:
+            value = r_p * math.exp(log_ratio)
+        except OverflowError:  # C(r, p) beyond float range
+            value = _exp(math.log(r_p) + log_ratio)
+    if value == math.inf:
+        raise _too_large("colorapprox_bound", k, p, r)
+    return value
 
 
 def best_r(m: int, k: int) -> int:
@@ -402,14 +384,16 @@ def bound_reports(
             up_p = n_p * (n + 1) // (n + 1 - p)
             reach = n_k + n_k * k // n  # best_r's C(n, k) + C(n-1, k-1), k >= 2 here
         x = _lovasz_root(m, k, n, n_k, evaluate, start)
-        m_pow = _pow_frac(m, p, k)
-        flag = _colorapprox(m, n_p, n_k, p, k)
+        m_pow = _m_pow(m, k, p)
+        # An overflow raises the error of the first of flag, withr, lovasz and
+        # withoutr, in this order, that does not fit; noreasy then fits.
+        flag = _colorapprox(m, k, p, n, n_p, n_k)
         if r is not None:
-            withr_r, withr = r, _colorapprox(m, r_p, r_k, p, k)
+            withr_r, withr = r, _colorapprox(m, k, p, r, r_p, r_k)
         elif m <= reach:
             withr_r, withr = n, flag
         else:
-            withr_r, withr = n + 1, _colorapprox(m, up_p, up_k, p, k)
+            withr_r, withr = n + 1, _colorapprox(m, k, p, n + 1, up_p, up_k)
         lovasz = lovasz_at(x)
         withoutr = _withoutr(m, k, p, lead, fact_k, m_pow)
         # The fields in order through tuple.__new__, as BoundReport._make does:

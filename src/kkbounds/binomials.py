@@ -26,30 +26,48 @@ def binom_real(x: float, k: int) -> float:
 
     Strictly increasing for x > k-1, zero at x = 0, 1, ..., k-1, and equal to
     binomial(x, k) at nonnegative integer x (exactly so whenever the numerator
-    product stays below 2**53).  When the product or k! overflows a float,
-    the value is the running product of (x - i) / (k - i) instead; for x >= k-1
-    every partial product lies between 1 and the value, or between the value
-    and 1, so it overflows only when the value itself does.
+    product stays below 2**53).  The value is _binom_real_at(k)(x).
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    num = 1.0
-    for i in range(k):
-        num *= x - i
-    try:
-        value = num / math.factorial(k)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
+    return _binom_real_at(k)(x)
+
+
+@lru_cache(maxsize=256)
+def _binom_real_at(k: int):
+    """x -> binom_real(x, k) for finite float x and k >= 1, unchecked.
+
+    The product of the x - i divided by float(k!), converted once.  When the
+    product or k! (k > 170) overflows a float, the running product of
+    (x - i) / (k - i) instead: for x >= k-1 every partial product lies
+    between 1 and the value, or between the value and 1, so it overflows
+    only when the value itself does, and then raises OverflowError.  The
+    evaluators of the 256 k used last are cached, so a bound_report or a
+    sweep of a k used before builds none anew.
+    """
+    # k! beyond float range (k > 170) is nan here, so the direct quotient never is finite.
+    fact = float(math.factorial(k)) if k <= 170 else math.nan
+    shifts = tuple(map(float, range(k)))  # x - float(i) is x - i, without the conversion
+    isfinite = math.isfinite
+
+    def evaluate(x: float) -> float:
+        num = 1.0
+        for i in shifts:
+            num *= x - i
+        value = num / fact
+        if isfinite(value):
+            return value
         value = 1.0
-        for i in range(k):
+        for i in shifts:
             value *= (x - i) / (k - i)
-        if not math.isfinite(value):
+        if not isfinite(value):
             raise OverflowError(f"binom_real({x}, {k}) does not fit in a float")
-    return value
+        return value
+
+    return evaluate
 
 
 _set = object.__setattr__

@@ -1,9 +1,9 @@
 """Binomial cascade representations and the exact shadow bounds they induce.
 
-The greedy, the index search, the term checks and the shadow sum here also
-serve the colored cascades of colored.py.  A plain cascade is a colored one
-whose color budget c exceeds every index, because T(n, j)_c = C(n, j) when
-c > n; throughout, a budget of None stands for that unbounded c.
+The index search, the term checks and the shadow sum here also serve the
+colored cascades of colored.py.  A plain cascade is a colored one whose color
+budget c exceeds every index, because T(n, j)_c = C(n, j) when c > n;
+throughout, a budget of None stands for that unbounded c.
 
 A plain level below the top descends from the level above, whose C(top, j+1)
 and C(top+1, j+1) give C(top, j), above the remainder: exact steps
@@ -11,19 +11,20 @@ C(t-1, j) = C(t, j) (t-j)/t walk down from it.  A walk longer than _WALK
 steps falls back to the index search, which solves j <= 2 in closed form, so
 those levels take it at once (_descend, _max_index).
 
-Cascades are not cached, so building many holds no more than the last.  A
-single cascade_decompose runs the greedy from the top; a _CascadeCursor walks
-a strictly increasing sequence of m from m = 0, each cascade from the one
-before, with the shadow sum at one level p, and builds no CascadeRep per m.
-approx.bound_reports takes every row from one, bound_report's one row too.
-Callers that need several numbers from one cascade build it once and derive
-them from it.
+Cascades are not cached, so building many holds no more than the last.  Every
+plain cascade comes from a _CascadeCursor, which walks a strictly increasing
+sequence of m from m = 0, each cascade from the one before, with the shadow
+sum at one level p, and builds no CascadeRep per m.  cascade_decompose and
+shadow_bound take the first step of a fresh one; approx.bound_reports takes
+every row from one, bound_report's one row too.  Callers that need several
+numbers from one cascade build it once and derive them from it.
 
-Validation: every CascadeRep and ColoredCascadeRep built by a caller,
-cascade_decompose included, checks all its terms at construction.  The
-cursor's terms skip that check (so does its cascade(), CascadeRep._unchecked):
-each is checked once, when the cursor creates it, against the level above,
-and the prefix a later m keeps is never changed, so it was checked already.
+Validation: every CascadeRep and ColoredCascadeRep built by a caller checks
+all its terms at construction.  The cursor's terms skip that check (so do its
+cascade(), CascadeRep._unchecked, and so cascade_decompose's terms): each is
+checked once, when the cursor creates it, to lie below the level above with
+1 <= j <= n_j, the levels together are checked to sum to m, and the prefix a
+later m keeps is never changed, so it was checked already.
 """
 
 from __future__ import annotations
@@ -100,24 +101,6 @@ def _descend(rem: int, j: int, top: int | None, at: int | None) -> tuple[int, in
         at = below
     n, value = _max_index(rem, j, None)
     return n, value, value * (n + 1) // (n + 1 - j)
-
-
-def _greedy(m: int, k: int, r: int | None) -> tuple[tuple[int, ...], ...]:
-    """Peel off the largest term at each level: (n, j) pairs, or (n, j, c) with budget r.
-
-    Below the top, a plain level descends from the one above (_descend).
-    """
-    terms, rem, j, n, at = [], m, k, None, None
-    while rem > 0:
-        if r is None:
-            n, value, above = _descend(rem, j, n, at)
-            terms.append((n, j))
-            at = above - value
-        else:
-            n, value = _max_index(rem, j, j + (r - k))
-            terms.append((n, j, j + (r - k)))
-        rem, j = rem - value, j - 1
-    return tuple(terms)
 
 
 def _shadow_sum(rep, p: int) -> int:
@@ -197,7 +180,9 @@ def cascade_decompose(m: int, k: int) -> CascadeRep:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return CascadeRep(k, _greedy(m, k, None))
+    cursor = _CascadeCursor(k, 0)  # its shadow, C(n_k, 0) = 1, costs least to carry
+    cursor.advance(m)
+    return cursor.cascade()
 
 
 class _CascadeCursor:
@@ -214,6 +199,8 @@ class _CascadeCursor:
     those above, so the last one is _shadow_sum at p and only created levels
     cost binomials.  Memory stays at one entry per level.
     """
+
+    __slots__ = ("m", "k", "drop", "levels")
 
     def __init__(self, k: int, p: int) -> None:
         self.m, self.k, self.drop, self.levels = 0, k, k - p, []
@@ -252,7 +239,8 @@ class _CascadeCursor:
                 n, value, above = _descend(rem, j, top, at)
                 if not j <= n < top:
                     raise ValueError(f"term {(n, j)} is not within 1 <= j <= n < {top}")
-                shadow += binomial(n, j - drop)
+                if j >= drop:  # C(n, j - drop), zero for j < drop
+                    shadow += math.comb(n, j - drop)
                 levels.append((n, j, value, above, shadow))
                 rem -= value
                 top, j, at = n, j - 1, above - value
@@ -281,7 +269,7 @@ def shadow_bound(m: int, k: int, p: int) -> int:
         raise ValueError(f"need 1 <= p < k, got p={p}, k={k}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return _shadow_sum(cascade_decompose(m, k), p)
+    return _CascadeCursor(k, p).advance(m)[1]
 
 
 class FaceVector(_Record):

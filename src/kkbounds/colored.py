@@ -1,13 +1,13 @@
 """Cascades and shadow bounds over Turán coefficients, for r-colorable complexes.
 
-The greedy, term checks and shadow sum are cascade.py's, run with a color
-budget that starts at r and drops with the lower index.
+The index search, term checks and shadow sum are cascade.py's, run with a
+color budget that starts at r and drops with the lower index.
 """
 
 from __future__ import annotations
 
 from .binomials import _set
-from .cascade import FaceVector, ValidationResult, _Cascade, _first_failure, _greedy, _shadow_sum
+from .cascade import FaceVector, ValidationResult, _Cascade, _first_failure, _max_index, _shadow_sum
 
 
 class ColoredCascadeRep(_Cascade):
@@ -32,7 +32,12 @@ def colored_cascade_decompose(m: int, k: int, r: int) -> ColoredCascadeRep:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1 or r < k:
         raise ValueError(f"need r >= k >= 1, got k={k}, r={r}")
-    return ColoredCascadeRep(k, r, _greedy(m, k, r))
+    terms, rem, j = [], m, k
+    while rem > 0:
+        n, value = _max_index(rem, j, j + (r - k))
+        terms.append((n, j, j + (r - k)))
+        rem, j = rem - value, j - 1
+    return ColoredCascadeRep(k, r, terms)
 
 
 def colored_cascade_evaluate(rep: ColoredCascadeRep) -> int:

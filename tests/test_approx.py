@@ -254,6 +254,10 @@ def test_withoutr_beyond_float_range_raises():
     with _too_large("withoutr_bound(m, 1000, 500)"):
         approx._withoutr(m, k, p, lead, math.factorial(k), m_pow)
     assert 1e9 < withoutr_bound(10**1000, 400, 2) < 1e10
+    with _too_large("withoutr_bound(m, 3000, 1100)"):  # (k!)^(p/k) / p! alone does not fit
+        withoutr_bound(1, 3000, 1100)
+    with _too_large("withoutr_bound(m, 2, 1)"):  # so does (k! m)^(1/k)
+        withoutr_bound(10**700, 2, 1)
 
 
 def test_noreasy_beyond_float_range_raises():
@@ -262,6 +266,14 @@ def test_noreasy_beyond_float_range_raises():
     with _too_large("noreasy_bound(m, 2, 1)"):
         noreasy_bound(10**700, 2, 1)
     assert 1e9 < noreasy_bound(10**1000, 400, 2) < 1e10
+    with _too_large("noreasy_bound(m, 3000, 1100)"):
+        noreasy_bound(1, 3000, 1100)
+
+
+def test_symmetric_chain_beyond_float_range_raises():
+    # (1! f_0)^(1/1) = 10**400 does not fit; an inf in the chain would hide that.
+    with pytest.raises(OverflowError):
+        symmetric_chain(FaceVector((1, 10**400, 10**500)))
 
 
 def test_colorapprox_where_the_ratio_is_below_normal_floats():

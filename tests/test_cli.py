@@ -51,6 +51,13 @@ def test_bound_rejects_bad_ranges(capsys):
     assert "p < k" in err
 
 
+def test_bound_overflow_names_the_column(capsys):
+    # A row that overflows gives the public function's message, not "math range error".
+    code, out, err = run(capsys, "bound", "--m", "1000000", "--k", "2000", "--p", "1000")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: colorapprox_bound(m, 2000, 1000, 2001) does not fit in a float\n"
+
+
 def test_cascade_rendering(capsys):
     code, out, _ = run(capsys, "cascade", "--m", "11", "--k", "3")
     assert code == EXIT_OK and out.strip() == "11 = C(5,3)+C(2,2)"

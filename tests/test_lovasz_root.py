@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from kkbounds import (
     approx,
+    binomials,
     cascade,
     best_r,
     binom_real,
@@ -77,22 +78,34 @@ CASE_SETS = {
 }
 
 
+def _count_evaluations(monkeypatch, most=None) -> list[int]:
+    """Count the root's evaluations of C(x, k), in a one-item list; more than most fail at once."""
+    calls = [0]
+    real = binomials._binom_real_at
+
+    def counting(k):
+        evaluate = real(k)
+
+        def counted(x):
+            calls[0] += 1
+            assert most is None or calls[0] <= most, f"more than {most} evaluations"
+            return evaluate(x)
+
+        return counted
+
+    monkeypatch.setattr(approx, "_binom_real_at", counting)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(CASE_SETS))
 def test_bit_identical_to_bisection_in_few_evaluations(name, monkeypatch):
     cases = CASE_SETS[name]
     expected = [_bisection_root(m, k) for m, k in cases]
-    calls = 0
-
-    def counted(x, k):
-        nonlocal calls
-        calls += 1
-        return binom_real(x, k)
-
-    monkeypatch.setattr(approx, "binom_real", counted)
+    calls = _count_evaluations(monkeypatch)
     got = [lovasz_x(m, k) for m, k in cases]
     differ = [(m, k, e, g) for (m, k), e, g in zip(cases, expected, got) if e != g]
     assert not differ, differ[:5]
-    assert calls / len(cases) <= MAX_MEAN_EVALUATIONS
+    assert calls[0] / len(cases) <= MAX_MEAN_EVALUATIONS
 
 
 def _mp_root(m: int, k: int, start: float) -> mpmath.mpf:
@@ -124,6 +137,20 @@ def test_large_m_root_within_two_ulps_of_mpmath():
             m = int(mpmath.mpf(10) ** (exponent - rng.random()))
             x = lovasz_x(m, k)
             assert _ulps_off(x, m, k) <= 2, (m, k, x)
+
+
+def test_root_near_the_top_of_float_range(monkeypatch):
+    # The stopping tolerance m * k * 2e-16 overflowed to inf where m k > 1.8e308,
+    # so Newton stopped at its first evaluation and the ulp walk crawled to the
+    # root: lovasz_x(10**306 + 12345, 557) ran for minutes.
+    rng = random.Random(1308)
+    cases = [(10**306 + 12345, 557), (10**307, 200), (int(1.7e308), 1500)]
+    for k in (2, 10, 170, 171, 557, 1000, 1500):
+        cases.append((int(mpmath.mpf(10) ** rng.uniform(300, 308.23)), k))
+    for m, k in cases:
+        calls = _count_evaluations(monkeypatch, most=64)
+        x = lovasz_x(m, k)
+        assert calls[0] <= 64 and _ulps_off(x, m, k) <= 2, (m, k, x, calls[0])
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 10])
@@ -207,6 +234,25 @@ def test_evaluator_cache_is_bounded():
     assert approx._binom_real_at.cache_parameters()["maxsize"] == 256
 
 
+def _frozen_binom_real(x: float, k: int) -> float:
+    """binom_real as it was before it became a call of the fixed-k evaluator."""
+    x = float(x)
+    num = 1.0
+    for i in range(k):
+        num *= x - i
+    try:
+        value = num / math.factorial(k)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        value = 1.0
+        for i in range(k):
+            value *= (x - i) / (k - i)
+        if not math.isfinite(value):
+            raise OverflowError(f"binom_real({x}, {k}) does not fit in a float")
+    return value
+
+
 KS = st.one_of(st.integers(min_value=1, max_value=40), st.sampled_from([170, 171, 400]))
 
 
@@ -228,7 +274,8 @@ def test_fixed_k_evaluator_is_binom_real_bit_for_bit(data, k):
         )
     )
     evaluate = approx._binom_real_at(k)
-    assert _outcome(k, evaluate, x) == _outcome(k, lambda y: binom_real(y, k), x)
+    expected = _outcome(k, lambda y: _frozen_binom_real(y, k), x)
+    assert _outcome(k, evaluate, x) == _outcome(k, lambda y: binom_real(y, k), x) == expected
 
 
 def _bits(x: float) -> int:

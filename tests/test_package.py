@@ -19,6 +19,7 @@ from kkbounds import (
     turan_graph,
 )
 from kkbounds.cascade import _CascadeCursor
+from test_cascade import _plain_greedy
 
 SUBMODULES = ("approx", "binomials", "cascade", "colored", "complexes")
 
@@ -134,6 +135,7 @@ def test_cursor_cascades_equal_decompose_with_equal_hashes():
             cursor.advance(m)
             got, want = cursor.cascade(), cascade_decompose(m, k)
             assert type(got) is CascadeRep
+            assert want.terms == _plain_greedy(m, k)  # cascade_decompose runs a cursor too
             assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
             with pytest.raises(AttributeError):
                 got.k = k

@@ -7,7 +7,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kkbounds import (
@@ -19,6 +19,8 @@ from kkbounds import (
     bound_reports,
     cascade_decompose,
     colorapprox_bound,
+    flag_r,
+    lovasz_bound,
     lovasz_x,
     noreasy_bound,
     shadow_bound,
@@ -28,6 +30,7 @@ from kkbounds import approx, cli
 from kkbounds.cascade import _CascadeCursor, _shadow_sum
 from kkbounds.cli import EXIT_OK, EXIT_USAGE, main
 from kkbounds.grid import geometric_grid, linear_grid
+from test_cascade import _plain_greedy
 
 M_MAX = 10**15
 
@@ -82,8 +85,13 @@ def increasing_runs(draw):
 
 
 def _advance(cursor, m, p):
-    """Advance the cursor to m and check what it carries against a fresh cascade."""
+    """Advance the cursor to m and check what it carries against a fresh cascade.
+
+    cascade_decompose runs a fresh cursor, so the cascade is also checked
+    against _plain_greedy, which shares no code with either.
+    """
     rep = cascade_decompose(m, cursor.k)
+    assert rep.terms == _plain_greedy(m, cursor.k), (m, cursor.k)
     assert cursor.advance(m) == (rep.terms[0][0], _shadow_sum(rep, p)), (m, cursor.k, p)
     assert cursor.cascade() == rep, (m, cursor.k)
 
@@ -172,6 +180,51 @@ def test_bound_reports_equal_frozen_rows(name):
     assert list(bound_reports(ms, k, p)) == [_frozen_bound_report(m, k, p) for m in ms]
     r = k + 7
     assert list(bound_reports(ms, k, p, r)) == [_frozen_bound_report(m, k, p, r) for m in ms]
+
+
+def _public_row(m, k, p, r):
+    """The row of the public functions, or the message of the first to overflow.
+
+    They are called in the order in which bound_reports computes the columns.
+    """
+    try:
+        x = lovasz_x(m, k)
+        n, withr_r = flag_r(m, k), r if r is not None else best_r(m, k)
+        flag = colorapprox_bound(m, k, p, n)
+        withr = colorapprox_bound(m, k, p, withr_r)
+        lovasz = lovasz_bound(m, k, p)
+        withoutr = withoutr_bound(m, k, p)
+        noreasy = noreasy_bound(m, k, p)
+    except OverflowError as exc:
+        return str(exc)
+    kk_exact = shadow_bound(m, k, p)
+    return BoundReport(m, k, p, kk_exact, x, lovasz, withoutr, noreasy, withr_r, withr, n, flag)
+
+
+@st.composite
+def wide_rows(draw):
+    """(m, k, p, r): k <= 1500 and m <= 10**300.  Columns overflow mostly at
+    k above 1000, where C(r, p) outgrows floats, and m above 10**150."""
+    k = draw(st.one_of(st.integers(min_value=2, max_value=1500), st.integers(1000, 1500)))
+    p = draw(st.integers(min_value=1, max_value=k - 1))
+    digits = draw(st.one_of(st.integers(min_value=1, max_value=300), st.integers(150, 300)))
+    m = draw(st.integers(min_value=1, max_value=10**digits))
+    r = draw(st.one_of(st.none(), st.integers(min_value=k, max_value=k + 700)))
+    return m, k, p, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_rows())
+@example((10**6, 2000, 1000, None))  # flag, at r = 2001, is the first column that overflows
+def test_row_overflows_as_the_public_functions_do(case):
+    # A flag or withr column that overflows names colorapprox_bound; a kernel
+    # without the check raised "math range error" in 70 of 300 random rows
+    # with k <= 1500 and m <= 10**300.
+    try:
+        row = bound_report(*case)
+    except OverflowError as exc:
+        row = str(exc)
+    assert row == _public_row(*case)
 
 
 @st.composite
