@@ -38,34 +38,34 @@ def binom_real(x: float, k: int) -> float:
 
 @lru_cache(maxsize=256)
 def _binom_real_at(k: int):
-    """x -> binom_real(x, k) for finite float x and k >= 1, unchecked.
+    """x -> binom_real(x, k) for finite float x and k >= 1, unchecked; cached for 256 k.
 
-    The product of the x - i divided by float(k!), converted once.  When the
-    product or k! (k > 170) overflows a float, the running product of
-    (x - i) / (k - i) instead: for x >= k-1 every partial product lies
-    between 1 and the value, or between the value and 1, so it overflows
-    only when the value itself does, and then raises OverflowError.  The
-    evaluators of the 256 k used last are cached, so a bound_report or a
-    sweep of a k used before builds none anew.
+    The product of the x - i over float(k!).  Where that overflows, and for
+    every k > 170, whose k! does, the running product of (x - i) / (k - i):
+    for x >= k-1 its partial products lie between 1 and the value, so it
+    overflows, raising OverflowError, only when the value does.
     """
-    # k! beyond float range (k > 170) is nan here, so the direct quotient never is finite.
-    fact = float(math.factorial(k)) if k <= 170 else math.nan
     shifts = tuple(map(float, range(k)))  # x - float(i) is x - i, without the conversion
     isfinite = math.isfinite
 
-    def evaluate(x: float) -> float:
-        num = 1.0
-        for i in shifts:
-            num *= x - i
-        value = num / fact
-        if isfinite(value):
-            return value
+    def by_ratios(x: float) -> float:
         value = 1.0
         for i in shifts:
             value *= (x - i) / (k - i)
         if not isfinite(value):
             raise OverflowError(f"binom_real({x}, {k}) does not fit in a float")
         return value
+
+    if k > 170:
+        return by_ratios
+    fact = float(math.factorial(k))
+
+    def evaluate(x: float) -> float:
+        num = 1.0
+        for i in shifts:
+            num *= x - i
+        value = num / fact
+        return value if isfinite(value) else by_ratios(x)
 
     return evaluate
 
@@ -152,7 +152,7 @@ def turan_graph(n: int, r: int) -> TuranGraph:
     return TuranGraph(n, r, tuple(parts))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16384)
 def turan_coefficient(n: int, k: int, r: int) -> int:
     """Number of k-vertex cliques in the Turán graph on n vertices with r parts.
 
@@ -168,9 +168,9 @@ def turan_coefficient(n: int, k: int, r: int) -> int:
     if k < 0:
         return 0
     p, q = divmod(n, r)
-    total = 0
+    total, comb = 0, math.comb  # 0 <= i <= q < r, and comb is 0 for k > r
     for i in range(min(q, k) + 1):
-        total += binomial(q, i) * binomial(r - i, k - i) * p ** (k - i)
+        total += comb(q, i) * comb(r - i, k - i) * p ** (k - i)
     return total
 
 

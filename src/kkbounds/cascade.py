@@ -1,30 +1,13 @@
-"""Binomial cascade representations and the exact shadow bounds they induce.
+"""Binomial and colored cascades and the exact shadow bounds they induce.
 
-The index search, the term checks and the shadow sum here also serve the
-colored cascades of colored.py.  A plain cascade is a colored one whose color
-budget c exceeds every index, because T(n, j)_c = C(n, j) when c > n;
-throughout, a budget of None stands for that unbounded c.
-
-A plain level below the top descends from the level above, whose C(top, j+1)
-and C(top+1, j+1) give C(top, j), above the remainder: exact steps
-C(t-1, j) = C(t, j) (t-j)/t walk down from it.  A walk longer than _WALK
-steps falls back to the index search, which solves j <= 2 in closed form, so
-those levels take it at once (_descend, _max_index).
-
-Cascades are not cached, so building many holds no more than the last.  Every
-plain cascade comes from a _CascadeCursor, which walks a strictly increasing
-sequence of m from m = 0, each cascade from the one before, with the shadow
-sum at one level p, and builds no CascadeRep per m.  cascade_decompose and
-shadow_bound take the first step of a fresh one; approx.bound_reports takes
-every row from one, bound_report's one row too.  Callers that need several
-numbers from one cascade build it once and derive them from it.
-
-Validation: every CascadeRep and ColoredCascadeRep built by a caller checks
-all its terms at construction.  The cursor's terms skip that check (so do its
-cascade(), CascadeRep._unchecked, and so cascade_decompose's terms): each is
-checked once, when the cursor creates it, to lie below the level above with
-1 <= j <= n_j, the levels together are checked to sum to m, and the prefix a
-later m keeps is never changed, so it was checked already.
+Both families come from one _CascadeCursor; a plain cascade is a colored one
+whose budget c exceeds every index (None), as T(n, j)_c = C(n, j) for n <= c.
+A level (n, j, c) stores T(n, j)_c and T(n+1, j)_c, whose difference is
+T(top, j-1)_{c-1}, top = n - floor(n/c): the next index lies below this exact
+limit, the gap condition, so each level is checked once, as it is made.  A
+level whose limit is at most its budget is plain and walks down from it by
+exact steps C(t-1, j) = C(t, j) (t-j)/t (_descend); other colored levels
+search from a float seed on the cached turan_coefficient (_max_index).
 """
 
 from __future__ import annotations
@@ -34,50 +17,52 @@ from typing import NamedTuple
 
 from .binomials import _Record, _set, binomial, turan_coefficient
 
-# Exact ratio steps before an index search; levels of the paper's k = 10 grid
-# lie 1 to 3 below the one above in 80% of cases.
-_WALK = 4
+_WALK = 4  # exact steps before a search; 80% of paper-grid levels lie 1 to 3 below the one above
 
 
 def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
     """Largest n with T(n, j)_c <= m, and T(n, j)_c itself; C(n, j) when c is None.
 
-    Needs m >= 1 and j <= c, so n >= j.  T(n, 1)_c = n, and n(n-1)/2 <= m
-    solves in integers.  Otherwise the float seed solves
-    (n - (j-1)/2)^j / j! = m, or C(c, j) (n/c)^j = m under a budget c.  By the
-    AM-GM and Maclaurin inequalities it never exceeds the answer in exact
-    arithmetic, and taking a relative 1e-12 off covers rounding.  Up to _WALK
-    exact steps C(n+1, j) = C(n, j) (n+1)/(n+1-j) walk up from it (c None),
-    then galloping and bisecting on exact integer comparisons make the answer
-    independent of the seed: one that overshoots anyway costs a bisection from
-    j, and one beyond float range is replaced by the exact start j.
+    Needs m >= 1 and j <= c.  j <= 2 solves in integers.  Otherwise the float
+    seed solves (n - (j-1)/2)^j / j! = m, or C(c, j) (n/c)^j = m, which by
+    the AM-GM and Maclaurin inequalities never exceeds the answer; a relative
+    1e-12 off covers rounding.  Up to _WALK exact steps walk up from it, then
+    galloping and bisecting on exact comparisons make the answer independent
+    of the seed (one beyond float range is replaced by j).
     """
     if j == 1:
         return m, m
     if j == 2 and c is None:
         n = (math.isqrt(8 * m + 1) + 1) // 2
         return n, n * (n - 1) // 2
+    if j == 2:  # T(pc + q, 2)_c = C(c, 2) p^2 + (c-1) p q + C(q, 2) for 0 <= q < c
+        pairs = c * (c - 1) // 2
+        p = math.isqrt(m // pairs)
+        b = 2 * (c - 1) * p - 1
+        q = (math.isqrt(b * b + 8 * (m - pairs * p * p)) - b) // 2
+        return p * c + q, pairs * p * p + (c - 1) * p * q + q * (q - 1) // 2
     try:
         if c is None:
             seed = math.exp((math.lgamma(j + 1) + math.log(m)) / j) + 0.5 * (j - 1)
+        elif m.bit_length() < 1000:  # m / C(c, j) fits in a float
+            seed = c * (m / math.comb(c, j)) ** (1 / j)
         else:
-            log_ways = math.lgamma(c + 1) - math.lgamma(j + 1) - math.lgamma(c - j + 1)
-            seed = c * math.exp((math.log(m) - log_ways) / j)
+            seed = c * math.exp((math.log(m) - math.log(math.comb(c, j))) / j)
         lo = max(j, int(seed) - int(seed * 1e-12))
     except OverflowError:
         lo = j
-    value = binomial(lo, j) if c is None else turan_coefficient(lo, j, c)
+    value = math.comb(lo, j) if c is None else turan_coefficient(lo, j, c)
     hi, step = None, 1
     if value > m:
         lo, value, hi = j, 1, lo  # T(j, j)_c = 1 <= m
-    for _ in range(_WALK if c is None else 0):
-        up = value * (lo + 1) // (lo + 1 - j)
+    for _ in range(_WALK):
+        up = value * (lo + 1) // (lo + 1 - j) if c is None else turan_coefficient(lo + 1, j, c)
         if up > m:
             return lo, value
         lo, value = lo + 1, up
     while hi is None or hi - lo > 1:
         probe = lo + step if hi is None else (lo + hi) // 2
-        at = binomial(probe, j) if c is None else turan_coefficient(probe, j, c)
+        at = math.comb(probe, j) if c is None else turan_coefficient(probe, j, c)
         if at <= m:
             lo, value, step = probe, at, 2 * step
         else:
@@ -86,13 +71,13 @@ def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
 
 
 def _descend(rem: int, j: int, top: int | None, at: int | None) -> tuple[int, int, int]:
-    """The cascade level of rem >= 1 at j: (n, C(n, j), C(n+1, j)), n < top.
+    """The plain level of rem >= 1 at j: (n, C(n, j), C(n+1, j)), n < top.
 
-    at is C(top, j) = C(top+1, j+1) - C(top, j+1), from a level just made
-    above, and exceeds rem.  For j >= 3, up to _WALK exact steps
-    C(t-1, j) = C(t, j) (t-j)/t walk down from top; a longer walk, at None,
-    or j <= 2, whose closed forms cost less than a step or two, run _max_index.
+    at = C(top, j) > rem, from the level above, or None.  j = 1 takes rem.  Given
+    at and j >= 3, up to _WALK exact steps walk down from top; else _max_index.
     """
+    if j == 1:
+        return rem, rem, rem + 1
     for _ in range(_WALK if at is not None and j > 2 else 0):
         below = at * (top - j) // top
         top -= 1
@@ -103,18 +88,12 @@ def _descend(rem: int, j: int, top: int | None, at: int | None) -> tuple[int, in
     return n, value, value * (n + 1) // (n + 1 - j)
 
 
-def _shadow_sum(rep, p: int) -> int:
-    """Each term C(n, j)_c of rep pushed down to level p, summed (p = k evaluates rep).
-
-    The lower index becomes i = j - (k - p) and a colored term's budget
-    i + (r - p); terms whose lower index drops below zero vanish.
-    """
-    r = getattr(rep, "r", None)
-    drop = rep.k - p
-    total = 0
-    for term in rep.terms:
-        i = term[1] - drop
-        total += binomial(term[0], i) if r is None else turan_coefficient(term[0], i, i + r - p)
+def _shadow_sum(rep: CascadeRep, p: int) -> int:
+    """Each term C(n, j) of rep pushed down to C(n, j - (k - p)), summed (p = k evaluates rep)."""
+    drop, total, comb = rep.k - p, 0, math.comb
+    for n, j in rep.terms:
+        if j >= drop:
+            total += comb(n, j - drop)
     return total
 
 
@@ -145,6 +124,16 @@ class _Cascade(_Record):
                     raise ValueError(f"gap condition fails: {previous} - {gap} <= {n}")
             previous = n
 
+    @classmethod
+    def _unchecked(cls, k: int, terms: tuple, r: int | None = None):
+        """A cascade of terms its caller has checked already, stored as given."""
+        rep = object.__new__(cls)
+        _set(rep, "k", k)
+        _set(rep, "terms", terms)
+        if r is not None:
+            _set(rep, "r", r)
+        return rep
+
     def __str__(self) -> str:
         return "+".join(
             f"C({term[0]},{term[1]})" + "".join(f"_{c}" for c in term[2:]) for term in self.terms
@@ -165,14 +154,6 @@ class CascadeRep(_Cascade):
         _set(self, "terms", tuple([(int(n), int(j)) for n, j in terms]))
         self._check()
 
-    @classmethod
-    def _unchecked(cls, k: int, terms: tuple[tuple[int, int], ...]) -> CascadeRep:
-        """A CascadeRep of terms its caller has checked already, stored as given."""
-        rep = object.__new__(cls)
-        _set(rep, "k", k)
-        _set(rep, "terms", terms)
-        return rep
-
 
 def cascade_decompose(m: int, k: int) -> CascadeRep:
     """Greedy cascade of m at level k: peel off the largest C(n_j, j) each step."""
@@ -188,43 +169,36 @@ def cascade_decompose(m: int, k: int) -> CascadeRep:
 class _CascadeCursor:
     """Cascades of a strictly increasing sequence of m, each built from the one before.
 
-    A new cursor stands at m = 0 with no levels, so its first advance runs
-    the greedy from the top.  Cascades grow lexicographically with m, so a
-    larger m keeps a prefix of the previous terms and runs the greedy afresh
-    only from the first index that grows.  The greedy's first level comes
-    from an index search, whose exact binomials check the remainder the
-    levels above it leave, and the levels below from _descend.  Each level is
-    (n_j, j, C(n_j, j), C(n_j + 1, j), shadow), so checking that n_j stays
-    is one comparison; shadow sums C(n_i, i - (k-p)) over this level and
-    those above, so the last one is _shadow_sum at p and only created levels
-    cost binomials.  Memory stays at one entry per level.
+    Plain with r None, else colored with level j's budget j + (r - k).  It
+    starts at m = 0 with no levels.  A larger m keeps a prefix of the levels
+    and runs the greedy from the first index that grows.  A level is
+    (n_j, j, T(n_j, j)_c, T(n_j + 1, j)_c, shadow), where shadow sums
+    T(n_i, i - (k-p))_c over it and the levels above (_shadow_sum at p).
     """
 
-    __slots__ = ("m", "k", "drop", "levels")
+    __slots__ = ("m", "k", "drop", "extra", "levels")
 
-    def __init__(self, k: int, p: int) -> None:
+    def __init__(self, k: int, p: int, r: int | None = None) -> None:
         self.m, self.k, self.drop, self.levels = 0, k, k - p, []
+        self.extra = None if r is None else r - k
 
     def advance(self, m: int) -> tuple[int, int]:
         """Move to m, which must exceed the previous m: its leading index and shadow sum.
 
-        Each level created here is checked as it is made (1 <= j <= n_j below
-        the index above), then all levels summing to m; the kept prefix only
-        through the remainder it leaves.  A check that fails raises ValueError.
+        Each level made here is checked to lie within 1 <= j <= n_j < the
+        limit above, then all levels to sum to m; a failure raises ValueError.
         """
         if m <= self.m:
             raise ValueError(f"m must increase strictly, got {m} after {self.m}")
-        levels, rem, drop, top = self.levels, m, self.drop, math.inf
+        levels, rem, drop, extra, top = self.levels, m, self.drop, self.extra, math.inf
         # Above the first level that grows, every remainder rises by m - self.m.
         for pos, (n, j, value, above, shadow) in enumerate(levels):
             if rem >= above:
                 del levels[pos:]
-                # The index most often grows by one: n + 1 stands when rem is
-                # below C(n+2, j), which its entry needs anyway.  Otherwise
-                # the greedy below searches this level afresh.  Its shadow
-                # term grows by C(n, i-1), as C(n+1, i) = C(n, i) + C(n, i-1).
-                above_next = above * (n + 2) // (n + 2 - j)
-                if rem < above_next:
+                # A plain index most often grows by one: n + 1 stands when rem
+                # is below C(n+2, j), and its shadow term grows by C(n, i-1).
+                # Otherwise, and always when colored, the greedy below runs.
+                if extra is None and rem < (above_next := above * (n + 2) // (n + 2 - j)):
                     if n + 1 >= top:
                         raise ValueError(f"term {(n + 1, j)} is not within 1 <= j <= n < {top}")
                     levels.append((n + 1, j, above, above_next, shadow + binomial(n, j - drop - 1)))
@@ -235,22 +209,48 @@ class _CascadeCursor:
             top = n
         if rem:
             j, shadow, at = self.k - len(levels), levels[-1][4] if levels else 0, None
-            while rem > 0 and j > 0:
-                n, value, above = _descend(rem, j, top, at)
-                if not j <= n < top:
-                    raise ValueError(f"term {(n, j)} is not within 1 <= j <= n < {top}")
-                if j >= drop:  # C(n, j - drop), zero for j < drop
-                    shadow += math.comb(n, j - drop)
-                levels.append((n, j, value, above, shadow))
-                rem -= value
-                top, j, at = n, j - 1, above - value
+            if extra is None:
+                while rem > 0 and j > 0:
+                    n, value, above = _descend(rem, j, top, at)
+                    if not j <= n < top:
+                        raise ValueError(f"term {(n, j)} is not within 1 <= j <= n < {top}")
+                    if j >= drop:  # C(n, j - drop), zero for j < drop
+                        shadow += math.comb(n, j - drop)
+                    levels.append((n, j, value, above, shadow))
+                    rem -= value
+                    top, j, at = n, j - 1, above - value
+            else:  # colored: level j's budget is c = j + extra
+                if levels:
+                    n, i, value, above, _ = levels[-1]
+                    top, at = n - n // (i + extra), above - value
+                elif m < math.comb(j + extra, j):  # T(r, k)_r = C(r, k) exceeds m, so n_k < r
+                    top = j + extra
+                c = j + extra
+                while rem and j:
+                    if top <= c or j == 1:  # plain: T(t, j)_c = C(t, j) for t <= c, T(t, 1)_c = t
+                        n, value, above = _descend(rem, j, top, at)
+                        limit = n
+                    else:
+                        n, value = _max_index(rem, j, c)
+                        limit = n - n // c
+                        # T(n+1, 2)_c - T(n, 2)_c = n - n // c; for j > 2 the search probed n + 1.
+                        above = value + limit if j == 2 else turan_coefficient(n + 1, j, c)
+                    if not j <= n < top:
+                        raise ValueError(f"term {(n, j, c)} is not within 1 <= j <= n < {top}")
+                    if j > drop and limit < n:  # else n < c, or i = 0: T(n, i)_c = C(n, i)
+                        shadow += turan_coefficient(n, j - drop, c)
+                    elif j >= drop:
+                        shadow += math.comb(n, j - drop)
+                    levels.append((n, j, value, above, shadow))
+                    rem -= value
+                    top, j, c, at = limit, j - 1, c - 1, above - value
             if rem:
                 raise ValueError(f"cascade levels do not sum to m={m}")
         self.m = m
         return levels[0][0], levels[-1][4]
 
     def cascade(self) -> CascadeRep:
-        """The cascade of the current m."""
+        """The cascade of the current m; plain cursors only."""
         return CascadeRep._unchecked(self.k, tuple([level[:2] for level in self.levels]))
 
 

@@ -1,13 +1,15 @@
 """Cascades and shadow bounds over Turán coefficients, for r-colorable complexes.
 
-The index search, term checks and shadow sum are cascade.py's, run with a
-color budget that starts at r and drops with the lower index.
+They come from cascade.py's cursor, with a color budget that starts at r and
+drops with the lower index; see there for the levels' limits and checks.
 """
 
 from __future__ import annotations
 
-from .binomials import _set
-from .cascade import FaceVector, ValidationResult, _Cascade, _first_failure, _max_index, _shadow_sum
+from itertools import starmap
+
+from .binomials import _set, turan_coefficient
+from .cascade import FaceVector, ValidationResult, _Cascade, _CascadeCursor, _first_failure
 
 
 class ColoredCascadeRep(_Cascade):
@@ -32,17 +34,15 @@ def colored_cascade_decompose(m: int, k: int, r: int) -> ColoredCascadeRep:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1 or r < k:
         raise ValueError(f"need r >= k >= 1, got k={k}, r={r}")
-    terms, rem, j = [], m, k
-    while rem > 0:
-        n, value = _max_index(rem, j, j + (r - k))
-        terms.append((n, j, j + (r - k)))
-        rem, j = rem - value, j - 1
-    return ColoredCascadeRep(k, r, terms)
+    cursor = _CascadeCursor(k, 0, r)  # its shadow, T(n_k, 0)_r = 1, costs least to carry
+    cursor.advance(m)
+    terms = tuple([(level[0], level[1], level[1] + r - k) for level in cursor.levels])
+    return ColoredCascadeRep._unchecked(k, terms, r)
 
 
 def colored_cascade_evaluate(rep: ColoredCascadeRep) -> int:
     """The integer a ColoredCascadeRep stands for."""
-    return _shadow_sum(rep, rep.k)
+    return sum(starmap(turan_coefficient, rep.terms))
 
 
 def colored_shadow_bound(m: int, k: int, p: int, r: int) -> int:
@@ -58,7 +58,7 @@ def colored_shadow_bound(m: int, k: int, p: int, r: int) -> int:
         raise ValueError(f"need k <= r, got k={k}, r={r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return _shadow_sum(colored_cascade_decompose(m, k, r), p)
+    return _CascadeCursor(k, p, r).advance(m)[1]
 
 
 def validate_colored_face_vector(f: FaceVector, r: int) -> ValidationResult:

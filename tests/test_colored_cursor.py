@@ -1,0 +1,228 @@
+"""Colored cascades from the shared cursor: equal to the former colored greedy, bounded memory.
+
+_frozen_colored_terms is a frozen copy of the colored greedy that
+colored_cascade_decompose ran before the cursor served both families: a float
+seed, galloping and a bisection on turan_coefficient at every level.  It
+evaluates Turán coefficients without the cache, so it neither fills nor reads
+the one the cursor uses.  _frozen_binom_real_at is the C(x, k) evaluator as it
+was before k > 170 skipped the direct product.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kkbounds import (
+    binomial,
+    binomials,
+    cascade_decompose,
+    colored_cascade_decompose,
+    colored_cascade_evaluate,
+    colored_shadow_bound,
+)
+from kkbounds.cascade import _CascadeCursor
+from kkbounds.grid import geometric_grid
+
+_turan = binomials.turan_coefficient.__wrapped__  # uncached
+
+# turan_coefficient evaluations (cache misses after cache_clear) of the
+# former colored greedy, with its unbounded cache, over the two sets below.
+FORMER_RANDOM_SET_EVALUATIONS = 255_166
+FORMER_PAPER_GRID_EVALUATIONS = 669
+
+
+def _frozen_max_index(m, j, c):
+    if j == 1:
+        return m, m
+    try:
+        log_ways = math.lgamma(c + 1) - math.lgamma(j + 1) - math.lgamma(c - j + 1)
+        seed = c * math.exp((math.log(m) - log_ways) / j)
+        lo = max(j, int(seed) - int(seed * 1e-12))
+    except OverflowError:
+        lo = j
+    value = _turan(lo, j, c)
+    hi, step = None, 1
+    if value > m:
+        lo, value, hi = j, 1, lo
+    while hi is None or hi - lo > 1:
+        probe = lo + step if hi is None else (lo + hi) // 2
+        at = _turan(probe, j, c)
+        if at <= m:
+            lo, value, step = probe, at, 2 * step
+        else:
+            hi = probe
+    return lo, value
+
+
+def _frozen_colored_terms(m, k, r):
+    terms, rem, j = [], m, k
+    while rem > 0:
+        n, value = _frozen_max_index(rem, j, j + (r - k))
+        terms.append((n, j, j + (r - k)))
+        rem, j = rem - value, j - 1
+    return tuple(terms)
+
+
+def _frozen_shadow(terms, k, p):
+    drop = k - p
+    return sum(_turan(n, j - drop, c) for n, j, c in terms)
+
+
+def _check(m, k, r):
+    want = _frozen_colored_terms(m, k, r)
+    rep = colored_cascade_decompose(m, k, r)
+    assert rep.terms == want, (m, k, r)
+    assert colored_cascade_evaluate(rep) == m
+    for p in range(1, k):
+        assert colored_shadow_bound(m, k, p, r) == _frozen_shadow(want, k, p), (m, k, p, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=10),
+    extra=st.integers(min_value=0, max_value=5),
+    m=st.integers(min_value=10**6, max_value=10**30),
+)
+def test_budget_far_below_n(k, extra, m):
+    _check(m, k, k + extra)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(min_value=1, max_value=10), r=st.integers(min_value=1, max_value=200), data=st.data())
+def test_plain_levels_below_the_budget(k, r, data):
+    # m < C(r, k) = T(r, k)_r puts every index below its budget.
+    r = max(r, k)
+    m = data.draw(st.integers(min_value=1, max_value=max(1, binomial(r, k) - 1)))
+    _check(m, k, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=5),
+    extra=st.integers(min_value=0, max_value=10),
+    m=st.integers(min_value=2**1024, max_value=10**400),
+)
+def test_m_beyond_float_range(k, extra, m):
+    _check(m, k, k + extra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=10**9),
+    k=st.integers(min_value=1, max_value=8),
+    data=st.data(),
+)
+def test_budget_beyond_n_k(m, k, data):
+    n_k = cascade_decompose(m, k).terms[0][0]
+    drawn = data.draw(st.integers(min_value=n_k + 1, max_value=n_k + 10**6))
+    for r in (n_k + 1, drawn):
+        _check(m, k, r)
+
+
+def test_small_inputs_equal_the_former_greedy():
+    for r in range(1, 7):
+        for k in range(1, r + 1):
+            for m in range(1, 1501):
+                _check(m, k, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=8),
+    extra=st.integers(min_value=0, max_value=30),
+    data=st.data(),
+    jumps=st.lists(st.integers(min_value=1, max_value=10**12), min_size=1, max_size=25),
+)
+def test_warm_colored_cursor_equals_a_fresh_one(k, extra, data, jumps):
+    r = k + extra
+    p = data.draw(st.integers(min_value=0, max_value=k - 1))
+    warm, m = _CascadeCursor(k, p, r), 0
+    for jump in jumps:
+        m += jump
+        fresh = _CascadeCursor(k, p, r)
+        assert warm.advance(m) == fresh.advance(m), (m, k, p, r)
+        assert warm.levels == fresh.levels, (m, k, p, r)
+        assert tuple((n, j, j + extra) for n, j, *_ in warm.levels) == _frozen_colored_terms(m, k, r)
+
+
+@pytest.mark.parametrize("k, r", [(2, 2), (2, 4), (3, 3), (3, 5), (4, 6)])
+def test_warm_colored_cursor_through_every_m(k, r):
+    # Consecutive m grow every level in turn, so each stored T(n+1, j)_c is used.
+    warm = _CascadeCursor(k, k - 1, r)
+    for m in range(1, 3001):
+        fresh = _CascadeCursor(k, k - 1, r)
+        assert warm.advance(m) == fresh.advance(m), (m, k, r)
+        assert warm.levels == fresh.levels, (m, k, r)
+
+
+def test_colored_gap_violation_raises():
+    # A stored level one index too high leaves no room below it.
+    cursor = _CascadeCursor(2, 0, 3)
+    cursor.advance(13)  # T(6, 2)_3 + T(1, 1)_2
+    n, j, value, above, shadow = cursor.levels[0]
+    cursor.levels[0] = (n, j, value - 5, above, shadow)
+    with pytest.raises(ValueError, match="is not within"):
+        cursor.advance(14)
+
+
+def _random_colored_inputs(count=20000, seed=11):
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(3, 12)
+        yield rng.randint(1, 10**30), k, rng.randint(k, k + 60)
+
+
+def test_turan_evaluations_do_not_grow_and_the_cache_stays_bounded():
+    cached = binomials.turan_coefficient
+    assert cached.cache_parameters()["maxsize"] == 16384
+    cached.cache_clear()
+    for m, k, r in _random_colored_inputs():
+        colored_cascade_decompose(m, k, r)
+    info = cached.cache_info()
+    assert info.misses <= 1.02 * FORMER_RANDOM_SET_EVALUATIONS, info
+    assert info.currsize <= info.maxsize
+    cached.cache_clear()
+    for m in geometric_grid(1, 12777711870, 2000):
+        colored_shadow_bound(m, 10, 7, 60)
+    assert cached.cache_info().misses < FORMER_PAPER_GRID_EVALUATIONS
+
+
+def _frozen_binom_real_at(k):
+    fact = float(math.factorial(k)) if k <= 170 else math.nan
+    shifts = tuple(map(float, range(k)))
+
+    def evaluate(x):
+        num = 1.0
+        for i in shifts:
+            num *= x - i
+        value = num / fact
+        if math.isfinite(value):
+            return value
+        value = 1.0
+        for i in shifts:
+            value *= (x - i) / (k - i)
+        if not math.isfinite(value):
+            raise OverflowError(f"binom_real({x}, {k}) does not fit in a float")
+        return value
+
+    return evaluate
+
+
+def _outcome(evaluate, x):
+    try:
+        return evaluate(x).hex()
+    except OverflowError:
+        return "overflow"
+
+
+@pytest.mark.parametrize("k", [170, 171, 400, 1500])
+def test_evaluator_beyond_float_factorial_is_bit_identical(k):
+    rng = random.Random(k)
+    xs = [k - 1.0, k - 0.5, float(k), k + 0.3, k + 1.7, 2.0 * k, 1e3 * k, 1e6]
+    xs += [rng.uniform(k - 1, 4 * k) for _ in range(200)]
+    ours, frozen = binomials._binom_real_at(k), _frozen_binom_real_at(k)
+    for x in xs:
+        assert _outcome(ours, x) == _outcome(frozen, x), (k, x)
