@@ -26,10 +26,7 @@ def _cold_start(m: int, k: int) -> float:
 
     In u = x - (k-1)/2, x(x-1)...(x-k+1) = u^k - k(k^2-1)/24 u^(k-2) + ...
     """
-    if k > 170:  # k! does not fit in a float
-        y = math.exp((math.lgamma(k + 1) + math.log(m)) / k)
-    else:
-        y = _pow_frac(math.factorial(k) * m, 1, k)
+    y = _pow_frac(math.factorial(k) * m, 1, k)
     return y + 0.5 * (k - 1) + (k * k - 1) / (24.0 * y)
 
 

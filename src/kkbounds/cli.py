@@ -10,13 +10,13 @@ closing bracket); one that fails at its first row writes nothing.  It keeps
 no rows, and with --samples all its grid is a range, so its memory does not
 grow with the row count; a sampled grid is a list of its m values.
 
-For a short start-up, colored, complexes, selftest and json load on use.
+For a short start-up, colored, complexes and selftest load on use; json never
+does, since JSON rows come from one printf template, as CSV rows do.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from operator import attrgetter
@@ -44,14 +44,35 @@ SWEEP_COLUMNS = (
 )
 
 
-# printf formats of a cell by type: exact integers verbatim, reals with 12
-# significant digits.  A blank (None) cell is empty.
-_CELL_FORMATS = {int: "%d", float: "%.12g"}
+# What a sweep writes before its first row, between rows and after its last.
+_SWEEP_FRAMES = {"csv": (",".join(SWEEP_COLUMNS) + "\n", "", ""), "json": ("[", ", ", "]\n")}
+
+# printf formats of a cell by type.  CSV: exact integers verbatim, reals with
+# 12 significant digits, a blank empty.  JSON: what json.dumps writes, an int's
+# or a float's repr (no row holds nan or inf, as an overflow raises), a blank null.
+_CELL_FORMATS = {int: "%d", float: "%.12g", type(None): ""}
+_JSON_FORMATS = {int: "%d", float: "%r", type(None): "null"}
 
 
 def _fmt(value) -> str:
     """One cell: exact integers verbatim, reals with 12 significant digits, blanks empty."""
     return "" if value is None else _CELL_FORMATS[type(value)] % value
+
+
+def _row_template(row, columns, fields, fmt: str):
+    """A printf template of rows like row, and the getter of the values it takes.
+
+    Column columns[i] shows field fields[i] of a row, or a blank where that is
+    None.  A field has one type in every row, so row's types fix the template,
+    which formats a row in half the time of _fmt or json.dumps.
+    """
+    values = [None if field is None else getattr(row, field) for field in fields]
+    if fmt == "json":
+        cells = (f'"{c}": {_JSON_FORMATS[type(v)]}' for c, v in zip(columns, values))
+        template = "{" + ", ".join(cells) + "}"
+    else:
+        template = ",".join(_CELL_FORMATS[type(v)] for v in values) + "\n"
+    return template, attrgetter(*[f for f, v in zip(fields, values) if v is not None])
 
 
 def sample_grid(m_start: int, m_end: int, samples, linear: bool = False) -> Sequence[int]:
@@ -71,9 +92,8 @@ def sample_grid(m_start: int, m_end: int, samples, linear: bool = False) -> Sequ
 def _cmd_bound(args) -> int:
     report = bound_report(args.m, args.k, args.p, args.r)
     if args.format == "json":
-        import json
-
-        print(json.dumps(report._asdict()))
+        template, values = _row_template(report, report._fields, report._fields, "json")
+        print(template % values(report))
         return EXIT_OK
     print(f"m         {report.m}")
     print(f"k, p      {report.k}, {report.p}")
@@ -123,18 +143,6 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(ms, k: int, p: int, r_mode: str, fixed_r):
-    reports = bound_reports(ms, k, p, fixed_r if r_mode == "fixed" else None)
-    if r_mode == "auto-flag":
-        return (report._replace(withr_r=report.flag_r, withr=report.flag) for report in reports)
-    if r_mode == "off":
-        return (
-            report._replace(withr_r=None, withr=None, flag_r=None, flag=None)
-            for report in reports
-        )
-    return reports
-
-
 def _cmd_sweep(args) -> int:
     if not 1 <= args.p < args.k:
         raise ValueError(f"need 1 <= p < k, got p={args.p}, k={args.k}")
@@ -143,33 +151,25 @@ def _cmd_sweep(args) -> int:
             raise ValueError("--r-mode fixed requires --r")
         if args.r < args.k:
             raise ValueError(f"need k <= r, got k={args.k}, r={args.r}")
+    elif args.r is not None:
+        raise ValueError("--r needs --r-mode fixed")
     ms = sample_grid(args.m_start, args.m_end, args.samples, linear=args.linear)
-    rows = _sweep_rows(ms, args.k, args.p, args.r_mode, args.r)
-    columns = attrgetter(*SWEEP_COLUMNS)
+    rows = bound_reports(ms, args.k, args.p, args.r)
     # The first row is computed before anything is written, so a sweep that
     # cannot start leaves stdout empty.
     first = next(rows)
+    # An r-mode picks the fields of the four r-dependent columns: auto-flag
+    # puts flag_r and flag in the withr cells, off blanks all four (None).
+    r_fields = {"auto-flag": ("flag_r", "flag") * 2, "off": (None,) * 4}
+    fields = SWEEP_COLUMNS[:5] + r_fields.get(args.r_mode, SWEEP_COLUMNS[5:])
+    template, values = _row_template(first, SWEEP_COLUMNS, fields, args.format)
+    start, between, end = _SWEEP_FRAMES[args.format]
     write = sys.stdout.write
-    if args.format == "json":
-        import json
-
-        write("[" + json.dumps(dict(zip(SWEEP_COLUMNS, columns(first)))))
-        for row in rows:
-            write(", " + json.dumps(dict(zip(SWEEP_COLUMNS, columns(row)))))
-        write("]\n")
-    else:
-        # Each BoundReport field has one type, and an r-mode blanks the same
-        # cells in every row, so the first row's types give one printf
-        # template for all rows, with _fmt's formats; it formats a row in
-        # half the time of _fmt cell by cell.
-        cells = list(zip(SWEEP_COLUMNS, columns(first)))
-        template = ",".join(
-            "" if value is None else _CELL_FORMATS[type(value)] for _, value in cells
-        ) + "\n"
-        present = attrgetter(*[name for name, value in cells if value is not None])
-        write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in itertools.chain((first,), rows):
-            write(template % present(row))
+    write(start + template % values(first))
+    template = between + template
+    for row in rows:
+        write(template % values(row))
+    write(end)
     return EXIT_OK
 
 

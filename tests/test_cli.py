@@ -170,6 +170,14 @@ def test_sweep_r_modes(capsys):
     assert code == EXIT_USAGE and "requires --r" in err
 
 
+def test_sweep_rejects_r_outside_fixed_mode(capsys):
+    # --r was ignored outside --r-mode fixed: withr_r read 3, 3, 4, ...
+    argv = ("sweep", "--k", "3", "--p", "2", "--m-end", "10", "--samples", "all", "--r", "5")
+    for mode in ((), ("--r-mode", "auto-flag"), ("--r-mode", "off")):
+        code, out, err = run(capsys, *argv, *mode)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --r needs --r-mode fixed\n")
+
+
 def test_sweep_rejects_oversampling(capsys):
     code, _, err = run(
         capsys, "sweep", "--k", "3", "--p", "2", "--m-end", "5", "--samples", "10"

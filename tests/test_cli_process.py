@@ -54,7 +54,9 @@ def test_import_loads_modules_on_first_use():
     ["bound", "--m", "12777711870", "--k", "10", "--p", "7", "--format", "table"],
     ["sweep", "--k", "10", "--p", "7", "--m-end", "100000", "--samples", "20"],
     ["cascade", "--m", "11", "--k", "3"],
-], ids=["bound", "bound-table", "sweep-csv", "cascade"])
+    ["bound", "--m", "11", "--k", "3", "--p", "2", "--format", "json"],
+    ["sweep", "--k", "3", "--p", "2", "--m-end", "50", "--samples", "5", "--format", "json"],
+], ids=["bound", "bound-table", "sweep-csv", "cascade", "bound-json", "sweep-json"])
 def test_bound_path_imports_only_the_kernel(argv):
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True,
                           env=ENV, timeout=120)
@@ -69,9 +71,7 @@ def test_bound_path_imports_only_the_kernel(argv):
     ["cascade", "--m", "13", "--k", "2", "--r", "3"],
     ["validate", "1,4,6,4,1", "--r", "4"],
     ["validate", "1,4,5,2", "--realize"],
-    ["bound", "--m", "11", "--k", "3", "--p", "2", "--format", "json"],
-    ["sweep", "--k", "3", "--p", "2", "--m-end", "50", "--samples", "5", "--format", "json"],
-], ids=["selftest", "cascade-r", "validate-r", "validate-realize", "bound-json", "sweep-json"])
+], ids=["selftest", "cascade-r", "validate-r", "validate-realize"])
 def test_lazily_loaded_commands_match_in_process(argv, capsys):
     """A fresh process, which loads the off-path modules on demand, prints what main does here."""
     proc = cli(*argv)

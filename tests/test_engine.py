@@ -104,9 +104,16 @@ def test_grids_reject_alike(m_start, m_end, samples):
 
 
 def test_bound_json_is_the_report(capsys):
-    code, out, _ = run(capsys, "bound", "--m", "11", "--k", "3", "--p", "2", "--format", "json")
-    assert code == EXIT_OK
-    assert BoundReport(**json.loads(out)) == bound_report(11, 3, 2)
+    # json.dumps's bytes, also for a kk_exact of 54 and 176 digits, k > 170,
+    # a fixed r, and floats whose repr takes 17 significant digits.
+    for m, k, p, r in ((11, 3, 2, None), (10**306 + 12345, 557, 27, None),
+                       (10**250, 300, 150, None), (12777711870, 10, 7, 60)):
+        argv = ["bound", "--m", str(m), "--k", str(k), "--p", str(p), "--format", "json"]
+        code, out, _ = run(capsys, *argv, *([] if r is None else ["--r", str(r)]))
+        report = bound_report(m, k, p, r)
+        assert code == EXIT_OK
+        assert out == json.dumps(report._asdict()) + "\n"
+        assert BoundReport(**json.loads(out)) == report
 
 
 def test_sweep_rows_are_bound_reports(capsys):

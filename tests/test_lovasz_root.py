@@ -12,7 +12,7 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kkbounds import (
@@ -345,6 +345,11 @@ def root_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(root_inputs(), st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=3))
+# k > 170, where k! does not fit in a float: the closed-form start lies in
+# (n, n+1) at k = 171 and 400 here, and below n at k = 1500.
+@example((10**100 + 12345, 171), [0.5])
+@example((10**305 + 12345, 400), [0.5])
+@example((10**300 + 12345, 1500), [0.5])
 def test_root_does_not_depend_on_its_start(case, fractions):
     m, k = case
     n, c = approx._max_index(m, k, None)

@@ -300,30 +300,33 @@ def test_cold_root_evaluations_per_call(monkeypatch, ms, k, most):
     assert _root_evaluations_per_row(monkeypatch, ms, k, k - 1, roots) <= most
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("mode", ["auto-best", "auto-flag", "fixed", "off"])
-def test_sweep_rows_equal_frozen_rows_in_every_r_mode(mode):
+def test_sweep_output_is_the_frozen_rows_in_every_r_mode(capsys, mode, fmt):
+    # The r-mode's substitution is made here: auto-flag shows flag_r and flag
+    # in the withr cells, and off blanks the four r-dependent cells.
     ms, k, p = SWEEPS["paper_k10"]
     fixed_r = 60 if mode == "fixed" else None
-    expected = [_frozen_bound_report(m, k, p, fixed_r) for m in ms]
-    if mode == "auto-flag":
-        expected = [row._replace(withr_r=row.flag_r, withr=row.flag) for row in expected]
-    if mode == "off":
-        off = dict.fromkeys(("withr_r", "withr", "flag_r", "flag"))
-        expected = [row._replace(**off) for row in expected]
-    assert list(cli._sweep_rows(ms, k, p, mode, fixed_r)) == expected
-
-
-@pytest.mark.parametrize("mode", ["auto-best", "auto-flag", "fixed", "off"])
-def test_csv_cells_follow_fmt_in_every_r_mode(capsys, mode):
     argv = ["sweep", "--k", "10", "--p", "7", "--m-end", "12777711870", "--samples", "400"]
-    argv += ["--r-mode", mode] + (["--r", "60"] if mode == "fixed" else [])
-    code, out, _ = _run(capsys, *argv)
-    assert code == EXIT_OK
-    ms, k, p = SWEEPS["paper_k10"]
-    expected = list(cli._sweep_rows(ms, k, p, mode, 60 if mode == "fixed" else None))
-    lines = [",".join(cli.SWEEP_COLUMNS)]
-    lines += [",".join(cli._fmt(getattr(row, c)) for c in cli.SWEEP_COLUMNS) for row in expected]
-    assert out == "\n".join(lines) + "\n"
+    argv += ["--r-mode", mode, "--format", fmt] + (["--r", "60"] if fixed_r else [])
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    rows = []
+    for report in (_frozen_bound_report(m, k, p, fixed_r) for m in ms):
+        row = {c: getattr(report, c) for c in cli.SWEEP_COLUMNS}
+        if mode == "auto-flag":
+            row.update(withr_r=report.flag_r, withr=report.flag)
+        if mode == "off":
+            row.update(withr_r=None, withr=None, flag_r=None, flag=None)
+        rows.append(row)
+    if fmt == "json":
+        expected, row_end = json.dumps(rows) + "\n", "}, {"
+    else:
+        lines = [",".join(cli.SWEEP_COLUMNS)]
+        lines += [",".join(cli._fmt(value) for value in row.values()) for row in rows]
+        expected, row_end = "\n".join(lines) + "\n", "\n"
+    # Split into rows, so that a failure shows the first row that differs.
+    assert out.split(row_end) == expected.split(row_end)
 
 
 def test_bound_report_is_the_one_row_case():
