@@ -8,16 +8,22 @@ limit, the gap condition, so each level is checked once, as it is made.  A
 level whose limit is at most its budget is plain and walks down from it by
 exact steps C(t-1, j) = C(t, j) (t-j)/t (_descend); other colored levels
 search from a float seed on the cached turan_coefficient (_max_index).
+Before it walks, a plain level at 3 <= j <= _COLUMN_J looks its remainder up
+in Pascal column j, _columns[j][i] = C(j + i, j): at most _COLUMN_LEN
+entries, all below 2^64, grown on demand by publishing a longer list.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .binomials import _Record, _set, binomial, turan_coefficient
 
 _WALK = 4  # exact steps before a search; 80% of paper-grid levels lie 1 to 3 below the one above
+_COLUMN_J, _COLUMN_LEN = 64, 512  # at most 62 columns of 512 entries
+_columns = [[1] for _ in range(_COLUMN_J + 1)]  # replaced, never changed in place
 
 
 def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
@@ -70,14 +76,43 @@ def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
     return lo, value
 
 
+def _column(rem: int, j: int) -> list[int]:
+    """Pascal column j, grown until its last entry exceeds rem or it is full.
+
+    A longer list replaces the column, so a reader holds a whole one; a
+    shorter list published last by another thread is still exact.
+    """
+    column = _columns[j]
+    n, value, grown = j + len(column) - 1, column[-1], []
+    while value <= rem and n + 1 - j < _COLUMN_LEN:
+        value = value * (n + 1) // (n + 1 - j)
+        n += 1
+        if value >= 1 << 64:
+            break
+        grown.append(value)
+    if grown:
+        column = _columns[j] = column + grown
+    return column
+
+
 def _descend(rem: int, j: int, top: int | None, at: int | None) -> tuple[int, int, int]:
     """The plain level of rem >= 1 at j: (n, C(n, j), C(n+1, j)), n < top.
 
-    at = C(top, j) > rem, from the level above, or None.  j = 1 takes rem.  Given
-    at and j >= 3, up to _WALK exact steps walk down from top; else _max_index.
+    at = C(top, j) > rem, from the level above, or None.  j = 1 takes rem.  At
+    3 <= j <= _COLUMN_J, a rem below the last entry of Pascal column j, grown
+    on demand, gives all three by one bisection.  Otherwise, given at and
+    j >= 3, up to _WALK exact steps walk down from top; else _max_index.
     """
-    if j == 1:
-        return rem, rem, rem + 1
+    if j <= _COLUMN_J:  # one comparison for a level beyond the columns
+        if j == 1:
+            return rem, rem, rem + 1
+        if j > 2 and rem < 1 << 64:
+            column = _columns[j]
+            if rem >= column[-1]:
+                column = _column(rem, j)
+            if rem < column[-1]:
+                i = bisect_right(column, rem)
+                return j + i - 1, column[i - 1], column[i]
     for _ in range(_WALK if at is not None and j > 2 else 0):
         below = at * (top - j) // top
         top -= 1

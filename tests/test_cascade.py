@@ -1,6 +1,9 @@
 """Cascade decomposition, shadow bounds, and face-vector validation."""
 
 import math
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +12,20 @@ from hypothesis import strategies as st
 from kkbounds import (
     CascadeRep,
     FaceVector,
+    best_r,
     binomial,
+    bound_report,
     cascade_decompose,
     cascade_evaluate,
+    colored_cascade_decompose,
+    colored_shadow_bound,
+    flag_r,
+    lovasz_x,
     shadow_bound,
     validate_face_vector,
 )
 from kkbounds import cascade
-from kkbounds.cascade import _WALK, _CascadeCursor
+from kkbounds.cascade import _COLUMN_J, _COLUMN_LEN, _WALK, _CascadeCursor
 
 
 def test_decompose_examples():
@@ -95,10 +104,11 @@ def test_descent_equals_the_plain_greedy_across_large_jumps(k, jumps):
         assert warm.cascade().terms == want, (m, k)
 
 
-@pytest.mark.parametrize("k", [3, 5, 10, 25])
+@pytest.mark.parametrize("k", [3, 5, 10, 25, _COLUMN_J + 6])
 def test_descent_falls_back_beyond_the_step_cap(k, monkeypatch):
-    # The level below C(n, k) lies n - (k-1) steps down for m = C(n, k) + 1
-    # and 12 steps down for m = C(n, k) + C(n-12, k-1): more than _WALK.
+    # Past the Pascal columns (n - j >= _COLUMN_LEN, C(n, j) >= 2^64 or
+    # j > _COLUMN_J) the level below C(n, k) lies 12 steps down for
+    # m = C(n, k) + C(n-12, k-1): more than _WALK, so it searches.
     assert _WALK < 12
     searches = []
     real = cascade._max_index
@@ -108,14 +118,121 @@ def test_descent_falls_back_beyond_the_step_cap(k, monkeypatch):
         return real(m, j, c)
 
     monkeypatch.setattr(cascade, "_max_index", counted)
-    for n in (k + 20, 60, 200):
-        for m in (binomial(n, k) + 1, binomial(n, k) + binomial(n - 12, k - 1)):
-            searches.clear()
-            want = _plain_greedy(m, k)
-            assert cascade_decompose(m, k).terms == want, (m, k)
-            assert searches[0] == k and k - 1 in searches, (m, k, searches)
-            assert _fresh_cursor_terms(m, k) == want, (m, k)
+    for n in (k + _COLUMN_LEN + 100, 2000, 10**5):
+        m = binomial(n, k) + binomial(n - 12, k - 1)
+        searches.clear()
+        want = _plain_greedy(m, k)
+        assert cascade_decompose(m, k).terms == want, (m, k)
+        assert searches[0] == k and k - 1 in searches, (m, k, searches)
+        assert _fresh_cursor_terms(m, k) == want, (m, k)
 
+
+def _empty_columns():
+    return [[1] for _ in range(_COLUMN_J + 1)]
+
+
+def _last_covered(j):
+    """The n of column j's last entry when full: n - j < _COLUMN_LEN and C(n, j) < 2^64."""
+    n = j
+    while n + 1 - j < _COLUMN_LEN and math.comb(n + 1, j) < 2**64:
+        n += 1
+    return n
+
+
+def test_pascal_columns_are_exact_bounded_and_replaced_whole(monkeypatch):
+    table = _empty_columns()
+    monkeypatch.setattr(cascade, "_columns", table)
+    for j in range(3, _COLUMN_J + 1):
+        part = cascade._column(math.comb(j + 5, j), j)  # grown only as far as asked
+        assert len(part) == 7 and part is table[j]
+        kept = list(part)
+        full = cascade._column(2**64 - 1, j)
+        assert part == kept and full is table[j] and full is not part
+        assert full == [math.comb(n, j) for n in range(j, _last_covered(j) + 1)], j
+        assert cascade._column(2**64 - 1, j) is full
+    assert len(table[3]) == _COLUMN_LEN and table[_COLUMN_J][-1] < 2**64 <= math.comb(
+        _last_covered(_COLUMN_J) + 1, _COLUMN_J
+    )
+    assert sum(map(len, table)) <= _COLUMN_J * (_COLUMN_LEN + 1)
+
+
+def test_a_cascade_grows_only_the_columns_it_reads(monkeypatch):
+    table = _empty_columns()
+    monkeypatch.setattr(cascade, "_columns", table)
+    m = binomial(30, 10) + binomial(25, 9) + 1
+    assert cascade_decompose(m, 10).terms == ((30, 10), (25, 9), (8, 8))
+    assert [len(column) for column in table] == [1] * 8 + [2, 18, 22] + [1] * (_COLUMN_J - 10)
+
+
+def test_threads_growing_the_columns_read_whole_columns(monkeypatch):
+    # Growth publishes a new list, so a reader sees a column before or after
+    # it grows, never between; a shorter list published last is still exact.
+    table = _empty_columns()
+    monkeypatch.setattr(cascade, "_columns", table)
+    cases = [
+        (math.comb(n, k) + d, k) for k in (3, 9, 20) for n in range(k + 1, k + 200, 7) for d in (-1, 0)
+    ]
+    want = [_plain_greedy(m, k) for m, k in cases]
+    errors = []
+
+    def work(order):
+        for i in order:
+            if cascade_decompose(*cases[i]).terms != want[i]:
+                errors.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        orders = [random.Random(seed).sample(range(len(cases)), len(cases)) for seed in range(6)]
+        threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for j, column in enumerate(table[3:], 3):
+        assert column == [math.comb(j + i, j) for i in range(len(column))]
+
+
+# Column 3 ends at its _COLUMN_LEN cap, 10 and _COLUMN_J at the 2^64 cap, and
+# _COLUMN_J + 1 has no column.
+@pytest.mark.parametrize("j", [3, 10, _COLUMN_J, _COLUMN_J + 1])
+@pytest.mark.parametrize("state", ["empty", "full"])
+def test_levels_at_the_edge_of_the_columns(j, state, monkeypatch):
+    table = _empty_columns()
+    monkeypatch.setattr(cascade, "_columns", table)
+    if state == "full":
+        for i in range(3, _COLUMN_J + 1):
+            cascade._column(2**64 - 1, i)
+    n = _last_covered(j)
+    edge = [math.comb(n, j) + d for d in (-1, 0, 1)]
+    # Each m at the top level (k = j), then below C(n + 1, j + 1) (k = j + 1).
+    for k, base in ((j, 0), (j + 1, math.comb(n + 1, j + 1))):
+        ms = [base + m for m in edge]
+        warm, r = _CascadeCursor(k, k - 1), n + k + 2  # every colored level plain
+        for m in ms:
+            want = _plain_greedy(m, k)
+            assert want[k - j][0] == (n - 1 if m == ms[0] else n), (m, k, want)
+            assert cascade_decompose(m, k).terms == want, (m, k)
+            assert _fresh_cursor_terms(m, k) == want, (m, k)
+            kk_exact = sum(math.comb(t, i - 1) for t, i in want)
+            assert warm.advance(m) == (want[0][0], kk_exact), (m, k)
+            assert warm.cascade().terms == want, (m, k)
+            assert shadow_bound(m, k, k - 1) == kk_exact
+            colored = colored_cascade_decompose(m, k, r).terms
+            assert colored == tuple((t, i, i + r - k) for t, i in want), (m, k)
+            assert colored_shadow_bound(m, k, k - 1, r) == kk_exact
+            top = want[0][0]
+            report = bound_report(m, k, k - 1)
+            assert report.kk_exact == kk_exact and report.flag_r == flag_r(m, k) == top
+            reach = math.comb(top, k) + math.comb(top - 1, k - 1)
+            assert report.withr_r == best_r(m, k) == (top if m <= reach else top + 1)
+            assert report.lovasz_x == lovasz_x(m, k) and top <= lovasz_x(m, k) <= top + 1
+    if j <= _COLUMN_J:
+        assert table[j][-1] == math.comb(n, j)
 
 def test_malformed_reps_rejected():
     with pytest.raises(ValueError):

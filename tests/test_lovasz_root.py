@@ -180,36 +180,53 @@ def test_overflow_still_raises():
 
 
 def test_bound_report_builds_one_cascade(monkeypatch):
-    # Every greedy descent, the cursor's first one included, starts with an
-    # index search at the top level j = k; one call must make exactly one.
-    top_searches = 0
-    real = cascade._max_index
+    # Every greedy descent, the cursor's first one included, resolves the top
+    # level j = k once in _descend: by a Pascal-column lookup or an index
+    # search.  One call must make exactly one, and no search of its own.
+    descents = searches = own = 0
+    descend, search = cascade._descend, cascade._max_index
 
-    def counted(m, j, c):
-        nonlocal top_searches
-        top_searches += j == k
-        return real(m, j, c)
+    def counted_descend(rem, j, top, at):
+        nonlocal descents
+        descents += j == k
+        return descend(rem, j, top, at)
 
-    monkeypatch.setattr(cascade, "_max_index", counted)
-    monkeypatch.setattr(approx, "_max_index", counted)
+    def counted_search(m, j, c):
+        nonlocal searches
+        searches += j == k
+        return search(m, j, c)
+
+    def counted_own(m, j, c):
+        nonlocal own
+        own += j == k
+        return search(m, j, c)
+
+    monkeypatch.setattr(cascade, "_descend", counted_descend)
+    monkeypatch.setattr(cascade, "_max_index", counted_search)
+    monkeypatch.setattr(approx, "_max_index", counted_own)
     rng = random.Random(7)
+    hits = 0
     for _ in range(200):
         k = rng.randint(2, 12)
         m = rng.randint(1, 10**12)
-        before = top_searches
+        before = descents, searches, own
         report = bound_report(m, k, k - 1)
-        assert top_searches == before + 1, (m, k)
+        made = descents - before[0], searches - before[1], own - before[2]
+        assert made in ((1, 0, 0), (1, 1, 0)), (m, k, made)
+        hits += made[1] == 0
         assert report.kk_exact == shadow_bound(m, k, k - 1)
         assert report.flag_r == flag_r(m, k)
         assert report.withr_r == best_r(m, k)
         assert report.lovasz_x == lovasz_x(m, k)
+    assert 0 < hits < 200  # both ways to the top level are taken
 
 
 def test_cold_bound_report_seeded_searches_per_call(monkeypatch):
-    # Below the top, a cold cascade descends from the level above by exact
-    # steps; float-seeded index searches at j >= 3 are the top level's and
-    # the walks longer than the step cap (1.83 a call, 7.6 with a search at
-    # every level).
+    # Below 2^64, a plain level at 3 <= j <= 64 whose remainder lies in its
+    # Pascal column takes its index from one bisection.  Every level of the
+    # paper grid does, so a cold row makes no float-seeded search at j >= 3
+    # (1.83 a row with exact steps down from the level above alone, 7.6 with
+    # a search at every level).
     seeded = 0
     real = cascade._max_index
 
@@ -219,10 +236,9 @@ def test_cold_bound_report_seeded_searches_per_call(monkeypatch):
         return real(m, j, c)
 
     monkeypatch.setattr(cascade, "_max_index", counted)
-    grid = geometric_grid(1, 12777711870, 2000)
-    for m in grid:
+    for m in geometric_grid(1, 12777711870, 2000):
         bound_report(m, 10, 7)
-    assert seeded / len(grid) <= 2.1
+    assert seeded == 0
 
 
 def test_cascades_are_not_cached():
