@@ -7,7 +7,7 @@ import sys
 from typing import Iterable, Iterator, NamedTuple
 
 from .binomials import _binom_real_at, binom_real, binomial
-from .cascade import FaceVector, _CascadeCursor, _max_index
+from .cascade import FaceVector, _CascadeCursor, _descend, _lead_root
 
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
@@ -26,7 +26,7 @@ def _cold_start(m: int, k: int) -> float:
 
     In u = x - (k-1)/2, x(x-1)...(x-k+1) = u^k - k(k^2-1)/24 u^(k-2) + ...
     """
-    y = math.exp((math.lgamma(k + 1) + math.log(m)) / k)
+    y = _lead_root(m, k)
     return y + 0.5 * (k - 1) + (k * k - 1) / (24.0 * y)
 
 
@@ -133,7 +133,7 @@ def lovasz_x(m: int, k: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _lovasz_root(m, k, *_max_index(m, k, None), _binom_real_at(k))
+    return _lovasz_root(m, k, *_descend(m, k)[:2], _binom_real_at(k))
 
 
 def lovasz_bound(m: int, k: int, p: int) -> float:
@@ -290,7 +290,7 @@ def best_r(m: int, k: int) -> int:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:
         return max(1, m - 1)
-    n, c = _max_index(m, k, None)
+    n, c, _ = _descend(m, k)
     return n if m <= c + binomial(n - 1, k - 1) else n + 1
 
 
@@ -304,7 +304,7 @@ def flag_r(m: int, k: int) -> int:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _max_index(m, k, None)[0]
+    return _descend(m, k)[0]
 
 
 class BoundReport(NamedTuple):

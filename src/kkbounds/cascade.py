@@ -5,12 +5,11 @@ whose budget c exceeds every index (None), as T(n, j)_c = C(n, j) for n <= c.
 A level (n, j, c) stores T(n, j)_c and T(n+1, j)_c, whose difference is
 T(top, j-1)_{c-1}, top = n - floor(n/c): the next index lies below this exact
 limit, the gap condition, so each level is checked once, as it is made.  A
-level whose limit is at most its budget is plain and walks down from it by
-exact steps C(t-1, j) = C(t, j) (t-j)/t (_descend); other colored levels
-search from a float seed on the cached turan_coefficient (_max_index).
-Before it walks, a plain level at 3 <= j <= _COLUMN_J looks its remainder up
-in Pascal column j, _columns[j][i] = C(j + i, j): at most _COLUMN_LEN
-entries, all below 2^64, grown on demand by publishing a longer list.
+level whose limit is at most its budget is plain (_descend): it looks its
+remainder up in a Pascal column, the cached C(j + i, j) below 2^64, or else
+walks down from the level above by exact steps C(t-1, j) = C(t, j) (t-j)/t;
+other colored levels search from a float seed on the cached
+turan_coefficient (_max_index).
 """
 
 from __future__ import annotations
@@ -21,9 +20,14 @@ from typing import NamedTuple
 
 from .binomials import _Record, _set, binomial, turan_coefficient
 
-_WALK = 4  # exact steps before a search; 80% of paper-grid levels lie 1 to 3 below the one above
+_WALK = 4  # exact steps before a search, down from the level above or up from a float seed
 _COLUMN_J, _COLUMN_LEN = 64, 512  # at most 62 columns of 512 entries
 _columns = [[1] for _ in range(_COLUMN_J + 1)]  # replaced, never changed in place
+
+
+def _lead_root(m: int, k: int) -> float:
+    """(k! m)^(1/k), the leading term of the root of C(x, k) = m, from log-gamma."""
+    return math.exp((math.lgamma(k + 1) + math.log(m)) / k)
 
 
 def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
@@ -49,7 +53,7 @@ def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
         return p * c + q, pairs * p * p + (c - 1) * p * q + q * (q - 1) // 2
     try:
         if c is None:
-            seed = math.exp((math.lgamma(j + 1) + math.log(m)) / j) + 0.5 * (j - 1)
+            seed = _lead_root(m, j) + 0.5 * (j - 1)
         elif m.bit_length() < 1000:  # m / C(c, j) fits in a float
             seed = c * (m / math.comb(c, j)) ** (1 / j)
         else:
@@ -95,13 +99,15 @@ def _column(rem: int, j: int) -> list[int]:
     return column
 
 
-def _descend(rem: int, j: int, top: int | None, at: int | None) -> tuple[int, int, int]:
-    """The plain level of rem >= 1 at j: (n, C(n, j), C(n+1, j)), n < top.
+def _descend(rem: int, j: int, top: int = 0, at: int | None = None) -> tuple[int, int, int]:
+    """The plain level of rem >= 1 at j: (n, C(n, j), C(n+1, j)), C(n, j) <= rem < C(n+1, j).
 
-    at = C(top, j) > rem, from the level above, or None.  j = 1 takes rem.  At
-    3 <= j <= _COLUMN_J, a rem below the last entry of Pascal column j, grown
-    on demand, gives all three by one bisection.  Otherwise, given at and
-    j >= 3, up to _WALK exact steps walk down from top; else _max_index.
+    at = C(top, j) > rem, from the level above, or None for a leading index.
+    j = 1 takes rem.  At 3 <= j <= _COLUMN_J, a rem below the last entry of
+    Pascal column j, grown on demand, gives all three by one bisection.
+    Otherwise, given at and j >= 3, up to _WALK exact steps walk down from
+    top; else _max_index.  As n - j never grows from a level to the next, the
+    walk takes 1704 of the 1705 levels at k = 2000, m = 10**30.
     """
     if j <= _COLUMN_J:  # one comparison for a level beyond the columns
         if j == 1:

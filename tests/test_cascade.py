@@ -110,6 +110,18 @@ def test_descent_falls_back_beyond_the_step_cap(k, monkeypatch):
     # j > _COLUMN_J) the level below C(n, k) lies 12 steps down for
     # m = C(n, k) + C(n-12, k-1): more than _WALK, so it searches.
     assert _WALK < 12
+    searches = _count_searches(monkeypatch)
+    for n in (k + _COLUMN_LEN + 100, 2000, 10**5):
+        m = binomial(n, k) + binomial(n - 12, k - 1)
+        searches.clear()
+        want = _plain_greedy(m, k)
+        assert cascade_decompose(m, k).terms == want, (m, k)
+        assert searches == _searched_levels(want) == [k, k - 1], (m, k, searches)
+        assert _fresh_cursor_terms(m, k) == want, (m, k)
+
+
+def _count_searches(monkeypatch):
+    """The list of j of each _max_index call in cascade from now on."""
     searches = []
     real = cascade._max_index
 
@@ -118,13 +130,34 @@ def test_descent_falls_back_beyond_the_step_cap(k, monkeypatch):
         return real(m, j, c)
 
     monkeypatch.setattr(cascade, "_max_index", counted)
-    for n in (k + _COLUMN_LEN + 100, 2000, 10**5):
-        m = binomial(n, k) + binomial(n - 12, k - 1)
-        searches.clear()
-        want = _plain_greedy(m, k)
-        assert cascade_decompose(m, k).terms == want, (m, k)
-        assert searches[0] == k and k - 1 in searches, (m, k, searches)
-        assert _fresh_cursor_terms(m, k) == want, (m, k)
+    return searches
+
+
+def _searched_levels(terms):
+    """The j of each level of a cold plain cascade that _max_index resolves.
+
+    A level at 3 <= j <= _COLUMN_J whose n lies in its full Pascal column is
+    looked up; below the top, a level at j >= 3 at most _WALK below the one
+    above is walked to, and j = 1 takes the remainder.
+    """
+    searched, above = [], None
+    for n, j in terms:
+        looked_up = 2 < j <= _COLUMN_J and n < _last_covered(j)
+        walked = j > 2 and above is not None and n >= above - _WALK
+        if j > 1 and not looked_up and not walked:
+            searched.append(j)
+        above = n
+    return searched
+
+
+@pytest.mark.parametrize("k, m", [(_COLUMN_J + 1, 10**40), (300, 10**30), (2000, 10**30)])
+def test_long_cascades_beyond_the_columns_walk_down(k, m, monkeypatch):
+    # Beyond the columns at large k, n - j never grows from a level to the
+    # next, so nearly every level lies 1 to _WALK steps below the one above.
+    searches = _count_searches(monkeypatch)
+    want = _plain_greedy(m, k)
+    assert cascade_decompose(m, k).terms == want
+    assert searches == _searched_levels(want) and len(searches) <= len(want) // 10, searches
 
 
 def _empty_columns():
@@ -170,7 +203,10 @@ def test_threads_growing_the_columns_read_whole_columns(monkeypatch):
     table = _empty_columns()
     monkeypatch.setattr(cascade, "_columns", table)
     cases = [
-        (math.comb(n, k) + d, k) for k in (3, 9, 20) for n in range(k + 1, k + 200, 7) for d in (-1, 0)
+        (math.comb(n, k) + d, k)
+        for k in (3, 9, 20)
+        for n in range(k + 1, k + 200, 7)
+        for d in (-1, 0)
     ]
     want = [_plain_greedy(m, k) for m, k in cases]
     errors = []
@@ -209,6 +245,7 @@ def test_levels_at_the_edge_of_the_columns(j, state, monkeypatch):
             cascade._column(2**64 - 1, i)
     n = _last_covered(j)
     edge = [math.comb(n, j) + d for d in (-1, 0, 1)]
+    searches = _count_searches(monkeypatch)
     # Each m at the top level (k = j), then below C(n + 1, j + 1) (k = j + 1).
     for k, base in ((j, 0), (j + 1, math.comb(n + 1, j + 1))):
         ms = [base + m for m in edge]
@@ -216,7 +253,9 @@ def test_levels_at_the_edge_of_the_columns(j, state, monkeypatch):
         for m in ms:
             want = _plain_greedy(m, k)
             assert want[k - j][0] == (n - 1 if m == ms[0] else n), (m, k, want)
+            searches.clear()
             assert cascade_decompose(m, k).terms == want, (m, k)
+            assert searches == _searched_levels(want), (m, k, searches)
             assert _fresh_cursor_terms(m, k) == want, (m, k)
             kk_exact = sum(math.comb(t, i - 1) for t, i in want)
             assert warm.advance(m) == (want[0][0], kk_exact), (m, k)

@@ -182,28 +182,29 @@ def test_overflow_still_raises():
 def test_bound_report_builds_one_cascade(monkeypatch):
     # Every greedy descent, the cursor's first one included, resolves the top
     # level j = k once in _descend: by a Pascal-column lookup or an index
-    # search.  One call must make exactly one, and no search of its own.
+    # search.  One call must make exactly one, and no lookup of its own
+    # (flag_r, best_r and lovasz_x each make one through approx._descend).
     descents = searches = own = 0
     descend, search = cascade._descend, cascade._max_index
 
-    def counted_descend(rem, j, top, at):
+    def counted_descend(rem, j, *above):
         nonlocal descents
         descents += j == k
-        return descend(rem, j, top, at)
+        return descend(rem, j, *above)
 
     def counted_search(m, j, c):
         nonlocal searches
         searches += j == k
         return search(m, j, c)
 
-    def counted_own(m, j, c):
+    def counted_own(rem, j, *above):
         nonlocal own
         own += j == k
-        return search(m, j, c)
+        return descend(rem, j, *above)
 
     monkeypatch.setattr(cascade, "_descend", counted_descend)
     monkeypatch.setattr(cascade, "_max_index", counted_search)
-    monkeypatch.setattr(approx, "_max_index", counted_own)
+    monkeypatch.setattr(approx, "_descend", counted_own)
     rng = random.Random(7)
     hits = 0
     for _ in range(200):
@@ -225,8 +226,7 @@ def test_cold_bound_report_seeded_searches_per_call(monkeypatch):
     # Below 2^64, a plain level at 3 <= j <= 64 whose remainder lies in its
     # Pascal column takes its index from one bisection.  Every level of the
     # paper grid does, so a cold row makes no float-seeded search at j >= 3
-    # (1.83 a row with exact steps down from the level above alone, 7.6 with
-    # a search at every level).
+    # (7.6 a row with a search at every level).
     seeded = 0
     real = cascade._max_index
 
@@ -368,7 +368,7 @@ def root_inputs(draw):
 @example((10**300 + 12345, 1500), [0.5])
 def test_root_does_not_depend_on_its_start(case, fractions):
     m, k = case
-    n, c = approx._max_index(m, k, None)
+    n, c, _ = approx._descend(m, k)
     f = approx._binom_real_at(k)
 
     def outcome(*start):
