@@ -12,13 +12,21 @@ from .cascade import FaceVector, _CascadeCursor, _descend, _lead_root
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 
+def _exp(x: float) -> float:
+    """math.exp(x), or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _pow_frac(m: int, num: int, den: int) -> float:
-    """m ** (num / den) for integer m >= 1, stable for m beyond float range."""
+    """m ** (num / den) for integers m >= 1 and 0 < num <= den, or inf where it does not fit."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m.bit_length() <= 53:
         return float(m) ** (num / den)
-    return math.exp(math.log(m) * num / den)
+    return _exp(math.log(m) * num / den)
 
 
 def _cold_start(m: int, k: int) -> float:
@@ -30,18 +38,40 @@ def _cold_start(m: int, k: int) -> float:
     return y + 0.5 * (k - 1) + (k * k - 1) / (24.0 * y)
 
 
+def _ratio_at(n: int, k: int):
+    """x -> C(x, k) / C(n, k) for x > k-1, the product of the (x - i) / (n - i): monotone."""
+    shifts = [(float(i), float(n - i)) for i in range(k)]
+
+    def evaluate(x: float) -> float:
+        value = 1.0
+        for i, below in shifts:
+            value *= (x - i) / below
+        return value
+
+    return evaluate
+
+
 def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float | None = None) -> float:
     """lovasz_x(m, k) given the leading cascade index n, c = C(n, k) and f = _binom_real_at(k).
 
-    The search starts from start, or _cold_start(m, k) when None, if it lies
-    strictly inside (n, n+1), else by regula falsi through the exact
-    endpoints, C(n+1, k) - C(n, k) = C(n, k) k / (n-k+1).
+    It is inf where n does not fit in a float.  The search starts from
+    start, or _cold_start(m, k) when None, if it lies strictly inside
+    (n, n+1), else by regula falsi through the exact endpoints,
+    C(n+1, k) - C(n, k) = C(n, k) k / (n-k+1).  Where float(m) overflows, it
+    solves C(x, k) / C(n, k) = m / C(n, k), a float in [1, (n+1)/(n+1-k)), by
+    the same steps on _ratio_at(n, k).
     """
+    try:
+        a, b = float(n), float(n + 1)
+    except OverflowError:  # n, and so the root, does not fit
+        return math.inf
     if c == m:
-        return float(n)
-    target = float(m)
+        return a
+    try:
+        target = float(m)
+    except OverflowError:
+        target, f = m / c, _ratio_at(n, k)
     tol = target * (k * 2e-16)  # target * k overflows where float(m) k > 1.8e308
-    a, b = float(n), float(n + 1)
     if start is None:
         start = _cold_start(m, k)
     x = start if a < start < b else n + (m - c) * (n - k + 1) / (c * k)
@@ -127,13 +157,18 @@ def lovasz_x(m: int, k: int) -> float:
     product and within its fallback for a product that overflows): the
     floats below m and those at or above it form two runs, and one adjacent
     pair straddles them.  The evaluations are binom_real's own, through its
-    fixed-k evaluator _binom_real_at(k).
+    fixed-k evaluator _binom_real_at(k).  For m from 2^1024 on, where float(m)
+    overflows, they are those of C(x, k) / C(n, k) against m / C(n, k), and
+    where the root itself does not fit in a float this raises OverflowError.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _lovasz_root(m, k, *_descend(m, k)[:2], _binom_real_at(k))
+    x = _lovasz_root(m, k, *_descend(m, k)[:2], _binom_real_at(k))
+    if x == math.inf:
+        raise _too_large("lovasz_x", k)
+    return x
 
 
 def lovasz_bound(m: int, k: int, p: int) -> float:
@@ -148,14 +183,6 @@ def _too_large(name: str, *args: int) -> OverflowError:
     return OverflowError(f"{name}(m, {', '.join(map(str, args))}) does not fit in a float")
 
 
-def _exp(x: float) -> float:
-    """math.exp(x), or inf where it overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def withoutr_bound(m: int, k: int, p: int) -> float:
     """Root-free lower bound: power law times a first-order correction factor.
 
@@ -167,7 +194,7 @@ def withoutr_bound(m: int, k: int, p: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 < p < k:
         raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
-    return _withoutr(m, k, p, _power_lead(k, p), math.factorial(k), _m_pow(m, k, p))
+    return _withoutr(m, k, p, _power_lead(k, p), math.factorial(k), _pow_frac(m, p, k))
 
 
 def _power_lead(k: int, p: int) -> float:
@@ -182,16 +209,8 @@ def _power_lead(k: int, p: int) -> float:
         return _exp(math.lgamma(k + 1) * p / k - math.lgamma(p + 1))
 
 
-def _m_pow(m: int, k: int, p: int) -> float:
-    """m^(p/k), the power of withoutr_bound and noreasy_bound, or inf."""
-    try:
-        return _pow_frac(m, p, k)
-    except OverflowError:
-        return math.inf
-
-
 def _withoutr(m: int, k: int, p: int, lead: float, fact_k: int, m_pow: float) -> float:
-    """withoutr_bound(m, k, p) given lead = _power_lead(k, p), k! and m_pow = _m_pow(m, k, p).
+    """withoutr_bound(m, k, p) given lead = _power_lead(k, p), k! and m_pow = _pow_frac(m, p, k).
 
     Its factors are at least 1, so an inf one, or an overflow on the way,
     means that the value does not fit either; lead * m_pow, noreasy, is at
@@ -217,7 +236,7 @@ def noreasy_bound(m: int, k: int, p: int) -> float:
         raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
     if m == 0:
         return 0.0
-    value = _power_lead(k, p) * _m_pow(m, k, p)
+    value = _power_lead(k, p) * _pow_frac(m, p, k)
     if value == math.inf:
         raise _too_large("noreasy_bound", k, p)
     return value
@@ -234,6 +253,8 @@ def symmetric_chain(f: FaceVector) -> SymmetricChain:
         _pow_frac(math.factorial(p) * f.entries[p], 1, p)
         for p in range(1, len(f.entries))
     )
+    if math.inf in values:
+        raise OverflowError("symmetric_chain(f) does not fit in a float")
     decreasing = all(a > b for a, b in zip(values, values[1:]))
     return SymmetricChain(values, decreasing)
 
@@ -291,7 +312,7 @@ def best_r(m: int, k: int) -> int:
     if k == 1:
         return max(1, m - 1)
     n, c, _ = _descend(m, k)
-    return n if m <= c + binomial(n - 1, k - 1) else n + 1
+    return n if m <= c + c * k // n else n + 1  # C(n-1, k-1) = C(n, k) k / n
 
 
 def flag_r(m: int, k: int) -> int:
@@ -381,7 +402,7 @@ def bound_reports(
             up_p = n_p * (n + 1) // (n + 1 - p)
             reach = n_k + n_k * k // n  # best_r's C(n, k) + C(n-1, k-1), k >= 2 here
         x = _lovasz_root(m, k, n, n_k, evaluate, start)
-        m_pow = _m_pow(m, k, p)
+        m_pow = _pow_frac(m, p, k)
         # An overflow raises the error of the first of flag, withr, lovasz and
         # withoutr, in this order, that does not fit; noreasy then fits.
         flag = _colorapprox(m, k, p, n, n_p, n_k)

@@ -4,12 +4,12 @@ Both families come from one _CascadeCursor; a plain cascade is a colored one
 whose budget c exceeds every index (None), as T(n, j)_c = C(n, j) for n <= c.
 A level (n, j, c) stores T(n, j)_c and T(n+1, j)_c, whose difference is
 T(top, j-1)_{c-1}, top = n - floor(n/c): the next index lies below this exact
-limit, the gap condition, so each level is checked once, as it is made.  A
-level whose limit is at most its budget is plain (_descend): it looks its
-remainder up in a Pascal column, the cached C(j + i, j) below 2^64, or else
-walks down from the level above by exact steps C(t-1, j) = C(t, j) (t-j)/t;
-other colored levels search from a float seed on the cached
-turan_coefficient (_max_index).
+limit, the gap condition, so each level is checked once, as it is made.
+Colored levels with j >= 2 and a limit above their budget search on the
+cached turan_coefficient (_max_index).  From the first other level on, a
+colored cascade is plain, its plain tail for the plain greedy (_descend): it
+looks a remainder up in a Pascal column, the cached C(j + i, j) below 2^64,
+or walks down from the level above by C(t-1, j) = C(t, j) (t-j)/t.
 """
 
 from __future__ import annotations
@@ -33,15 +33,13 @@ def _lead_root(m: int, k: int) -> float:
 def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
     """Largest n with T(n, j)_c <= m, and T(n, j)_c itself; C(n, j) when c is None.
 
-    Needs m >= 1 and j <= c.  j <= 2 solves in integers.  Otherwise the float
-    seed solves (n - (j-1)/2)^j / j! = m, or C(c, j) (n/c)^j = m, which by
-    the AM-GM and Maclaurin inequalities never exceeds the answer; a relative
-    1e-12 off covers rounding.  Up to _WALK exact steps walk up from it, then
-    galloping and bisecting on exact comparisons make the answer independent
-    of the seed (one beyond float range is replaced by j).
+    Needs m >= 1 and 2 <= j <= c.  j = 2 solves in integers.  Otherwise the
+    float seed solves (n - (j-1)/2)^j / j! = m, or C(c, j) (n/c)^j = m, which
+    by the AM-GM and Maclaurin inequalities never exceeds the answer; a
+    relative 1e-12 off covers rounding.  Up to _WALK exact steps walk up from
+    it, then galloping and bisecting on exact comparisons make the answer
+    independent of the seed (one beyond float range is replaced by j).
     """
-    if j == 1:
-        return m, m
     if j == 2 and c is None:
         n = (math.isqrt(8 * m + 1) + 1) // 2
         return n, n * (n - 1) // 2
@@ -54,8 +52,6 @@ def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
     try:
         if c is None:
             seed = _lead_root(m, j) + 0.5 * (j - 1)
-        elif m.bit_length() < 1000:  # m / C(c, j) fits in a float
-            seed = c * (m / math.comb(c, j)) ** (1 / j)
         else:
             seed = c * math.exp((math.log(m) - math.log(math.comb(c, j))) / j)
         lo = max(j, int(seed) - int(seed * 1e-12))
@@ -250,32 +246,19 @@ class _CascadeCursor:
             top = n
         if rem:
             j, shadow, at = self.k - len(levels), levels[-1][4] if levels else 0, None
-            if extra is None:
-                while rem > 0 and j > 0:
-                    n, value, above = _descend(rem, j, top, at)
-                    if not j <= n < top:
-                        raise ValueError(f"term {(n, j)} is not within 1 <= j <= n < {top}")
-                    if j >= drop:  # C(n, j - drop), zero for j < drop
-                        shadow += math.comb(n, j - drop)
-                    levels.append((n, j, value, above, shadow))
-                    rem -= value
-                    top, j, at = n, j - 1, above - value
-            else:  # colored: level j's budget is c = j + extra
+            if extra is not None:  # colored: level j's budget is c = j + extra
                 if levels:
                     n, i, value, above, _ = levels[-1]
                     top, at = n - n // (i + extra), above - value
                 elif m < math.comb(j + extra, j):  # T(r, k)_r = C(r, k) exceeds m, so n_k < r
                     top = j + extra
                 c = j + extra
-                while rem and j:
-                    if top <= c or j == 1:  # plain: T(t, j)_c = C(t, j) for t <= c, T(t, 1)_c = t
-                        n, value, above = _descend(rem, j, top, at)
-                        limit = n
-                    else:
-                        n, value = _max_index(rem, j, c)
-                        limit = n - n // c
-                        # T(n+1, 2)_c - T(n, 2)_c = n - n // c; for j > 2 the search probed n + 1.
-                        above = value + limit if j == 2 else turan_coefficient(n + 1, j, c)
+                # At top <= c or j = 1, T(t, j)_c = C(t, j): this level and all below are plain.
+                while rem and j > 1 and top > c:
+                    n, value = _max_index(rem, j, c)
+                    limit = n - n // c
+                    # T(n+1, 2)_c - T(n, 2)_c = n - n // c; for j > 2 the search probed n + 1.
+                    above = value + limit if j == 2 else turan_coefficient(n + 1, j, c)
                     if not j <= n < top:
                         raise ValueError(f"term {(n, j, c)} is not within 1 <= j <= n < {top}")
                     if j > drop and limit < n:  # else n < c, or i = 0: T(n, i)_c = C(n, i)
@@ -285,6 +268,15 @@ class _CascadeCursor:
                     levels.append((n, j, value, above, shadow))
                     rem -= value
                     top, j, c, at = limit, j - 1, c - 1, above - value
+            while rem > 0 and j > 0:
+                n, value, above = _descend(rem, j, top, at)
+                if not j <= n < top:
+                    raise ValueError(f"term {(n, j)} is not within 1 <= j <= n < {top}")
+                if j >= drop:  # C(n, j - drop), zero for j < drop
+                    shadow += math.comb(n, j - drop)
+                levels.append((n, j, value, above, shadow))
+                rem -= value
+                top, j, at = n, j - 1, above - value
             if rem:
                 raise ValueError(f"cascade levels do not sum to m={m}")
         self.m = m

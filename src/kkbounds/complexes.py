@@ -9,25 +9,23 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, product
 
-from .binomials import turan_graph
+from .binomials import _Record, _set, turan_graph
 from .cascade import FaceVector, validate_face_vector
 
 DEFAULT_MAX_FACES = 20000
 DEFAULT_VERTEX_LIMIT = 14
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Record):
     """A downward-closed set system over positive integer vertex labels."""
 
-    faces: frozenset[frozenset[int]]
+    __slots__ = ("faces",)
 
-    def __post_init__(self) -> None:
-        faces = frozenset(frozenset(face) for face in self.faces)
-        object.__setattr__(self, "faces", faces)
+    def __init__(self, faces) -> None:
+        faces = frozenset(frozenset(face) for face in faces)
+        _set(self, "faces", faces)
         if frozenset() not in faces:
             raise ValueError("a complex must contain the empty face")
         for face in faces:
@@ -125,18 +123,16 @@ def revlex_complex(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """Simple undirected graph on positive integer vertex labels."""
 
-    vertices: frozenset[int]
-    edges: frozenset[frozenset[int]]
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self) -> None:
-        vertices = frozenset(self.vertices)
-        edges = frozenset(frozenset(e) for e in self.edges)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
+    def __init__(self, vertices, edges) -> None:
+        vertices = frozenset(vertices)
+        edges = frozenset(frozenset(e) for e in edges)
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
         for v in vertices:
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"vertex labels must be positive ints, got {v!r}")

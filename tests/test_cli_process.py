@@ -81,6 +81,17 @@ def test_lazily_loaded_commands_match_in_process(argv, capsys):
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize("argv", [["selftest", "--scale", "quick"], ["validate", "1,4,5,2", "--realize"]],
+                         ids=["selftest", "validate-realize"])
+def test_complexes_load_without_dataclasses(argv):
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True,
+                          env=ENV, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    loaded = set(proc.stderr.decode().split())
+    assert "kkbounds.complexes" in loaded
+    assert "dataclasses" not in loaded
+
+
 def test_closed_pipe_mid_sweep_exits_0_silently():
     proc = subprocess.Popen([sys.executable, "-m", "kkbounds.cli", *DENSE], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, env=ENV)

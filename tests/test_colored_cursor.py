@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from kkbounds import (
     binomial,
     binomials,
+    cascade,
     cascade_decompose,
     colored_cascade_decompose,
     colored_cascade_evaluate,
@@ -188,6 +189,32 @@ def test_turan_evaluations_do_not_grow_and_the_cache_stays_bounded():
     for m in geometric_grid(1, 12777711870, 2000):
         colored_shadow_bound(m, 10, 7, 60)
     assert cached.cache_info().misses < FORMER_PAPER_GRID_EVALUATIONS
+
+
+def test_colored_search_only_above_the_budget(monkeypatch):
+    # _max_index sees j >= 2 only, and a colored level only where its limit
+    # from the level above exceeds its budget c; every other level, and all
+    # below one, go to the plain greedy.  Inputs: the self-test's colored
+    # roundtrip at scale full, then the random set above.
+    real, searched = cascade._max_index, {}
+
+    def guarded(m, j, c):
+        assert j >= 2, (m, j, c)
+        if c is not None:
+            searched[j] = c
+        return real(m, j, c)
+
+    monkeypatch.setattr(cascade, "_max_index", guarded)
+    roundtrip = [(m, k, r) for r in range(1, 6) for k in range(1, r + 1) for m in range(1, 2001)]
+    for m, k, r in [*roundtrip, *_random_colored_inputs()]:
+        searched.clear()
+        terms = colored_cascade_decompose(m, k, r).terms
+        top = r if m < binomial(r, k) else math.inf
+        for n, j, c in terms:
+            assert (j in searched) == (j >= 2 and top > c), (m, k, r, j)
+            assert searched.pop(j, c) == c, (m, k, r, j)
+            top = n - n // c
+        assert not searched, (m, k, r)
 
 
 def _frozen_binom_real_at(k):

@@ -71,10 +71,22 @@ def test_cli_cascade_beyond_float_range(capsys):
 
 
 def test_cli_arithmetic_error_exits_2(capsys):
-    code, out, err = run(capsys, "bound", "--m", str(HUGE), "--k", "10", "--p", "7")
+    # C(2000, 1000) alone exceeds the largest float, and so does every bound here.
+    code, out, err = run(capsys, "bound", "--m", "1000000", "--k", "2000", "--p", "1000")
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_bounds_beyond_float_range_of_m(capsys):
+    # float(m) overflows here, but the root and every bound fit in a float.
+    code, out, err = run(capsys, "bound", "--m", str(HUGE), "--k", "10", "--p", "7")
+    assert (code, err) == (EXIT_OK, "")
+    assert "lovasz_x  4.52872868812e+32\n" in out and "lovasz    7.75181833788e+224\n" in out
+    code, out, err = run(capsys, "sweep", "--k", "10", "--p", "7", "--m-end", str(HUGE),
+                         "--samples", "5")
+    assert (code, err) == (EXIT_OK, "")
+    assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == geometric_grid(1, HUGE, 5)
 
 
 @pytest.mark.parametrize(

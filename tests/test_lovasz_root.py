@@ -23,6 +23,7 @@ from kkbounds import (
     binom_real,
     binomial,
     bound_report,
+    bound_reports,
     cascade_decompose,
     colored_cascade_decompose,
     flag_r,
@@ -139,6 +140,32 @@ def test_large_m_root_within_two_ulps_of_mpmath():
             assert _ulps_off(x, m, k) <= 2, (m, k, x)
 
 
+def test_root_for_m_beyond_float_range():
+    # From m = 2**1024 on float(m) overflows, and the root solves
+    # C(x, k) / C(n, k) = m / C(n, k) instead; it raises only where the root,
+    # at least (k! m)^(1/k) and below that plus k, does not fit in a float.
+    rng = random.Random(1024)
+    cases = [(10**320, 10), (2**1024, 2), (2**1024 + 1, 600), (10**616, 2), (10**617, 2)]
+    for _ in range(40):
+        k = rng.choice([2, 3, 10, 50, 170, 171, 600])
+        cases.append((rng.randint(2**1024, 10 ** rng.randint(309, 1200)), k))
+    fitted = 0
+    for m, k in cases:
+        try:
+            x = lovasz_x(m, k)
+        except OverflowError:
+            with mpmath.workdps(30):
+                low = (mpmath.factorial(k) * m) ** (mpmath.mpf(1) / k)
+                assert low + k > sys.float_info.max, (m, k)
+            continue
+        fitted += 1
+        assert _ulps_off(x, m, k) <= 1, (m, k, x)
+    assert fitted >= 30
+    # Warm rows, from a step off the row before, equal cold ones here too.
+    ms = [10**320 + i for i in range(3)] + [10**320 + i * 10**300 for i in range(1, 4)]
+    assert list(bound_reports(ms, 10, 7)) == [bound_report(m, 10, 7) for m in ms]
+
+
 def test_root_near_the_top_of_float_range(monkeypatch):
     # The stopping tolerance m * k * 2e-16 overflowed to inf where m k > 1.8e308,
     # so Newton stopped at its first evaluation and the ulp walk crawled to the
@@ -175,8 +202,8 @@ def test_overflow_still_raises():
         for m in (2, 5, 10**5, 10**40, 10**300, *drawn):
             x = lovasz_x(m, k)
             assert _ulps_off(x, m, k) <= 2, (m, k, x)
-    with pytest.raises(OverflowError):
-        lovasz_x(10**320, 10)
+    with pytest.raises(OverflowError, match=r"^lovasz_x\(m, 2\) does not fit in a float$"):
+        lovasz_x(10**700, 2)  # the root, about 1.4e350, does not fit
 
 
 def test_bound_report_builds_one_cascade(monkeypatch):
@@ -374,12 +401,10 @@ def test_root_does_not_depend_on_its_start(case, fractions):
     def outcome(*start):
         try:
             return approx._lovasz_root(m, k, n, c, f, *start).hex()
-        except OverflowError as exc:  # float(m), for m beyond float range
+        except OverflowError as exc:  # an evaluation beyond float range
             return repr(exc)
 
     expected = outcome()
-    starts = [n + t for t in fractions]
-    if m < 2**1024:  # beyond, the root fails at float(m) before any start is taken
-        starts.append(approx._cold_start(m, k))
+    starts = [n + t for t in fractions] + [approx._cold_start(m, k)]
     for start in starts:
         assert outcome(start) == expected, (m, k, start)

@@ -12,6 +12,8 @@ from kkbounds import (
     CascadeRep,
     ColoredCascadeRep,
     FaceVector,
+    Graph,
+    SimplicialComplex,
     TuranGraph,
     binomial,
     cascade_decompose,
@@ -78,6 +80,18 @@ RECORDS = [
         TuranGraph,
         (3, 2, (frozenset({1, 2}), frozenset({3}))),
         "TuranGraph(n=3, r=2, parts=(frozenset({1, 2}), frozenset({3})))",
+    ),
+    (
+        SimplicialComplex,
+        ([(), (1,), (2,), (1, 2)],),
+        "SimplicialComplex(faces=frozenset({frozenset(), frozenset({2}), frozenset({1}),"
+        " frozenset({1, 2})}))",
+    ),
+    (
+        Graph,
+        ({1, 2, 3}, [(1, 2), (2, 3)]),
+        "Graph(vertices=frozenset({1, 2, 3}), edges=frozenset({frozenset({2, 3}),"
+        " frozenset({1, 2})}))",
     ),
 ]
 

@@ -4,6 +4,7 @@ row-by-row bound_report, and sweep rows written as they are computed."""
 import io
 import json
 import math
+import re
 import sys
 
 import pytest
@@ -372,37 +373,53 @@ def test_first_row_written_before_last_row_is_computed(monkeypatch):
     assert first.startswith("1,")
 
 
+def _first_failing_m(lo, hi, k, p):
+    """The m in (lo, hi] from which bound_report(m, k, p) raises, by bisection."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            bound_report(mid, k, p)
+            lo = mid
+        except OverflowError:
+            hi = mid
+    return hi
+
+
+# At k = 10, p = 7 the bounds, about m^0.7, exceed the largest float from
+# about m = 10**440 on, and the row raises the error of the first that does.
+TOO_LARGE = r"error: \w+\([^()]+\) does not fit in a float\n"
+
+
 def test_failing_sweep_keeps_the_rows_before_the_failure(capsys):
-    # float(m) overflows from 2**1024 - 2**970 on, where the Lovasz root starts.
-    first_bad = 2**1024 - 2**970
+    first_bad = _first_failing_m(10**430, 10**450, 10, 7)
     argv = (
         "sweep", "--k", "10", "--p", "7", "--m-start", str(first_bad - 2),
         "--m-end", str(first_bad), "--samples", "all",
     )
     code, out, err = _run(capsys, *argv)
     assert code == EXIT_USAGE
-    assert err == "error: int too large to convert to float\n"
+    assert re.fullmatch(TOO_LARGE, err)
     lines = out.splitlines()
     assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
     assert [line.split(",")[0] for line in lines[1:]] == [str(first_bad - 2), str(first_bad - 1)]
     code, out, err = _run(capsys, *argv, "--format", "json")
     assert code == EXIT_USAGE and err.startswith("error: ")
     assert out.startswith("[{") and not out.endswith("]\n")  # an unterminated array
-    # A grid reaching beyond float range: the rows below 2**1024 are written.
-    argv = ("sweep", "--k", "10", "--p", "7", "--m-end", str(10**320), "--samples", "5")
+    # A grid reaching beyond the bounds' float range: the rows below first_bad are written.
+    argv = ("sweep", "--k", "10", "--p", "7", "--m-end", str(10**450), "--samples", "5")
     for spacing, written in (((), 4), (("--linear",), 1)):
         code, out, err = _run(capsys, *argv, *spacing)
-        assert (code, err) == (EXIT_USAGE, "error: int too large to convert to float\n")
+        assert code == EXIT_USAGE and re.fullmatch(TOO_LARGE, err)
         lines = out.splitlines()
         assert lines[0] == ",".join(cli.SWEEP_COLUMNS) and len(lines) == 1 + written
-        grid = (linear_grid if spacing else geometric_grid)(1, 10**320, 5)
+        grid = (linear_grid if spacing else geometric_grid)(1, 10**450, 5)
         assert [int(line.split(",")[0]) for line in lines[1:]] == grid[:written]
 
 
 def test_sweep_that_cannot_start_writes_nothing(capsys):
-    # Fails in the first row, whose root needs float(m): nothing, not even
-    # the header, is written.
-    m = 10**320
+    # Fails in the first row, whose bounds do not fit in a float: nothing,
+    # not even the header, is written.
+    m = 10**450
     argv = ("sweep", "--k", "10", "--p", "7", "--m-start", str(m), "--m-end", str(m + 4),
             "--samples", "all")
     code, out, err = _run(capsys, *argv)
