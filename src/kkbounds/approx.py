@@ -6,7 +6,7 @@ import math
 import sys
 from typing import Iterable, Iterator, NamedTuple
 
-from .binomials import _binom_real_at, binom_real, binomial
+from .binomials import _binom_real_at, _ratio_at, binomial
 from .cascade import FaceVector, _CascadeCursor, _descend, _lead_root
 
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
@@ -22,8 +22,6 @@ def _exp(x: float) -> float:
 
 def _pow_frac(m: int, num: int, den: int) -> float:
     """m ** (num / den) for integers m >= 1 and 0 < num <= den, or inf where it does not fit."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     if m.bit_length() <= 53:
         return float(m) ** (num / den)
     return _exp(math.log(m) * num / den)
@@ -38,19 +36,6 @@ def _cold_start(m: int, k: int) -> float:
     return y + 0.5 * (k - 1) + (k * k - 1) / (24.0 * y)
 
 
-def _ratio_at(n: int, k: int):
-    """x -> C(x, k) / C(n, k) for x > k-1, the product of the (x - i) / (n - i): monotone."""
-    shifts = [(float(i), float(n - i)) for i in range(k)]
-
-    def evaluate(x: float) -> float:
-        value = 1.0
-        for i, below in shifts:
-            value *= (x - i) / below
-        return value
-
-    return evaluate
-
-
 def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float | None = None) -> float:
     """lovasz_x(m, k) given the leading cascade index n, c = C(n, k) and f = _binom_real_at(k).
 
@@ -59,7 +44,8 @@ def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float | None = None) 
     (n, n+1), else by regula falsi through the exact endpoints,
     C(n+1, k) - C(n, k) = C(n, k) k / (n-k+1).  Where float(m) overflows, it
     solves C(x, k) / C(n, k) = m / C(n, k), a float in [1, (n+1)/(n+1-k)), by
-    the same steps on _ratio_at(n, k).
+    the same steps on _ratio_at(n, k).  An evaluation beyond float range reads
+    inf: a Newton step from it bisects, and the ulp walk stops there.
     """
     try:
         a, b = float(n), float(n + 1)
@@ -76,10 +62,7 @@ def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float | None = None) 
         start = _cold_start(m, k)
     x = start if a < start < b else n + (m - c) * (n - k + 1) / (c * k)
     while True:
-        try:
-            fx = f(x)
-        except OverflowError:
-            fx = math.inf
+        fx = f(x)
         if abs(fx - target) <= tol:
             break
         if fx < target:
@@ -157,30 +140,31 @@ def lovasz_x(m: int, k: int) -> float:
     product and within its fallback for a product that overflows): the
     floats below m and those at or above it form two runs, and one adjacent
     pair straddles them.  The evaluations are binom_real's own, through its
-    fixed-k evaluator _binom_real_at(k).  For m from 2^1024 on, where float(m)
-    overflows, they are those of C(x, k) / C(n, k) against m / C(n, k), and
-    where the root itself does not fit in a float this raises OverflowError.
+    fixed-k evaluator _binom_real_at(k), which reads inf where binom_real
+    raises: such a float lies above m, so every root that fits in a float,
+    up to the largest, is returned.  For m from 2^1024 on, where float(m)
+    overflows, they are those of C(x, k) / C(n, k) against m / C(n, k).  A
+    root that does not fit raises OverflowError.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    x = _lovasz_root(m, k, *_descend(m, k)[:2], _binom_real_at(k))
-    if x == math.inf:
-        raise _too_large("lovasz_x", k)
-    return x
+    return _fit(_lovasz_root(m, k, *_descend(m, k)[:2], _binom_real_at(k)), "lovasz_x", k)
 
 
 def lovasz_bound(m: int, k: int, p: int) -> float:
-    """binom_real(x, p) at the x solving binom_real(x, k) = m."""
+    """binom_real(x, p) at x = lovasz_x(m, k); OverflowError where it does not fit."""
     if not 1 <= p < k:
         raise ValueError(f"need 1 <= p < k, got p={p}, k={k}")
-    return binom_real(lovasz_x(m, k), p)
+    return _fit(_binom_real_at(p)(lovasz_x(m, k)), "lovasz_bound", k, p)
 
 
-def _too_large(name: str, *args: int) -> OverflowError:
-    """The one outcome of an approximation beyond float range, worded as binom_real's."""
-    return OverflowError(f"{name}(m, {', '.join(map(str, args))}) does not fit in a float")
+def _fit(value: float, name: str, *args: int) -> float:
+    """value, unless it is inf: then the one OverflowError of an approximation, naming it."""
+    if value == math.inf:
+        raise OverflowError(f"{name}(m, {', '.join(map(str, args))}) does not fit in a float")
+    return value
 
 
 def withoutr_bound(m: int, k: int, p: int) -> float:
@@ -194,7 +178,8 @@ def withoutr_bound(m: int, k: int, p: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 < p < k:
         raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
-    return _withoutr(m, k, p, _power_lead(k, p), math.factorial(k), _pow_frac(m, p, k))
+    value = _withoutr(m, k, p, _power_lead(k, p), math.factorial(k), _pow_frac(m, p, k))
+    return _fit(value, "withoutr_bound", k, p)
 
 
 def _power_lead(k: int, p: int) -> float:
@@ -203,26 +188,22 @@ def _power_lead(k: int, p: int) -> float:
     From log-gamma only when k! or p! does not fit in a float (k > 170), so
     every smaller k keeps its exact-factorial value.
     """
-    try:
+    if k <= 170:
         return math.factorial(k) ** (p / k) / math.factorial(p)
-    except OverflowError:
-        return _exp(math.lgamma(k + 1) * p / k - math.lgamma(p + 1))
+    return _exp(math.lgamma(k + 1) * p / k - math.lgamma(p + 1))
 
 
 def _withoutr(m: int, k: int, p: int, lead: float, fact_k: int, m_pow: float) -> float:
     """withoutr_bound(m, k, p) given lead = _power_lead(k, p), k! and m_pow = _pow_frac(m, p, k).
 
     Its factors are at least 1, so an inf one, or an overflow on the way,
-    means that the value does not fit either; lead * m_pow, noreasy, is at
-    most the value in float arithmetic too.
+    means that the value does not fit either, and it is inf; lead * m_pow,
+    noreasy, is at most the value in float arithmetic too.
     """
     try:
-        value = lead * (1.0 + (k - p) / (2.0 * _pow_frac(fact_k * m, 1, k))) ** p * m_pow
+        return lead * (1.0 + (k - p) / (2.0 * _pow_frac(fact_k * m, 1, k))) ** p * m_pow
     except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise _too_large("withoutr_bound", k, p)
-    return value
+        return math.inf
 
 
 def noreasy_bound(m: int, k: int, p: int) -> float:
@@ -236,10 +217,7 @@ def noreasy_bound(m: int, k: int, p: int) -> float:
         raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
     if m == 0:
         return 0.0
-    value = _power_lead(k, p) * _pow_frac(m, p, k)
-    if value == math.inf:
-        raise _too_large("noreasy_bound", k, p)
-    return value
+    return _fit(_power_lead(k, p) * _pow_frac(m, p, k), "noreasy_bound", k, p)
 
 
 class SymmetricChain(NamedTuple):
@@ -275,26 +253,22 @@ def colorapprox_bound(m: int, k: int, p: int, r: int) -> float:
         raise ValueError(f"m must be >= 0, got {m}")
     if m == 0:
         return 0.0
-    return _colorapprox(m, k, p, r, binomial(r, p), binomial(r, k))
+    return _fit(_colorapprox(m, k, p, binomial(r, p), binomial(r, k)), "colorapprox_bound", k, p, r)
 
 
-def _colorapprox(m: int, k: int, p: int, r: int, r_p: int, r_k: int) -> float:
-    """colorapprox_bound(m, k, p, r) for m >= 1 given r_p = C(r, p) and r_k = C(r, k)."""
+def _colorapprox(m: int, k: int, p: int, r_p: int, r_k: int) -> float:
+    """colorapprox_bound(m, k, p, r) for m >= 1 given r_p = C(r, p) and r_k = C(r, k), or inf."""
     try:
         ratio = m / r_k
-        # A subnormal or zero ratio has lost digits: from log space.
-        value = r_p * ratio ** (p / k) if ratio >= _FLOAT_MIN else None
+        if ratio >= _FLOAT_MIN:  # a subnormal or zero ratio has lost digits: from log space
+            return r_p * ratio ** (p / k)
     except OverflowError:  # m / C(r, k), then C(r, p), beyond float range: from log space
-        value = None
-    if value is None:
-        log_ratio = (math.log(m) - math.log(r_k)) * (p / k)
-        try:
-            value = r_p * math.exp(log_ratio)
-        except OverflowError:  # C(r, p) beyond float range
-            value = _exp(math.log(r_p) + log_ratio)
-    if value == math.inf:
-        raise _too_large("colorapprox_bound", k, p, r)
-    return value
+        pass
+    log_ratio = (math.log(m) - math.log(r_k)) * (p / k)
+    try:
+        return r_p * math.exp(log_ratio)
+    except OverflowError:  # C(r, p) beyond float range
+        return _exp(math.log(r_p) + log_ratio)
 
 
 def best_r(m: int, k: int) -> int:
@@ -403,17 +377,21 @@ def bound_reports(
             reach = n_k + n_k * k // n  # best_r's C(n, k) + C(n-1, k-1), k >= 2 here
         x = _lovasz_root(m, k, n, n_k, evaluate, start)
         m_pow = _pow_frac(m, p, k)
-        # An overflow raises the error of the first of flag, withr, lovasz and
-        # withoutr, in this order, that does not fit; noreasy then fits.
-        flag = _colorapprox(m, k, p, n, n_p, n_k)
+        flag = _colorapprox(m, k, p, n_p, n_k)
         if r is not None:
-            withr_r, withr = r, _colorapprox(m, k, p, r, r_p, r_k)
+            withr_r, withr = r, _colorapprox(m, k, p, r_p, r_k)
         elif m <= reach:
             withr_r, withr = n, flag
         else:
-            withr_r, withr = n + 1, _colorapprox(m, k, p, n + 1, up_p, up_k)
+            withr_r, withr = n + 1, _colorapprox(m, k, p, up_p, up_k)
         lovasz = lovasz_at(x)
         withoutr = _withoutr(m, k, p, lead, fact_k, m_pow)
+        if flag + withr + lovasz + withoutr == math.inf:
+            # The error of the first of these columns that does not fit; noreasy then fits.
+            _fit(flag, "colorapprox_bound", k, p, n)
+            _fit(withr, "colorapprox_bound", k, p, withr_r)
+            _fit(lovasz, "lovasz_bound", k, p)
+            _fit(withoutr, "withoutr_bound", k, p)
         # The fields in order through tuple.__new__, as BoundReport._make does:
         # half the cost of a BoundReport(...) call.
         fields = m, k, p, kk_exact, x, lovasz, withoutr, lead * m_pow, withr_r, withr, n, flag

@@ -26,14 +26,18 @@ def binom_real(x: float, k: int) -> float:
 
     Strictly increasing for x > k-1, zero at x = 0, 1, ..., k-1, and equal to
     binomial(x, k) at nonnegative integer x (exactly so whenever the numerator
-    product stays below 2**53).  The value is _binom_real_at(k)(x).
+    product stays below 2**53).  The value is _binom_real_at(k)(x), and
+    OverflowError where that does not fit in a float.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    return _binom_real_at(k)(x)
+    value = _binom_real_at(k)(x)
+    if not math.isfinite(value):
+        raise OverflowError(f"binom_real({x}, {k}) does not fit in a float")
+    return value
 
 
 @lru_cache(maxsize=256)
@@ -41,24 +45,16 @@ def _binom_real_at(k: int):
     """x -> binom_real(x, k) for finite float x and k >= 1, unchecked; cached for 256 k.
 
     The product of the x - i over float(k!).  Where that overflows, and for
-    every k > 170, whose k! does, the running product of (x - i) / (k - i):
-    for x >= k-1 its partial products lie between 1 and the value, so it
-    overflows, raising OverflowError, only when the value does.
+    every k > 170, whose k! does, _ratio_at(k, k): for x >= k-1 its partial
+    products lie between 1 and the value, so it is inf, raising nothing, only
+    when the value does not fit.
     """
-    shifts = tuple(map(float, range(k)))  # x - float(i) is x - i, without the conversion
-    isfinite = math.isfinite
-
-    def by_ratios(x: float) -> float:
-        value = 1.0
-        for i in shifts:
-            value *= (x - i) / (k - i)
-        if not isfinite(value):
-            raise OverflowError(f"binom_real({x}, {k}) does not fit in a float")
-        return value
-
+    by_ratios = _ratio_at(k, k)
     if k > 170:
         return by_ratios
     fact = float(math.factorial(k))
+    shifts = tuple(map(float, range(k)))  # x - float(i) is x - i, without the conversion
+    isfinite = math.isfinite
 
     def evaluate(x: float) -> float:
         num = 1.0
@@ -66,6 +62,19 @@ def _binom_real_at(k: int):
             num *= x - i
         value = num / fact
         return value if isfinite(value) else by_ratios(x)
+
+    return evaluate
+
+
+def _ratio_at(n: int, k: int):
+    """x -> C(x, k) / C(n, k), or inf, for x > k-1 and a float n: the product of the (x-i)/(n-i)."""
+    shifts = [(float(i), float(n - i)) for i in range(k)]
+
+    def evaluate(x: float) -> float:
+        value = 1.0
+        for i, below in shifts:
+            value *= (x - i) / below
+        return value
 
     return evaluate
 

@@ -3,9 +3,12 @@
 import math
 import random
 import re
+import sys
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kkbounds import (
     FaceVector,
@@ -249,15 +252,32 @@ def _too_large(call):
 def test_withoutr_beyond_float_range_raises():
     with _too_large("withoutr_bound(m, 1000, 500)"):
         withoutr_bound(10**300, 1000, 500)
-    m, k, p = 10**300, 1000, 500  # the sweep's withoutr column, through the same kernel
+    m, k, p = 10**300, 1000, 500  # the sweep's withoutr column, which reads inf
     lead, m_pow = approx._power_lead(k, p), approx._pow_frac(m, p, k)
-    with _too_large("withoutr_bound(m, 1000, 500)"):
-        approx._withoutr(m, k, p, lead, math.factorial(k), m_pow)
+    assert approx._withoutr(m, k, p, lead, math.factorial(k), m_pow) == math.inf
     assert 1e9 < withoutr_bound(10**1000, 400, 2) < 1e10
     with _too_large("withoutr_bound(m, 3000, 1100)"):  # (k!)^(p/k) / p! alone does not fit
         withoutr_bound(1, 3000, 1100)
     with _too_large("withoutr_bound(m, 2, 1)"):  # so does (k! m)^(1/k)
         withoutr_bound(10**700, 2, 1)
+
+
+def test_lovasz_bound_beyond_float_range_raises():
+    # The root, about 1.43e45, fits and C(x, 7) does not: this raised
+    # "binom_real(1.4321097559395298e+45, 7) does not fit in a float".
+    with _too_large("lovasz_bound(m, 10, 7)"):
+        lovasz_bound(10**445, 10, 7)
+    with _too_large("lovasz_x(m, 2)"):  # the root itself does not fit
+        lovasz_bound(10**700, 2, 1)
+    # lovasz is the first column of this row that does not fit: flag and withr,
+    # at r = n, still do, about 1.3e-13 below where they overflow.
+    m = 123966065931675 * 10**425
+    n = flag_r(m, 10)
+    assert best_r(m, 10) == n and colorapprox_bound(m, 10, 7, n) < math.inf
+    with _too_large("lovasz_bound(m, 10, 7)"):
+        bound_report(m, 10, 7)
+    with _too_large("lovasz_bound(m, 10, 7)"):
+        lovasz_bound(m, 10, 7)
 
 
 def test_noreasy_beyond_float_range_raises():
@@ -295,3 +315,53 @@ def test_colorapprox_beyond_float_range_raises():
     with mpmath.workdps(50):
         want = mpmath.binomial(2000, 1000) / mpmath.binomial(2000, 1500) ** (mpmath.mpf(2) / 3)
         assert abs(got - want) <= 1e-12 * want
+
+
+PUBLIC_TOO_LARGE = (
+    r"^(lovasz_x|lovasz_bound|withoutr_bound|noreasy_bound|colorapprox_bound)"
+    r"\(m, [0-9, ]+\) does not fit in a float$"
+)
+FLOAT_MAX = int(sys.float_info.max)
+
+
+@st.composite
+def huge_cases(draw):
+    """(m, k, p, r): m near 2^1024 and beyond it up to 10**1100, k <= 600 with 170 and 171."""
+    k = draw(st.one_of(st.integers(min_value=2, max_value=600), st.sampled_from([2, 170, 171])))
+    p = draw(st.integers(min_value=1, max_value=k - 1))
+    m = draw(
+        st.one_of(
+            st.integers(min_value=FLOAT_MAX - 2**980, max_value=FLOAT_MAX + 2**980),
+            st.integers(min_value=2**1000, max_value=2**1030),
+            st.integers(min_value=2**1024, max_value=10**1100),
+        )
+    )
+    r = draw(st.one_of(st.none(), st.integers(min_value=k, max_value=k + 700)))
+    return m, k, p, r
+
+
+def _fits_or_names_its_function(call, *args):
+    try:
+        value = call(*args)
+    except OverflowError as exc:
+        assert re.fullmatch(PUBLIC_TOO_LARGE, str(exc)), (call.__name__, args, str(exc))
+        return
+    values = value[4:8] + value[9:10] + value[11:] if call is bound_report else (value,)
+    assert all(map(math.isfinite, values)), (call.__name__, args, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(huge_cases())
+@example((FLOAT_MAX, 2, 1, None))  # lovasz_x raised binom_real(1.8961503816218355e+154, 2)
+@example((FLOAT_MAX, 171, 170, 171))
+@example((10**445, 10, 7, None))
+@example((123966065931675 * 10**425, 10, 7, None))  # a row whose lovasz column overflows first
+def test_every_overflow_names_a_public_function(case):
+    # Never binom_real(...), "math range error" or "int too large to convert to float".
+    m, k, p, r = case
+    _fits_or_names_its_function(bound_report, m, k, p, r)
+    _fits_or_names_its_function(lovasz_x, m, k)
+    _fits_or_names_its_function(lovasz_bound, m, k, p)
+    _fits_or_names_its_function(withoutr_bound, m, k, p)
+    _fits_or_names_its_function(noreasy_bound, m, k, p)
+    _fits_or_names_its_function(colorapprox_bound, m, k, p, k if r is None else r)

@@ -5,7 +5,8 @@ colored_cascade_decompose ran before the cursor served both families: a float
 seed, galloping and a bisection on turan_coefficient at every level.  It
 evaluates Turán coefficients without the cache, so it neither fills nor reads
 the one the cursor uses.  _frozen_binom_real_at is the C(x, k) evaluator as it
-was before k > 170 skipped the direct product.
+was before k > 170 skipped the direct product, and before it read inf where
+its value does not fit in a float instead of raising.
 """
 
 import math
@@ -252,4 +253,5 @@ def test_evaluator_beyond_float_factorial_is_bit_identical(k):
     xs += [rng.uniform(k - 1, 4 * k) for _ in range(200)]
     ours, frozen = binomials._binom_real_at(k), _frozen_binom_real_at(k)
     for x in xs:
-        assert _outcome(ours, x) == _outcome(frozen, x), (k, x)
+        want = _outcome(frozen, x)
+        assert ours(x).hex() == ("inf" if want == "overflow" else want), (k, x)
