@@ -163,7 +163,9 @@ def lovasz_bound(m: int, k: int, p: int) -> float:
 def _fit(value: float, name: str, *args: int) -> float:
     """value, unless it is inf: then the one OverflowError of an approximation, naming it."""
     if value == math.inf:
-        raise OverflowError(f"{name}(m, {', '.join(map(str, args))}) does not fit in a float")
+        # An argument of 2^64 or more shows its size: str() is long, and fails past 4300 digits.
+        shown = (str(a) if a < 2**64 else f"<{a.bit_length()}-bit int>" for a in args)
+        raise OverflowError(f"{name}(m, {', '.join(shown)}) does not fit in a float")
     return value
 
 

@@ -317,9 +317,10 @@ def test_colorapprox_beyond_float_range_raises():
         assert abs(got - want) <= 1e-12 * want
 
 
+ARG = r"([0-9]{1,20}|<[0-9]+-bit int>)"  # in decimal below 2^64, else by its size
 PUBLIC_TOO_LARGE = (
     r"^(lovasz_x|lovasz_bound|withoutr_bound|noreasy_bound|colorapprox_bound)"
-    r"\(m, [0-9, ]+\) does not fit in a float$"
+    rf"\(m, {ARG}(, {ARG})*\) does not fit in a float$"
 )
 FLOAT_MAX = int(sys.float_info.max)
 
@@ -356,6 +357,7 @@ def _fits_or_names_its_function(call, *args):
 @example((FLOAT_MAX, 171, 170, 171))
 @example((10**445, 10, 7, None))
 @example((123966065931675 * 10**425, 10, 7, None))  # a row whose lovasz column overflows first
+@example((10**9000, 2, 1, None))  # str() of the row's flag r, 4500 digits, raised ValueError
 def test_every_overflow_names_a_public_function(case):
     # Never binom_real(...), "math range error" or "int too large to convert to float".
     m, k, p, r = case

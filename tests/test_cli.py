@@ -1,10 +1,16 @@
 """Command-line behavior: output formats, exit codes, determinism, self-test."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kkbounds.approx as approx
 import kkbounds.binomials as binomials
+import kkbounds.cascade as cascade
 from kkbounds.cli import EXIT_INVALID, EXIT_OK, EXIT_SELFTEST, EXIT_USAGE, main, sample_grid
 
 
@@ -223,28 +229,119 @@ def test_sweep_zoom_range_has_flag_above_exact(capsys):
     assert any(row["flag"] > row["kk_exact"] for row in rows)
 
 
+QUICK_SELFTEST = """\
+[PASS] turan_oracle (241 checks)
+[PASS] full_level_identities (204 checks)
+[PASS] cascade_roundtrip (2000 checks)
+[PASS] colored_roundtrip (2000 checks)
+[PASS] revlex_sharpness (720 checks)
+[PASS] bound_ordering (41 checks)
+[PASS] zoom_facts (5 checks)
+[PASS] lemma_inequalities (2000 checks)
+[PASS] fuzz_soundness (1332 checks)
+OK: 8543 checks at scale=quick
+"""
+
+
 def test_selftest_quick(capsys):
     code, out, _ = run(capsys, "selftest", "--scale", "quick")
     assert code == EXIT_OK
-    assert out.count("[PASS]") == 9
-    assert "OK" in out
+    assert out == QUICK_SELFTEST
 
 
-def test_selftest_detects_fault_injection(capsys, monkeypatch):
-    true_coefficient = binomials.turan_coefficient
-
-    def broken(n, k, r):
-        value = true_coefficient(n, k, r)
-        return value + 1 if (n, k, r) == (6, 2, 3) else value
-
-    monkeypatch.setattr(binomials, "turan_coefficient", broken)
+@pytest.mark.parametrize("module, name, fault, reported", [
+    (binomials, "turan_coefficient",
+     lambda true: lambda n, k, r: true(n, k, r) + ((n, k, r) == (6, 2, 3)), [
+        "[FAIL] turan_oracle: 1 of 241 checks failed",
+        "       turan_coefficient(6,2,3)=13 != clique oracle 12",
+        "[FAIL] full_level_identities: 1 of 204 checks failed",
+        "       turan_coefficient(6,2,3)=13 != C(3,2)*2^2=12",
+    ]),
+    # 0 both misses the rev-lex count and falls below shadow_bound(4, 2, 1): one failed check.
+    (cascade, "shadow_bound",
+     lambda true: lambda m, k, p: 0 if (m, k, p) == (5, 2, 1) else true(m, k, p), [
+        "[FAIL] revlex_sharpness: 1 of 720 checks failed",
+        "       shadow_bound(5,2,1)=0 != rev-lex face count 4",
+    ]),
+    (cascade, "cascade_evaluate", lambda true: lambda rep: true(rep) + (rep.k == 2), [
+        "[FAIL] cascade_roundtrip: 500 of 2000 checks failed",
+        "       cascade roundtrip: decompose(1,2) sums to 2",
+        "       cascade roundtrip: decompose(2,2) sums to 3",
+        "       cascade roundtrip: decompose(3,2) sums to 4",
+    ]),
+    (approx, "colorapprox_bound", lambda true: lambda m, k, p, r: 2 * true(m, k, p, r), [
+        "[FAIL] fuzz_soundness: 295 of 1332 checks failed",
+        "       seed=1: colorapprox_bound[r=2](m=3,k=2,p=1) = 6.928203230275509"
+        " exceeds true count 5",
+        "       seed=1: colorapprox_bound[r=3](m=3,k=2,p=1) = 6.0 exceeds true count 5",
+        "       seed=1: colorapprox_bound[r=4](m=3,k=2,p=1) = 5.656854249492381"
+        " exceeds true count 5",
+    ]),
+], ids=["turan", "revlex-double", "cascade-k2", "colorapprox"])
+def test_selftest_detects_fault_injection(capsys, monkeypatch, module, name, fault, reported):
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
     code, out, _ = run(capsys, "selftest", "--scale", "quick")
     assert code == EXIT_SELFTEST
-    assert "[FAIL] turan_oracle" in out
-    assert "turan_coefficient(6,2,3)=13 != clique oracle 12" in out
+    lines = [line for line in out.splitlines() if not line.startswith("[PASS]")]
+    assert lines == [*reported, "FAILED: 8543 checks at scale=quick"]
 
 
 def test_unknown_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == EXIT_USAGE
+
+
+HUGE = 10**320
+VALUES = st.one_of(
+    st.integers(-3, 60), st.integers(1, 10**15), st.integers(-10**15, 10**15), st.just(HUGE)
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv of bound, cascade, validate or sweep, with odd values; k <= 70 and r <= 90."""
+    command = draw(st.sampled_from(["bound", "cascade", "validate", "sweep"]))
+    k = draw(st.integers(-2, 70))
+    p = draw(st.one_of(st.integers(-2, 72), st.integers(1, max(1, k - 1))))
+    if command == "bound":
+        argv = ["--m", draw(VALUES), "--k", k, "--p", p]
+        argv += ["--format", draw(st.sampled_from(["table", "json"]))]
+    elif command == "cascade":
+        argv = ["--m", draw(VALUES), "--k", k]
+    elif command == "validate":
+        realize = draw(st.booleans())
+        # A realized complex is built face by face: keep its faces few.
+        entry = st.integers(-1, 12) if realize else st.one_of(st.integers(-1, 12), st.just(HUGE))
+        vector = draw(st.one_of(
+            st.lists(entry, max_size=6).map(lambda entries: ",".join(map(str, [1, *entries]))),
+            st.sampled_from(["", "x", "1,,2", "1,1.5", "-1,3"]),
+        ))
+        argv = [vector] + ["--realize"] * realize
+    else:
+        samples = draw(st.one_of(st.just("all"), st.integers(-2, 40)))
+        m_start = draw(VALUES)
+        # --samples all makes a row of every m in the range: keep it short, or reversed.
+        m_end = m_start + draw(st.integers(-5, 40)) if samples == "all" else draw(VALUES)
+        argv = ["--k", k, "--p", p, "--m-start", m_start, "--m-end", m_end, "--samples", samples]
+        argv += ["--r-mode", draw(st.sampled_from(["auto-best", "auto-flag", "fixed", "off"]))]
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+        argv += ["--linear"] * draw(st.booleans())
+    if draw(st.booleans()):
+        argv += ["--r", draw(st.integers(-2, 90))]
+    return [command, *map(str, argv)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_every_cli_input_ends_in_a_documented_exit_code(argv):
+    # Returns 0, 2, 3 or 4, or argparse exits 2; never a traceback.
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == EXIT_USAGE, (argv, exc.code)
+        return
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_SELFTEST), (argv, code)
+    assert (code == EXIT_USAGE) == err.getvalue().startswith("error: "), (argv, err.getvalue())
