@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .binomials import _binom_real_at, _ratio_at, binomial
-from .cascade import FaceVector, _CascadeCursor, _descend, _lead_root
+from .binomials import _binom_real_at, _ratio_at, _shown, binomial
+from .cascade import FaceVector, _CascadeCursor, _descend
 
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
@@ -27,13 +28,44 @@ def _pow_frac(m: int, num: int, den: int) -> float:
     return _exp(math.log(m) * num / den)
 
 
-def _cold_start(m: int, k: int) -> float:
-    """y + (k-1)/2 + (k^2-1)/(24y), y = (k! m)^(1/k): the root of C(x, k) = m to O(1/y^3).
+@lru_cache(maxsize=256)
+def _series_at(k: int) -> tuple[float, ...]:
+    """log k!, (k-1)/2 and c_1, ..., c_6 of _cold_start, in floats; cached for 256 k."""
+    K = float(k * k)
+    return (
+        math.lgamma(k + 1),
+        0.5 * (k - 1),
+        (K - 1) / 24,
+        (K - 1) * (K - 9) / 1920,
+        (K - 1) * (K - 25) * (13 * K - 61) / 580608,
+        (K - 1) * (K - 49) * ((281 * K - 4210) * K + 12569) / 199065600,
+        (K - 1) * (K - 9) * (K - 81) * ((163 * K - 3790) * K + 12587) / 1513881600,
+        (K - 1) * (K - 121) / 2191186722816000
+        * ((((20177107 * K - 1162153996) * K + 21363313650) * K - 148307990284) * K
+           + 320662714963),
+    )
 
-    In u = x - (k-1)/2, x(x-1)...(x-k+1) = u^k - k(k^2-1)/24 u^(k-2) + ...
+
+def _cold_start(m: int, k: int) -> float:
+    """The root of C(x, k) = m from its inverse series to six terms.
+
+    With y = (k! m)^(1/k) and e = 1/y^2 it is
+    y + (k-1)/2 + y (c_1 e + c_2 e^2 + ... + c_6 e^6), the c_j polynomials in
+    K = k^2 (_series_at): c_1 = (K-1)/24, c_2 = (K-1)(K-9)/1920,
+    c_3 = (K-1)(K-25)(13K-61)/580608, and so on.  Derivation: in
+    u = x - (k-1)/2 the factors x - i are u + s_i, s_i = (k-1)/2 - i, whose odd
+    power sums vanish, so k log y = log(k! m) = k log u - sum_j P_2j/(2j u^2j)
+    with P_2j = sum_i s_i^2j; reverting that series (sympy, exact rational
+    arithmetic) gives u = y (1 + sum_j c_j e^j).  Against a 50-digit root the
+    relative error is below 5e-15 from y = 4k, 5e-14 from y = 2k and 1e-9
+    from y = k, where the first term alone, to O(1/y^3), is off by up to
+    2e-6, 3e-5 and 4e-4.  Below y = k the series may diverge: a start outside
+    (n, n+1), or one that is not finite, gives way to the regula falsi start.
     """
-    y = _lead_root(m, k)
-    return y + 0.5 * (k - 1) + (k * k - 1) / (24.0 * y)
+    log_fact, half, c1, c2, c3, c4, c5, c6 = _series_at(k)
+    y = math.exp((log_fact + math.log(m)) / k)
+    e = 1.0 / (y * y)
+    return y + half + y * e * (c1 + e * (c2 + e * (c3 + e * (c4 + e * (c5 + e * c6)))))
 
 
 def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float | None = None) -> float:
@@ -119,9 +151,9 @@ def lovasz_x(m: int, k: int) -> float:
     The root lies in [n, n+1] for the leading cascade index n, as
     C(n, k) <= m < C(n+1, k), and when m = C(n, k) exactly the exact n is
     returned, which keeps integer coincidences exact.  Otherwise Newton
-    steps start from the closed-form inverse of C(x, k) (_cold_start) if it
-    lies in (n, n+1), else from a regula falsi step through the two exact
-    endpoints.  They stay inside a bracket shrunk by every evaluation,
+    steps start from the six-term inverse series of C(x, k) = m (_cold_start)
+    if it lies in (n, n+1), else from a regula falsi step through the two
+    exact endpoints.  They stay inside a bracket shrunk by every evaluation,
     bisecting when a step leaves it, and stop once
     |binom_real(x, k) - m| <= m * k * 2e-16, or when the bracket holds no
     float strictly inside.  From there the result walks ulp by ulp to the two
@@ -129,9 +161,11 @@ def lovasz_x(m: int, k: int) -> float:
     (in float arithmetic, so possibly just outside [n, n+1]) and returns the
     one with the smaller residual, lo on a tie: the final rule of a bisection
     run to the last bit, which takes 55 evaluations of the polynomial.  This
-    takes 3.0 a call over every m to 20000 at k = 3 and 4.6 on the paper's
-    grid; bound_reports takes 2.1 and 2.9 a row, from a step off the
-    previous row's root (_warm_start) while n is unchanged.
+    takes 2.7 a call over every m to 20000 at k = 3 and 3.0 on the paper's
+    grid, as the start is within a relative 1e-13 of the root from y = 2k
+    on: a Newton step, or none, and the two floats of the walk.
+    bound_reports takes 2.1 and 2.9 a row, from a step off the previous
+    row's root (_warm_start) while n is unchanged.
 
     The pair, and so the result, does not depend on the path to it.  For
     x > k-1 every factor x - i is positive, and a rounded subtraction,
@@ -163,9 +197,7 @@ def lovasz_bound(m: int, k: int, p: int) -> float:
 def _fit(value: float, name: str, *args: int) -> float:
     """value, unless it is inf: then the one OverflowError of an approximation, naming it."""
     if value == math.inf:
-        # An argument of 2^64 or more shows its size: str() is long, and fails past 4300 digits.
-        shown = (str(a) if a < 2**64 else f"<{a.bit_length()}-bit int>" for a in args)
-        raise OverflowError(f"{name}(m, {', '.join(shown)}) does not fit in a float")
+        raise OverflowError(f"{name}(m, {', '.join(map(_shown, args))}) does not fit in a float")
     return value
 
 
@@ -327,7 +359,7 @@ def bound_report(m: int, k: int, p: int, r: int | None = None) -> BoundReport:
     The colored bound uses the given r when supplied (which must be >= k),
     otherwise best_r(m, k); the flag bound always uses flag_r(m, k).  The row
     takes a sweep's path from an empty cursor: one greedy descent of the
-    cascade and a root from the closed-form start (_cold_start).
+    cascade and a root from the series start (_cold_start).
     """
     return next(bound_reports((m,), k, p, r))
 
@@ -341,13 +373,15 @@ def bound_reports(
     carries the cascade and its shadow sum kk_exact from m to m (from m = 0
     for the first) and builds no cascade record.  Its leading index n is
     flag_r, the bracket [n, n+1] of the Lovasz root, and best_r (n or n + 1).
-    The root starts from _cold_start, or while n is unchanged from a Taylor
-    step off the previous one (_warm_start); either way it is lovasz_x(m, k)
-    bit for bit.  Hoisted: (k!)^(p/k)/p!, k!, the cached evaluators of
-    C(x, k) and C(x, p), and for a fixed r, C(r, p) and C(r, k).  When n
-    changes, C(n, k) and C(n+1, k) are the cursor's top level, C(n, p) is
-    one binomial, and C(n+1, p) and best_r's threshold
-    C(n, k) + C(n-1, k-1) follow by exact division.  Beyond those, the
+    The root starts from the series start (_cold_start) in the first row of
+    each bracket, and while n is unchanged from a Taylor step off the
+    previous one (_warm_start); either way it is lovasz_x(m, k) bit for bit.
+    A level the cursor makes afresh is one bisection of a cached Pascal
+    column wherever it lies in one (see _CascadeCursor.advance).  Hoisted:
+    (k!)^(p/k)/p!, k!, the cached evaluators of C(x, k) and C(x, p), and for
+    a fixed r, C(r, p) and C(r, k).  When n changes, C(n, k) and C(n+1, k)
+    are the cursor's top level, C(n, p) is one binomial, and C(n+1, p) and
+    best_r's threshold C(n, k) + C(n-1, k-1) follow by exact division.  Beyond those, the
     previous root and the cursor's one entry per cascade level, nothing is
     kept from row to row.  The arguments are checked, in bound_report's
     order, when the first row is computed; an m that does not exceed the one
@@ -358,11 +392,11 @@ def bound_reports(
     if m is None:
         return
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ValueError(f"m must be >= 1, got {_shown(m)}")
     if not 1 <= p < k:
-        raise ValueError(f"need 1 <= p < k, got p={p}, k={k}")
+        raise ValueError(f"need 1 <= p < k, got p={_shown(p)}, k={_shown(k)}")
     if r is not None and r < k:
-        raise ValueError(f"need k <= r, got k={k}, r={r}")
+        raise ValueError(f"need k <= r, got k={_shown(k)}, r={_shown(r)}")
     lead, fact_k = _power_lead(k, p), math.factorial(k)
     evaluate, lovasz_at = _binom_real_at(k), _binom_real_at(p)
     if r is not None:

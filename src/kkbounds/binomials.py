@@ -82,6 +82,14 @@ def _ratio_at(n: int, k: int):
 _set = object.__setattr__
 
 
+def _shown(a: int) -> str:
+    """An integer for an error message: in full below 2^64 in size, else by its size.
+
+    str() of a huge one is long, and fails past 4300 digits.
+    """
+    return str(a) if -(2**64) < a < 2**64 else f"{'-' * (a < 0)}<{a.bit_length()}-bit int>"
+
+
 class _Record:
     """Immutable record over __slots__: equality, hash and repr field by field.
 

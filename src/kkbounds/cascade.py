@@ -7,9 +7,14 @@ T(top, j-1)_{c-1}, top = n - floor(n/c): the next index lies below this exact
 limit, the gap condition, so each level is checked once, as it is made.
 Colored levels with j >= 2 and a limit above their budget search on the
 cached turan_coefficient (_max_index).  From the first other level on, a
-colored cascade is plain, its plain tail for the plain greedy (_descend): it
-looks a remainder up in a Pascal column, the cached C(j + i, j) below 2^64,
-or walks down from the level above by C(t-1, j) = C(t, j) (t-j)/t.
+colored cascade is plain, its plain tail for the plain greedy.  There a
+remainder that lies in Pascal column j, the cached C(j + i, j) below 2^64 for
+3 <= j <= 64, gives the level by one bisection, inline in the cursor's loop:
+the column run.  As n - j never grows from a level to the next, and
+C(n, j-1) <= C(n+1, j), the run goes on down to j = 3 once it has begun.
+Every other plain level goes through _descend, which walks down from the
+level above by C(t-1, j) = C(t, j) (t-j)/t or searches; it also gives a
+leading index alone (flag_r, best_r, lovasz_x), from the same columns.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .binomials import _Record, _set, binomial, turan_coefficient
+from .binomials import _Record, _set, _shown, binomial, turan_coefficient
 
 _WALK = 4  # exact steps before a search, down from the level above or up from a float seed
 _COLUMN_J, _COLUMN_LEN = 64, 512  # at most 62 columns of 512 entries
@@ -100,7 +105,8 @@ def _descend(rem: int, j: int, top: int = 0, at: int | None = None) -> tuple[int
 
     at = C(top, j) > rem, from the level above, or None for a leading index.
     j = 1 takes rem.  At 3 <= j <= _COLUMN_J, a rem below the last entry of
-    Pascal column j, grown on demand, gives all three by one bisection.
+    Pascal column j, grown on demand, gives all three by one bisection (the
+    cursor makes such a level inline, and asks here for the others).
     Otherwise, given at and j >= 3, up to _WALK exact steps walk down from
     top; else _max_index.  As n - j never grows from a level to the next, the
     walk takes 1704 of the 1705 levels at k = 2000, m = 10**30.
@@ -195,9 +201,9 @@ class CascadeRep(_Cascade):
 def cascade_decompose(m: int, k: int) -> CascadeRep:
     """Greedy cascade of m at level k: peel off the largest C(n_j, j) each step."""
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ValueError(f"m must be >= 1, got {_shown(m)}")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {_shown(k)}")
     cursor = _CascadeCursor(k, 0)  # its shadow, C(n_k, 0) = 1, costs least to carry
     cursor.advance(m)
     return cursor.cascade()
@@ -268,12 +274,22 @@ class _CascadeCursor:
                     levels.append((n, j, value, above, shadow))
                     rem -= value
                     top, j, c, at = limit, j - 1, c - 1, above - value
+            columns, comb = _columns, math.comb
             while rem > 0 and j > 0:
-                n, value, above = _descend(rem, j, top, at)
+                # The column run: a level in cached Pascal column j is one bisection,
+                # inline, as a helper call per level made the paper grid's cold
+                # cascades take 1.17x as long.  Every other level is _descend's.
+                if 2 < j <= _COLUMN_J and rem < 1 << 64 and (
+                    rem < (column := columns[j])[-1] or rem < (column := _column(rem, j))[-1]
+                ):
+                    i = bisect_right(column, rem)
+                    n, value, above = j + i - 1, column[i - 1], column[i]
+                else:
+                    n, value, above = _descend(rem, j, top, at)
                 if not j <= n < top:
                     raise ValueError(f"term {(n, j)} is not within 1 <= j <= n < {top}")
                 if j >= drop:  # C(n, j - drop), zero for j < drop
-                    shadow += math.comb(n, j - drop)
+                    shadow += comb(n, j - drop)
                 levels.append((n, j, value, above, shadow))
                 rem -= value
                 top, j, at = n, j - 1, above - value

@@ -23,8 +23,9 @@ from operator import attrgetter
 from typing import Sequence
 
 from .approx import bound_report, bound_reports
+from .binomials import _shown
 from .cascade import FaceVector, cascade_decompose, cascade_evaluate, validate_face_vector
-from .grid import geometric_grid, linear_grid
+from .grid import _check_range, geometric_grid, linear_grid
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -83,8 +84,7 @@ def sample_grid(m_start: int, m_end: int, samples, linear: bool = False) -> Sequ
     every m.
     """
     if samples == "all":
-        if m_start < 1 or m_end < m_start:
-            raise ValueError(f"need 1 <= m_start <= m_end, got {m_start}, {m_end}")
+        _check_range(m_start, m_end)
         return range(m_start, m_end + 1)
     return (linear_grid if linear else geometric_grid)(m_start, m_end, int(samples))
 
@@ -145,12 +145,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if not 1 <= args.p < args.k:
-        raise ValueError(f"need 1 <= p < k, got p={args.p}, k={args.k}")
+        raise ValueError(f"need 1 <= p < k, got p={_shown(args.p)}, k={_shown(args.k)}")
     if args.r_mode == "fixed":
         if args.r is None:
             raise ValueError("--r-mode fixed requires --r")
         if args.r < args.k:
-            raise ValueError(f"need k <= r, got k={args.k}, r={args.r}")
+            raise ValueError(f"need k <= r, got k={_shown(args.k)}, r={_shown(args.r)}")
     elif args.r is not None:
         raise ValueError("--r needs --r-mode fixed")
     ms = sample_grid(args.m_start, args.m_end, args.samples, linear=args.linear)

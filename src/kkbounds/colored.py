@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import starmap
 
-from .binomials import _set, turan_coefficient
+from .binomials import _set, _shown, turan_coefficient
 from .cascade import FaceVector, ValidationResult, _Cascade, _CascadeCursor, _first_failure
 
 
@@ -31,9 +31,9 @@ class ColoredCascadeRep(_Cascade):
 def colored_cascade_decompose(m: int, k: int, r: int) -> ColoredCascadeRep:
     """Greedy cascade of m over Turán coefficients, decrementing k and r together."""
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ValueError(f"m must be >= 1, got {_shown(m)}")
     if k < 1 or r < k:
-        raise ValueError(f"need r >= k >= 1, got k={k}, r={r}")
+        raise ValueError(f"need r >= k >= 1, got k={_shown(k)}, r={_shown(r)}")
     cursor = _CascadeCursor(k, 0, r)  # its shadow, T(n_k, 0)_r = 1, costs least to carry
     cursor.advance(m)
     terms = tuple([(level[0], level[1], level[1] + r - k) for level in cursor.levels])

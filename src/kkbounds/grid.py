@@ -4,6 +4,14 @@ from __future__ import annotations
 
 import math
 
+from .binomials import _shown
+
+
+def _check_range(m_start: int, m_end: int) -> None:
+    """ValueError unless 1 <= m_start <= m_end."""
+    if m_start < 1 or m_end < m_start:
+        raise ValueError(f"need 1 <= m_start <= m_end, got {_shown(m_start)}, {_shown(m_end)}")
+
 
 def _spaced_grid(m_start: int, m_end: int, samples: int, point) -> list[int]:
     """samples strictly increasing integers from m_start to m_end.
@@ -11,13 +19,13 @@ def _spaced_grid(m_start: int, m_end: int, samples: int, point) -> list[int]:
     Between the two ends, the i-th is point(m_start, m_end, i, samples - 1),
     moved just far enough to keep the values distinct and inside the range.
     """
-    if m_start < 1 or m_end < m_start:
-        raise ValueError(f"need 1 <= m_start <= m_end, got {m_start}, {m_end}")
+    _check_range(m_start, m_end)
     if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
+        raise ValueError(f"samples must be >= 2, got {_shown(samples)}")
     if samples > m_end - m_start + 1:
         raise ValueError(
-            f"cannot place {samples} distinct integers in [{m_start}, {m_end}]"
+            f"cannot place {_shown(samples)} distinct integers in"
+            f" [{_shown(m_start)}, {_shown(m_end)}]"
         )
     last = samples - 1
     out = [m_start]

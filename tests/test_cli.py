@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kkbounds.approx as approx
@@ -334,8 +334,15 @@ def cli_argv(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(cli_argv())
+# An integer argument of 2^64 or more shows by its size in the error line.
+@example(["sweep", "--k", "3", "--p", "2", "--m-start", str(HUGE), "--m-end", "3"])
+@example(["sweep", "--k", "3", "--p", "2", "--m-end", "10", "--samples", str(HUGE)])
+@example(["bound", "--m", "5", "--k", "3", "--p", str(HUGE)])
+@example(["bound", "--m", "5", "--k", str(HUGE), "--p", "2", "--r", "3"])
+@example(["bound", "--m", str(-HUGE), "--k", "3", "--p", "2"])
 def test_every_cli_input_ends_in_a_documented_exit_code(argv):
-    # Returns 0, 2, 3 or 4, or argparse exits 2; never a traceback.
+    # Returns 0, 2, 3 or 4, or argparse exits 2; never a traceback.  An error
+    # line is one line of at most 120 characters.
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -345,3 +352,5 @@ def test_every_cli_input_ends_in_a_documented_exit_code(argv):
         return
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_SELFTEST), (argv, code)
     assert (code == EXIT_USAGE) == err.getvalue().startswith("error: "), (argv, err.getvalue())
+    lines = err.getvalue().splitlines()
+    assert code != EXIT_USAGE or (len(lines) == 1 and len(lines[0]) <= 120), (argv, lines[:2])

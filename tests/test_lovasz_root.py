@@ -1,8 +1,9 @@
 """The bracketed Lovasz root: bit-identical to bisection, cheap, and exact at large m.
 
 _bisection_root is a frozen copy of the bisection lovasz_x used before the
-bracketed method; it is the reference for bit-identity.  mpmath serves as a
-50-digit reference for the roots themselves.
+bracketed method; it is the reference for bit-identity.  _frozen_lovasz_root
+is the bracketed root as it was before its start became a six-term series.
+mpmath serves as a 50-digit reference for the roots themselves.
 """
 
 import math
@@ -60,6 +61,57 @@ def _bisection_root(m: int, k: int) -> float:
     if abs(binom_real(lo, k) - target) <= abs(binom_real(hi, k) - target):
         return lo
     return hi
+
+
+def _frozen_cold_start(m: int, k: int) -> float:
+    """The former _cold_start: y + (k-1)/2 + (k^2-1)/(24y), y = (k! m)^(1/k)."""
+    y = math.exp((math.lgamma(k + 1) + math.log(m)) / k)
+    return y + 0.5 * (k - 1) + (k * k - 1) / (24.0 * y)
+
+
+def _frozen_lovasz_root(m: int, k: int, n: int, c: int, f) -> float:
+    """The former _lovasz_root, started from _frozen_cold_start."""
+    try:
+        a, b = float(n), float(n + 1)
+    except OverflowError:
+        return math.inf
+    if c == m:
+        return a
+    try:
+        target = float(m)
+    except OverflowError:
+        target, f = m / c, binomials._ratio_at(n, k)
+    tol = target * (k * 2e-16)
+    start = _frozen_cold_start(m, k)
+    x = start if a < start < b else n + (m - c) * (n - k + 1) / (c * k)
+    while True:
+        fx = f(x)
+        if abs(fx - target) <= tol:
+            break
+        if fx < target:
+            a = x
+        else:
+            b = x
+        slope = 0.0
+        for i in range(k):
+            slope += 1.0 / (x - i)
+        x_new = x - (fx - target) / (fx * slope)
+        if not a < x_new < b:
+            x_new = 0.5 * (a + b)
+            if not a < x_new < b:
+                break
+        x = x_new
+    lo = hi = x
+    f_lo = f_hi = fx
+    while f_lo >= target:
+        hi, f_hi = lo, f_lo
+        lo = math.nextafter(lo, -math.inf)
+        f_lo = f(lo)
+    while f_hi < target:
+        lo, f_lo = hi, f_hi
+        hi = math.nextafter(hi, math.inf)
+        f_hi = f(hi)
+    return lo if abs(f_lo - target) <= abs(f_hi - target) else hi
 
 
 def _random_cases() -> list[tuple[int, int]]:
@@ -182,6 +234,51 @@ def test_root_near_the_top_of_float_range(monkeypatch):
         assert calls[0] <= 64 and _ulps_off(x, m, k) <= 2, (m, k, x, calls[0])
 
 
+def test_root_equals_the_former_root_from_the_former_start():
+    # The ulp walk makes the root independent of its start (see lovasz_x), so
+    # the series start changed no root.  40000 seeded inputs, k <= 500 (above
+    # 80 for a twentieth) and m up to about 10**300 or 10**1000, drawn by their
+    # leading index n, C(n, k) <= m < C(n+1, k), and for a fifth within 3 of an end.
+    rng = random.Random(20261019)
+    differ = []
+    for _ in range(40000):
+        k = rng.choice(
+            [rng.randint(1, 12)] * 12 + [rng.randint(13, 80)] * 7 + [rng.randint(81, 500)]
+        )
+        top = rng.choice([300, 1000])  # m up to about 10**top; float(m) overflows from 10**308.6
+        digits = int((top + math.lgamma(k + 1) / math.log(10)) / k)  # of n at m = 10**top
+        n = k + rng.randint(0, 10 ** rng.randint(0, digits))
+        c, gap = binomial(n, k), binomial(n, k - 1)  # C(n+1, k) - C(n, k) = C(n, k-1)
+        if rng.random() < 0.2:
+            m = rng.choice([c, c + gap]) + rng.randint(-3, 3)
+            m = min(max(m, c), c + gap - 1)
+        else:
+            m = c + rng.randrange(gap)
+        f = binomials._binom_real_at(k)
+        if approx._lovasz_root(m, k, n, c, f) != _frozen_lovasz_root(m, k, n, c, f):
+            differ.append((m, k))
+    assert not differ, differ[:5]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 10, 25, 70, 171])
+def test_cold_start_is_accurate(k):
+    # The six-term series start against a 50-digit root: within a relative
+    # 1e-12 where y = (k! m)^(1/k) >= 2k and 1e-8 where k <= y < 2k.  Its first
+    # term alone is off by up to 2.6e-5 and 3.5e-4 there.
+    rng = random.Random(k)
+    with mpmath.workdps(50):
+        fact = mpmath.factorial(k)
+        for i in range(30):
+            # y/k from 1 to 2 for a third of m, else from 2 to 10**12.
+            ratio = rng.uniform(1, 2) if i % 3 == 0 else math.exp(rng.uniform(0.7, 27.7))
+            m = int(mpmath.mpf(k * ratio) ** k / fact) + 1
+            y = (fact * m) ** (mpmath.mpf(1) / k)
+            start = approx._cold_start(m, k)
+            root = _mp_root(m, k, start)
+            off = abs(start - root) / root
+            assert off <= (1e-12 if y >= 2 * k else 1e-8), (m, k, float(y / k), float(off))
+
+
 @pytest.mark.parametrize("k", [2, 3, 5, 10])
 def test_root_when_the_bracket_collapses_above_2_53(k):
     n = 2**53 + 12344
@@ -209,17 +306,18 @@ def test_overflow_still_raises():
 
 
 def test_bound_report_builds_one_cascade(monkeypatch):
-    # Every greedy descent, the cursor's first one included, resolves the top
-    # level j = k once in _descend: by a Pascal-column lookup or an index
-    # search.  One call must make exactly one, and no lookup of its own
-    # (flag_r, best_r and lovasz_x each make one through approx._descend).
+    # One call advances one fresh cursor once: one greedy descent, whose top
+    # level j = k comes from a Pascal column or from an index search.  It
+    # makes no lookup of its own (flag_r, best_r and lovasz_x each make one
+    # through approx._descend).
     descents = searches = own = 0
-    descend, search = cascade._descend, cascade._max_index
+    advance, search, descend = cascade._CascadeCursor.advance, cascade._max_index, cascade._descend
 
-    def counted_descend(rem, j, *above):
+    def counted_advance(cursor, m):
         nonlocal descents
-        descents += j == k
-        return descend(rem, j, *above)
+        assert cursor.m == 0, "the cursor is not fresh"
+        descents += 1
+        return advance(cursor, m)
 
     def counted_search(m, j, c):
         nonlocal searches
@@ -228,10 +326,10 @@ def test_bound_report_builds_one_cascade(monkeypatch):
 
     def counted_own(rem, j, *above):
         nonlocal own
-        own += j == k
+        own += 1
         return descend(rem, j, *above)
 
-    monkeypatch.setattr(cascade, "_descend", counted_descend)
+    monkeypatch.setattr(cascade._CascadeCursor, "advance", counted_advance)
     monkeypatch.setattr(cascade, "_max_index", counted_search)
     monkeypatch.setattr(approx, "_descend", counted_own)
     rng = random.Random(7)
@@ -277,6 +375,7 @@ def test_cascades_are_not_cached():
 
 def test_evaluator_cache_is_bounded():
     assert approx._binom_real_at.cache_parameters()["maxsize"] == 256
+    assert approx._series_at.cache_parameters()["maxsize"] == 256
 
 
 def _frozen_binom_real(x: float, k: int) -> float:

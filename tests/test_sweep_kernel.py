@@ -278,7 +278,7 @@ def _root_evaluations_per_row(monkeypatch, ms, k, p, rows):
 
 @pytest.mark.parametrize(
     "ms, k, p, most",
-    [(range(1, 20001), 3, 2, 2.4), (geometric_grid(1, 12777711870, 400), 10, 7, 3.3)],
+    [(range(1, 20001), 3, 2, 2.4), (geometric_grid(1, 12777711870, 400), 10, 7, 3.0)],
 )
 def test_warm_root_evaluations_per_row(monkeypatch, ms, k, p, most):
     warm = _root_evaluations_per_row(monkeypatch, ms, k, p, lambda *a: list(bound_reports(*a)))
@@ -290,11 +290,18 @@ def test_warm_root_evaluations_per_row(monkeypatch, ms, k, p, most):
 
 @pytest.mark.parametrize(
     "ms, k, most",
-    [(range(1, 20001), 3, 3.05), (geometric_grid(1, 12777711870, 2000), 10, 4.7)],
+    [
+        (range(1, 20001), 3, 3.05),
+        (geometric_grid(1, 12777711870, 2000), 10, 4.7),
+        (range(1, 20001), 3, 2.75),
+        (geometric_grid(1, 12777711870, 2000), 10, 3.05),
+    ],
 )
 def test_cold_root_evaluations_per_call(monkeypatch, ms, k, most):
-    # From the closed-form start: 3.01 at k = 3 and 4.63 on the paper's grid
-    # (4.55 and 5.50 from the regula falsi start alone).
+    # From the six-term series start: 2.71 at k = 3 and 3.01 on the paper's
+    # grid (3.01 and 4.63 from its first term alone, 4.55 and 5.50 from the
+    # regula falsi start alone).  The first two cases hold the first-term
+    # start's ceilings, the last two the series start's.
     def roots(ms, k, p):
         return [lovasz_x(m, k) for m in ms]
 
