@@ -46,6 +46,12 @@ def _series_at(k: int) -> tuple[float, ...]:
     )
 
 
+@lru_cache(maxsize=256)
+def _row_constants(k: int, p: int) -> tuple[float, int, tuple[float, ...]]:
+    """_power_lead(k, p), k! and _series_at(k), the constants of a row; cached for 256 (k, p)."""
+    return _power_lead(k, p), math.factorial(k), _series_at(k)
+
+
 def _cold_start(m: int, k: int) -> float:
     """The root of C(x, k) = m from its inverse series to six terms.
 
@@ -62,8 +68,13 @@ def _cold_start(m: int, k: int) -> float:
     2e-6, 3e-5 and 4e-4.  Below y = k the series may diverge: a start outside
     (n, n+1), or one that is not finite, gives way to the regula falsi start.
     """
-    log_fact, half, c1, c2, c3, c4, c5, c6 = _series_at(k)
-    y = math.exp((log_fact + math.log(m)) / k)
+    series = _series_at(k)
+    return _series_start(math.exp((series[0] + math.log(m)) / k), series)
+
+
+def _series_start(y: float, series: tuple[float, ...]) -> float:
+    """_cold_start given y = (k! m)^(1/k) and series = _series_at(k); not finite for y = inf."""
+    _, half, c1, c2, c3, c4, c5, c6 = series
     e = 1.0 / (y * y)
     return y + half + y * e * (c1 + e * (c2 + e * (c3 + e * (c4 + e * (c5 + e * c6)))))
 
@@ -212,7 +223,8 @@ def withoutr_bound(m: int, k: int, p: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 < p < k:
         raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
-    value = _withoutr(m, k, p, _power_lead(k, p), math.factorial(k), _pow_frac(m, p, k))
+    root = _pow_frac(math.factorial(k) * m, 1, k)
+    value = _withoutr(k, p, _power_lead(k, p), root, _pow_frac(m, p, k))
     return _fit(value, "withoutr_bound", k, p)
 
 
@@ -227,15 +239,16 @@ def _power_lead(k: int, p: int) -> float:
     return _exp(math.lgamma(k + 1) * p / k - math.lgamma(p + 1))
 
 
-def _withoutr(m: int, k: int, p: int, lead: float, fact_k: int, m_pow: float) -> float:
-    """withoutr_bound(m, k, p) given lead = _power_lead(k, p), k! and m_pow = _pow_frac(m, p, k).
+def _withoutr(k: int, p: int, lead: float, root: float, m_pow: float) -> float:
+    """withoutr_bound(m, k, p) given lead = _power_lead(k, p), root and m_pow.
 
-    Its factors are at least 1, so an inf one, or an overflow on the way,
-    means that the value does not fit either, and it is inf; lead * m_pow,
+    root = (k! m)^(1/k) and m_pow = m^(p/k) come from _pow_frac.  Its
+    factors are at least 1, so an inf one, or an overflow on the way, means
+    that the value does not fit either, and it is inf; lead * m_pow,
     noreasy, is at most the value in float arithmetic too.
     """
     try:
-        return lead * (1.0 + (k - p) / (2.0 * _pow_frac(fact_k * m, 1, k))) ** p * m_pow
+        return lead * (1.0 + (k - p) / (2.0 * root)) ** p * m_pow
     except OverflowError:
         return math.inf
 
@@ -359,7 +372,7 @@ def bound_report(m: int, k: int, p: int, r: int | None = None) -> BoundReport:
     The colored bound uses the given r when supplied (which must be >= k),
     otherwise best_r(m, k); the flag bound always uses flag_r(m, k).  The row
     takes a sweep's path from an empty cursor: one greedy descent of the
-    cascade and a root from the series start (_cold_start).
+    cascade and a root from the series start.
     """
     return next(bound_reports((m,), k, p, r))
 
@@ -373,15 +386,18 @@ def bound_reports(
     carries the cascade and its shadow sum kk_exact from m to m (from m = 0
     for the first) and builds no cascade record.  Its leading index n is
     flag_r, the bracket [n, n+1] of the Lovasz root, and best_r (n or n + 1).
-    The root starts from the series start (_cold_start) in the first row of
-    each bracket, and while n is unchanged from a Taylor step off the
-    previous one (_warm_start); either way it is lovasz_x(m, k) bit for bit.
+    Each row computes y = (k! m)^(1/k) once, for withoutr and, in the first
+    row of each bracket, the root's series start (_cold_start's, from y);
+    while n is unchanged the root starts from a Taylor step off the
+    previous one (_warm_start).  Either way it is lovasz_x(m, k) bit for bit.
     A level the cursor makes afresh is one bisection of a cached Pascal
-    column wherever it lies in one (see _CascadeCursor.advance).  Hoisted:
-    (k!)^(p/k)/p!, k!, the cached evaluators of C(x, k) and C(x, p), and for
-    a fixed r, C(r, p) and C(r, k).  When n changes, C(n, k) and C(n+1, k)
-    are the cursor's top level, C(n, p) is one binomial, and C(n+1, p) and
-    best_r's threshold C(n, k) + C(n-1, k-1) follow by exact division.  Beyond those, the
+    column wherever it lies in one, and at j <= 2 the remainder or a closed
+    form (see _CascadeCursor.advance).  Hoisted: (k!)^(p/k)/p!, k! and the
+    series' coefficients, from one cached lookup; the cached evaluators of
+    C(x, k) and C(x, p), straight-line code; and for a fixed r, C(r, p) and
+    C(r, k).  When n changes, C(n, k) and C(n+1, k) are the cursor's top
+    level, C(n, p) is one binomial, and C(n+1, p) and best_r's threshold
+    C(n, k) + C(n-1, k-1) follow by exact division.  Beyond those, the
     previous root and the cursor's one entry per cascade level, nothing is
     kept from row to row.  The arguments are checked, in bound_report's
     order, when the first row is computed; an m that does not exceed the one
@@ -397,17 +413,18 @@ def bound_reports(
         raise ValueError(f"need 1 <= p < k, got p={_shown(p)}, k={_shown(k)}")
     if r is not None and r < k:
         raise ValueError(f"need k <= r, got k={_shown(k)}, r={_shown(r)}")
-    lead, fact_k = _power_lead(k, p), math.factorial(k)
+    lead, fact_k, series = _row_constants(k, p)
     evaluate, lovasz_at = _binom_real_at(k), _binom_real_at(p)
     if r is not None:
         r_p, r_k = binomial(r, p), binomial(r, k)
     cursor, n_at = _CascadeCursor(k, p), None
     while True:
         n, kk_exact = cursor.advance(m)
+        root = _pow_frac(fact_k * m, 1, k)
         if n == n_at:
             start = _warm_start(x, m_before, m, k)
         else:  # C(n, k) and C(n+1, k) are the cursor's top level
-            n_at, start, n_k, up_k = n, None, *cursor.levels[0][2:4]
+            n_at, start, n_k, up_k = n, _series_start(root, series), *cursor.levels[0][2:4]
             n_p = binomial(n, p)
             up_p = n_p * (n + 1) // (n + 1 - p)
             reach = n_k + n_k * k // n  # best_r's C(n, k) + C(n-1, k-1), k >= 2 here
@@ -421,7 +438,7 @@ def bound_reports(
         else:
             withr_r, withr = n + 1, _colorapprox(m, k, p, up_p, up_k)
         lovasz = lovasz_at(x)
-        withoutr = _withoutr(m, k, p, lead, fact_k, m_pow)
+        withoutr = _withoutr(k, p, lead, root, m_pow)
         if flag + withr + lovasz + withoutr == math.inf:
             # The error of the first of these columns that does not fit; noreasy then fits.
             _fit(flag, "colorapprox_bound", k, p, n)

@@ -44,26 +44,31 @@ def binom_real(x: float, k: int) -> float:
 def _binom_real_at(k: int):
     """x -> binom_real(x, k) for finite float x and k >= 1, unchecked; cached for 256 k.
 
-    The product of the x - i over float(k!).  Where that overflows, and for
-    every k > 170, whose k! does, _ratio_at(k, k): for x >= k-1 its partial
-    products lie between 1 and the value, so it is inf, raising nothing, only
-    when the value does not fit.
+    The product of the x - i, left to right, over float(k!).  Where that
+    overflows, and for every k > 170, whose k! does, _ratio_at(k, k): for
+    x >= k-1 its partial products lie between 1 and the value, so it is inf,
+    raising nothing, only when the value does not fit.  For k <= 170 it is
+    straight-line code, generated once per k from integers only, as
+    dataclasses generates __init__; at k = 3 its body is
+
+        value = x * (x - 1.0) * (x - 2.0) / 6.0
+        return value if isfinite(value) else by_ratios(x)
+
+    the operations of a loop from num = 1.0 in its order, as 1.0 * (x - 0.0)
+    is x, at half its cost.
     """
     by_ratios = _ratio_at(k, k)
     if k > 170:
         return by_ratios
-    fact = float(math.factorial(k))
-    shifts = tuple(map(float, range(k)))  # x - float(i) is x - i, without the conversion
-    isfinite = math.isfinite
-
-    def evaluate(x: float) -> float:
-        num = 1.0
-        for i in shifts:
-            num *= x - i
-        value = num / fact
-        return value if isfinite(value) else by_ratios(x)
-
-    return evaluate
+    product = " * ".join(["x", *[f"(x - {i}.0)" for i in range(1, k)]])
+    source = (
+        "def evaluate(x):\n"
+        f"    value = {product} / {float(math.factorial(k))!r}\n"
+        "    return value if isfinite(value) else by_ratios(x)\n"
+    )
+    namespace = {"isfinite": math.isfinite, "by_ratios": by_ratios}
+    exec(source, namespace)
+    return namespace["evaluate"]
 
 
 def _ratio_at(n: int, k: int):

@@ -12,9 +12,11 @@ remainder that lies in Pascal column j, the cached C(j + i, j) below 2^64 for
 3 <= j <= 64, gives the level by one bisection, inline in the cursor's loop:
 the column run.  As n - j never grows from a level to the next, and
 C(n, j-1) <= C(n+1, j), the run goes on down to j = 3 once it has begun.
+Inline too are j = 2, _max_index's closed form, and j = 1, the remainder.
 Every other plain level goes through _descend, which walks down from the
 level above by C(t-1, j) = C(t, j) (t-j)/t or searches; it also gives a
-leading index alone (flag_r, best_r, lovasz_x), from the same columns.
+leading index alone (flag_r, best_r, lovasz_x), from the same columns.  A
+search far beyond 2^53 bisects a window of j integers above an integer root.
 """
 
 from __future__ import annotations
@@ -35,6 +37,21 @@ def _lead_root(m: int, k: int) -> float:
     return math.exp((math.lgamma(k + 1) + math.log(m)) / k)
 
 
+def _iroot(a: int, j: int) -> int:
+    """floor(a^(1/j)) for integers a, j >= 1, by integer Newton steps.
+
+    They start from 2^(log2(a) / j) in floats, and by AM-GM a step from any
+    x >= 1 lands at or above the answer, from where they descend to it.
+    """
+    log2 = math.log2(a) / j
+    shift = max(0, int(log2) - 60)
+    x = int(2.0 ** (log2 - shift)) << shift
+    x = ((j - 1) * x + a // x ** (j - 1)) // j
+    while (below := ((j - 1) * x + a // x ** (j - 1)) // j) < x:
+        x = below
+    return x
+
+
 def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
     """Largest n with T(n, j)_c <= m, and T(n, j)_c itself; C(n, j) when c is None.
 
@@ -43,7 +60,11 @@ def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
     by the AM-GM and Maclaurin inequalities never exceeds the answer; a
     relative 1e-12 off covers rounding.  Up to _WALK exact steps walk up from
     it, then galloping and bisecting on exact comparisons make the answer
-    independent of the seed (one beyond float range is replaced by j).
+    independent of the seed (one beyond float range is replaced by j).  A
+    plain seed whose margin spans more than _WALK integers, or that
+    overflows, gives way to r = floor((j! m)^(1/j)) (_iroot): as
+    (n-j+1)^j <= j! C(n, j) <= (n - (j-1)/2)^j, the answer lies in
+    [r + (j-1)//2, r + j - 1], which one bisection searches.
     """
     if j == 2 and c is None:
         n = (math.isqrt(8 * m + 1) + 1) // 2
@@ -59,18 +80,24 @@ def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
             seed = _lead_root(m, j) + 0.5 * (j - 1)
         else:
             seed = c * math.exp((math.log(m) - math.log(math.comb(c, j))) / j)
-        lo = max(j, int(seed) - int(seed * 1e-12))
+        lo, margin = int(seed), int(seed * 1e-12)
     except OverflowError:
-        lo = j
-    value = math.comb(lo, j) if c is None else turan_coefficient(lo, j, c)
+        lo = margin = None
     hi, step = None, 1
-    if value > m:
-        lo, value, hi = j, 1, lo  # T(j, j)_c = 1 <= m
-    for _ in range(_WALK):
-        up = value * (lo + 1) // (lo + 1 - j) if c is None else turan_coefficient(lo + 1, j, c)
-        if up > m:
-            return lo, value
-        lo, value = lo + 1, up
+    if c is None and (margin is None or margin > _WALK):
+        r = _iroot(math.factorial(j) * m, j)
+        lo, hi = max(j, r + (j - 1) // 2), r + j
+        value = math.comb(lo, j)
+    else:
+        lo = j if lo is None else max(j, lo - margin)
+        value = math.comb(lo, j) if c is None else turan_coefficient(lo, j, c)
+        if value > m:
+            lo, value, hi = j, 1, lo  # T(j, j)_c = 1 <= m
+        for _ in range(_WALK):
+            up = value * (lo + 1) // (lo + 1 - j) if c is None else turan_coefficient(lo + 1, j, c)
+            if up > m:
+                return lo, value
+            lo, value = lo + 1, up
     while hi is None or hi - lo > 1:
         probe = lo + step if hi is None else (lo + hi) // 2
         at = math.comb(probe, j) if c is None else turan_coefficient(probe, j, c)
@@ -104,24 +131,28 @@ def _descend(rem: int, j: int, top: int = 0, at: int | None = None) -> tuple[int
     """The plain level of rem >= 1 at j: (n, C(n, j), C(n+1, j)), C(n, j) <= rem < C(n+1, j).
 
     at = C(top, j) > rem, from the level above, or None for a leading index.
-    j = 1 takes rem.  At 3 <= j <= _COLUMN_J, a rem below the last entry of
-    Pascal column j, grown on demand, gives all three by one bisection (the
-    cursor makes such a level inline, and asks here for the others).
-    Otherwise, given at and j >= 3, up to _WALK exact steps walk down from
+    j = 1 takes rem, and j = 2 _max_index's closed form, with
+    C(n+1, 2) = C(n, 2) + n.  At 3 <= j <= _COLUMN_J, a rem below the last
+    entry of Pascal column j, grown on demand, gives all three by one
+    bisection.  (The cursor makes these levels inline, and asks here for the
+    others.)  Otherwise, given at, up to _WALK exact steps walk down from
     top; else _max_index.  As n - j never grows from a level to the next, the
     walk takes 1704 of the 1705 levels at k = 2000, m = 10**30.
     """
     if j <= _COLUMN_J:  # one comparison for a level beyond the columns
-        if j == 1:
-            return rem, rem, rem + 1
-        if j > 2 and rem < 1 << 64:
+        if j <= 2:
+            if j == 1:
+                return rem, rem, rem + 1
+            n, value = _max_index(rem, 2, None)
+            return n, value, value + n
+        if rem < 1 << 64:
             column = _columns[j]
             if rem >= column[-1]:
                 column = _column(rem, j)
             if rem < column[-1]:
                 i = bisect_right(column, rem)
                 return j + i - 1, column[i - 1], column[i]
-    for _ in range(_WALK if at is not None and j > 2 else 0):
+    for _ in range(_WALK if at is not None else 0):
         below = at * (top - j) // top
         top -= 1
         if below <= rem:
@@ -230,6 +261,8 @@ class _CascadeCursor:
 
         Each level made here is checked to lie within 1 <= j <= n_j < the
         limit above, then all levels to sum to m; a failure raises ValueError.
+        A plain level comes from a Pascal column, at j <= 2 from the remainder
+        or the closed form, all inline, or else from _descend.
         """
         if m <= self.m:
             raise ValueError(f"m must increase strictly, got {m} after {self.m}")
@@ -278,12 +311,19 @@ class _CascadeCursor:
             while rem > 0 and j > 0:
                 # The column run: a level in cached Pascal column j is one bisection,
                 # inline, as a helper call per level made the paper grid's cold
-                # cascades take 1.17x as long.  Every other level is _descend's.
+                # cascades take 1.17x as long.  So are j = 1, the remainder, and
+                # j = 2, the closed form.  Every other level is _descend's.
                 if 2 < j <= _COLUMN_J and rem < 1 << 64 and (
                     rem < (column := columns[j])[-1] or rem < (column := _column(rem, j))[-1]
                 ):
                     i = bisect_right(column, rem)
                     n, value, above = j + i - 1, column[i - 1], column[i]
+                elif j == 1:
+                    n = value = rem
+                    above = rem + 1
+                elif j == 2:
+                    n, value = _max_index(rem, 2, None)
+                    above = value + n
                 else:
                     n, value, above = _descend(rem, j, top, at)
                 if not j <= n < top:

@@ -124,7 +124,10 @@ def _cmd_validate(args) -> int:
     try:
         entries = tuple(int(token) for token in args.vector.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse face vector from {args.vector!r}")
+        shown = repr(args.vector)  # a long one cut short, keeping the error line short
+        if len(shown) > 64:
+            shown = f"{shown[:48]}... ({len(args.vector)} characters)"
+        raise ValueError(f"cannot parse face vector from {shown}")
     f = FaceVector(entries)
     if args.r is None:
         result = validate_face_vector(f)

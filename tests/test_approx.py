@@ -254,7 +254,8 @@ def test_withoutr_beyond_float_range_raises():
         withoutr_bound(10**300, 1000, 500)
     m, k, p = 10**300, 1000, 500  # the sweep's withoutr column, which reads inf
     lead, m_pow = approx._power_lead(k, p), approx._pow_frac(m, p, k)
-    assert approx._withoutr(m, k, p, lead, math.factorial(k), m_pow) == math.inf
+    root = approx._pow_frac(math.factorial(k) * m, 1, k)
+    assert approx._withoutr(k, p, lead, root, m_pow) == math.inf
     assert 1e9 < withoutr_bound(10**1000, 400, 2) < 1e10
     with _too_large("withoutr_bound(m, 3000, 1100)"):  # (k!)^(p/k) / p! alone does not fit
         withoutr_bound(1, 3000, 1100)

@@ -1,6 +1,7 @@
 """Binomial coefficients, the real extension, and Turán clique counts."""
 
 import math
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from kkbounds import (
     turan_coefficient,
     turan_graph,
 )
+from kkbounds.binomials import _binom_real_at, _ratio_at
 
 
 def test_binomial_values():
@@ -60,6 +62,49 @@ def test_binom_real_large_k_where_the_product_overflows():
     assert binom_real(5.0, 400) == 0.0
     with pytest.raises(OverflowError):
         binom_real(3000.0, 1500)
+
+
+def _frozen_evaluator(k):
+    """_binom_real_at(k) for k <= 170 as the loop it was before it became straight-line code."""
+    by_ratios = _ratio_at(k, k)
+    fact = float(math.factorial(k))
+    shifts = tuple(map(float, range(k)))
+
+    def evaluate(x):
+        num = 1.0
+        for i in shifts:
+            num *= x - i
+        value = num / fact
+        return value if math.isfinite(value) else by_ratios(x)
+
+    return evaluate
+
+
+def _binom_real_outcome(x, k):
+    try:
+        return binom_real(x, k).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+def test_straight_line_evaluators_equal_the_loop_bit_for_bit():
+    rng = random.Random(18)
+    fallbacks = 0
+    for k in range(1, 171):
+        evaluate, frozen = _binom_real_at(k), _frozen_evaluator(k)
+        near = [k - 1 + rng.random() * 4 for _ in range(30)]
+        wide = [(k - 1) * 10 ** (rng.random() * 14) + rng.random() for _ in range(50)]
+        for x in (*near, *[min(x, 1e12) for x in wide], float(k - 1), 1e12):
+            assert evaluate(x).hex() == frozen(x).hex(), (k, x)
+            # Where the product overflows, the value comes from the ratios.
+            fallbacks += math.isinf(math.prod(x - i for i in range(k))) and evaluate(x) < math.inf
+        # binom_real itself, at negative x and between the integer zeros.
+        for x in [-rng.random() * 10 ** rng.randint(0, 12) for _ in range(20)] + near:
+            x -= rng.randint(0, k)
+            want = frozen(x)
+            want = want.hex() if math.isfinite(want) else "OverflowError"
+            assert _binom_real_outcome(x, k) == want, (k, x)
+    assert fallbacks > 500, fallbacks  # finite values from the ratio fallback (840)
 
 
 def test_binomial_sandwich():

@@ -120,6 +120,52 @@ def test_descent_falls_back_beyond_the_step_cap(k, monkeypatch):
         assert _fresh_cursor_terms(m, k) == want, (m, k)
 
 
+@pytest.mark.parametrize("k", [3, 5, 12])
+def test_leading_index_far_beyond_2_53_takes_few_comparisons(k, monkeypatch):
+    # The float seed's margin spans many integers past 2^53, and the seed
+    # overflows past float range; from r = floor((k! m)^(1/k)) a bisection of
+    # [r + (k-1)//2, r + k - 1] takes a few math.comb calls, where a gallop
+    # from the seed takes thousands at m near 10**1000.
+    rng, real, calls = random.Random(k), math.comb, 0
+
+    def counted(n, j):
+        nonlocal calls
+        calls += 1
+        return real(n, j)
+
+    for _ in range(30):
+        m = rng.randint(1, 10 ** rng.randint(1, 999))
+        want = _plain_greedy(m, k)
+        calls = 0
+        with monkeypatch.context() as patched:
+            patched.setattr(math, "comb", counted)
+            n = flag_r(m, k)
+        assert n == want[0][0] and calls <= 64, (m, k, n, calls)
+        assert cascade_decompose(m, k).terms == want, (m, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 12])
+def test_levels_at_j_up_to_2_are_made_inline(k, monkeypatch):
+    # j = 1 takes the remainder and j = 2 the closed form inside the cursor's
+    # loop: _descend is asked only for levels at j >= 3.
+    asked, descend = [], cascade._descend
+
+    def counted(rem, j, *above):
+        asked.append(j)
+        return descend(rem, j, *above)
+
+    monkeypatch.setattr(cascade, "_descend", counted)
+    rng, warm, m, made = random.Random(k), _CascadeCursor(k, k), 0, 0
+    for _ in range(300):
+        m += rng.randint(1, 10 ** rng.randint(0, 80))
+        want = _plain_greedy(m, k)
+        assert _fresh_cursor_terms(m, k) == want, (m, k)
+        warm.advance(m)
+        assert warm.cascade().terms == want, (m, k)
+        made += sum(j <= 2 for _, j in want)
+    assert made > 100 and min(asked, default=3) >= 3, (made, sorted(set(asked)))
+
+
 def _count_searches(monkeypatch):
     """The list of j of each _max_index call in cascade from now on."""
     searches = []

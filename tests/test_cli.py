@@ -340,6 +340,8 @@ def cli_argv(draw):
 @example(["bound", "--m", "5", "--k", "3", "--p", str(HUGE)])
 @example(["bound", "--m", "5", "--k", str(HUGE), "--p", "2", "--r", "3"])
 @example(["bound", "--m", str(-HUGE), "--k", "3", "--p", "2"])
+# An unparsable face vector shows cut short.
+@example(["validate", f"1,{HUGE}x"])
 def test_every_cli_input_ends_in_a_documented_exit_code(argv):
     # Returns 0, 2, 3 or 4, or argparse exits 2; never a traceback.  An error
     # line is one line of at most 120 characters.

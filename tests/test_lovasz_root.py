@@ -376,6 +376,7 @@ def test_cascades_are_not_cached():
 def test_evaluator_cache_is_bounded():
     assert approx._binom_real_at.cache_parameters()["maxsize"] == 256
     assert approx._series_at.cache_parameters()["maxsize"] == 256
+    assert approx._row_constants.cache_parameters()["maxsize"] == 256
 
 
 def _frozen_binom_real(x: float, k: int) -> float:

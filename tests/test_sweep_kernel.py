@@ -4,6 +4,7 @@ row-by-row bound_report, and sweep rows written as they are computed."""
 import io
 import json
 import math
+import random
 import re
 import sys
 
@@ -186,13 +187,15 @@ def test_bound_reports_equal_frozen_rows(name):
 def _public_row(m, k, p, r):
     """The row of the public functions, or the message of the first to overflow.
 
-    They are called in the order in which bound_reports computes the columns.
+    They are called in the order in which bound_reports checks the columns.
+    lovasz_x fits wherever flag does: the root lies in [n, n+1], and
+    flag >= C(n, p) >= n.
     """
     try:
-        x = lovasz_x(m, k)
         n, withr_r = flag_r(m, k), r if r is not None else best_r(m, k)
         flag = colorapprox_bound(m, k, p, n)
         withr = colorapprox_bound(m, k, p, withr_r)
+        x = lovasz_x(m, k)
         lovasz = lovasz_bound(m, k, p)
         withoutr = withoutr_bound(m, k, p)
         noreasy = noreasy_bound(m, k, p)
@@ -226,6 +229,30 @@ def test_row_overflows_as_the_public_functions_do(case):
     except OverflowError as exc:
         row = str(exc)
     assert row == _public_row(*case)
+
+
+def _seeded_rows(count):
+    """count seeded (m, k, p, r): most with k <= 12 and m <= 10**30, one in 50
+    with m up to 10**1100 and one in 200 with k up to 600, rows that cost
+    about 7 and 60 times as much."""
+    rng = random.Random(18)
+    for i in range(count):
+        k = rng.randint(13, 600) if i % 200 == 0 else rng.randint(2, 12)
+        digits = rng.randint(31, 1100) if i % 50 == 1 else rng.randint(1, 30)
+        r = rng.randint(k, k + 60) if rng.random() < 0.2 else None
+        yield rng.randint(1, 10**digits), k, rng.randint(1, k - 1), r
+
+
+def test_seeded_rows_equal_the_public_functions():
+    # Every row, or the message of its overflow, over 40000 seeded inputs.
+    overflows = 0
+    for case in _seeded_rows(40000):
+        try:
+            row = bound_report(*case)
+        except OverflowError as exc:
+            row, overflows = str(exc), overflows + 1
+        assert row == _public_row(*case), case
+    assert overflows > 100, overflows
 
 
 @st.composite
@@ -286,6 +313,16 @@ def test_warm_root_evaluations_per_row(monkeypatch, ms, k, p, most):
         monkeypatch, ms, k, p, lambda ms, k, p: [bound_report(m, k, p) for m in ms]
     )
     assert warm <= most < cold
+
+
+def test_cold_row_root_evaluations(monkeypatch):
+    # A cold row starts its root from the series at its own (k! m)^(1/k),
+    # the power withoutr takes: 2.61 evaluations a row at k = 3, where
+    # lovasz_x, from a log-gamma y, takes 2.71.
+    def rows(ms, k, p):
+        return [bound_report(m, k, p) for m in ms]
+
+    assert _root_evaluations_per_row(monkeypatch, range(1, 20001), 3, 2, rows) <= 2.65
 
 
 @pytest.mark.parametrize(
