@@ -30,10 +30,10 @@ def _pow_frac(m: int, num: int, den: int) -> float:
 
 @lru_cache(maxsize=256)
 def _series_at(k: int) -> tuple[float, ...]:
-    """log k!, (k-1)/2 and c_1, ..., c_6 of _cold_start, in floats; cached for 256 k."""
+    """(k-1)/2, c_1, ..., c_6 of _cold_start and δ ln 2 of _series_start; cached for 256 k."""
     K = float(k * k)
+    a, b = (1 / k).as_integer_ratio()  # δ = 1/k - float(1/k), exactly (b - k a) / (k b)
     return (
-        math.lgamma(k + 1),
         0.5 * (k - 1),
         (K - 1) / 24,
         (K - 1) * (K - 9) / 1920,
@@ -43,6 +43,7 @@ def _series_at(k: int) -> tuple[float, ...]:
         (K - 1) * (K - 121) / 2191186722816000
         * ((((20177107 * K - 1162153996) * K + 21363313650) * K - 148307990284) * K
            + 320662714963),
+        (b - k * a) / (k * b) * math.log(2),
     )
 
 
@@ -64,27 +65,35 @@ def _cold_start(m: int, k: int) -> float:
     with P_2j = sum_i s_i^2j; reverting that series (sympy, exact rational
     arithmetic) gives u = y (1 + sum_j c_j e^j).  Against a 50-digit root the
     relative error is below 5e-15 from y = 4k, 5e-14 from y = 2k and 1e-9
-    from y = k, where the first term alone, to O(1/y^3), is off by up to
-    2e-6, 3e-5 and 4e-4.  Below y = k the series may diverge: a start outside
-    (n, n+1), or one that is not finite, gives way to the regula falsi start.
+    from y = k (the first term alone: 2e-6, 3e-5 and 4e-4).  Below y = k the
+    series may diverge: a start outside (n, n+1), or not finite, gives way to
+    the regula falsi start.  y is _pow_frac(k! m, 1, k) for k <= 18, else from log-gamma.
     """
-    series = _series_at(k)
-    return _series_start(math.exp((series[0] + math.log(m)) / k), series)
+    if k > 18:  # k! m > 2^53: y is unbiased
+        return _series_start(_exp((math.lgamma(k + 1) + math.log(m)) / k), 54, _series_at(k))
+    big = math.factorial(k) * m
+    return _series_start(_pow_frac(big, 1, k), big.bit_length(), _series_at(k))
 
 
-def _series_start(y: float, series: tuple[float, ...]) -> float:
-    """_cold_start given y = (k! m)^(1/k) and series = _series_at(k); not finite for y = inf."""
-    _, half, c1, c2, c3, c4, c5, c6 = series
+def _series_start(y: float, bits: int, series: tuple[float, ...]) -> float:
+    """_cold_start from y = (k! m)^(1/k), bits = (k! m).bit_length() and series = _series_at(k).
+
+    Below 2^53, y = float(k! m) ** float(1/k) is off by a factor of about
+    1 - δ ln(k! m), δ = 1/k - float(1/k); times 1 + δ ln 2 bits it is centred:
+    at k = 3, m <= 10^5 the start is then the root in 65% of rows and 1 ulp
+    off in 35% (uncentred: 5% and 64%).  Not finite for y = inf.
+    """
+    half, c1, c2, c3, c4, c5, c6, bias = series
+    y *= 1.0 + bias * bits if bits <= 53 else 1.0
     e = 1.0 / (y * y)
     return y + half + y * e * (c1 + e * (c2 + e * (c3 + e * (c4 + e * (c5 + e * c6)))))
 
 
-def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float | None = None) -> float:
+def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float) -> float:
     """lovasz_x(m, k) given the leading cascade index n, c = C(n, k) and f = _binom_real_at(k).
 
-    It is inf where n does not fit in a float.  The search starts from
-    start, or _cold_start(m, k) when None, if it lies strictly inside
-    (n, n+1), else by regula falsi through the exact endpoints,
+    It is inf where n does not fit in a float.  The search starts from start
+    if it lies inside (n, n+1), else by regula falsi through the exact ends,
     C(n+1, k) - C(n, k) = C(n, k) k / (n-k+1).  Where float(m) overflows, it
     solves C(x, k) / C(n, k) = m / C(n, k), a float in [1, (n+1)/(n+1-k)), by
     the same steps on _ratio_at(n, k).  An evaluation beyond float range reads
@@ -101,8 +110,6 @@ def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float | None = None) 
     except OverflowError:
         target, f = m / c, _ratio_at(n, k)
     tol = target * (k * 2e-16)  # target * k overflows where float(m) k > 1.8e308
-    if start is None:
-        start = _cold_start(m, k)
     x = start if a < start < b else n + (m - c) * (n - k + 1) / (c * k)
     while True:
         fx = f(x)
@@ -138,10 +145,12 @@ def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float | None = None) 
 def _warm_start(x: float, m: int, m_next: int, k: int) -> float:
     """A start for the root at m_next from x, the root at m: a third-order Taylor step.
 
-    The step is in y = log x, where F(y) = log C(x, k) is nearly linear.  With
-    t_i = x / (x - i), a = sum t, b = sum t^2 and c = sum t^3, F's
+    bound_reports takes it only where (k! m)^(1/k) < k, as the series start
+    has no error bound there (paper grid: 2.70 evaluations a warm row, 2.94
+    without it).  The step is in log x, where log C(x, k) is nearly linear: with
+    t_i = x / (x - i), a = sum t, b = sum t^2 and c = sum t^3, its
     derivatives are a, a - b and a - 3b + 2c, and the inverse series in
-    w = log(m_next / m) gives the step in y.  The t_i keep it scale-free (in
+    w = log(m_next / m) gives the step in log x.  The t_i keep it scale-free (in
     powers of 1/(x - i) the terms underflow at large x).  As a series in
     (m_next - m) / m the step starts 1e5 times farther off at 6% a row.
     """
@@ -163,20 +172,17 @@ def lovasz_x(m: int, k: int) -> float:
     C(n, k) <= m < C(n+1, k), and when m = C(n, k) exactly the exact n is
     returned, which keeps integer coincidences exact.  Otherwise Newton
     steps start from the six-term inverse series of C(x, k) = m (_cold_start)
-    if it lies in (n, n+1), else from a regula falsi step through the two
-    exact endpoints.  They stay inside a bracket shrunk by every evaluation,
-    bisecting when a step leaves it, and stop once
-    |binom_real(x, k) - m| <= m * k * 2e-16, or when the bracket holds no
-    float strictly inside.  From there the result walks ulp by ulp to the two
+    if it lies in (n, n+1), else by regula falsi, inside a bracket shrunk by
+    every evaluation, until |binom_real(x, k) - m| <= m * k * 2e-16 or the
+    bracket holds no float.  From there the result walks ulp by ulp to the
     adjacent floats lo < hi with binom_real(lo, k) < m <= binom_real(hi, k)
     (in float arithmetic, so possibly just outside [n, n+1]) and returns the
     one with the smaller residual, lo on a tie: the final rule of a bisection
     run to the last bit, which takes 55 evaluations of the polynomial.  This
-    takes 2.7 a call over every m to 20000 at k = 3 and 3.0 on the paper's
-    grid, as the start is within a relative 1e-13 of the root from y = 2k
-    on: a Newton step, or none, and the two floats of the walk.
-    bound_reports takes 2.1 and 2.9 a row, from a step off the previous
-    row's root (_warm_start) while n is unchanged.
+    takes 2.09 a call over every m to 20000 at k = 3 and 2.94 on the paper's
+    grid: the start is within a relative 1e-13 of the root from y = 2k on,
+    and within an ulp in 99.7% of calls to m = 10^5 at k = 3 (_series_start),
+    so none or one Newton step, and the two floats of the walk.
 
     The pair, and so the result, does not depend on the path to it.  For
     x > k-1 every factor x - i is positive, and a rounded subtraction,
@@ -195,7 +201,8 @@ def lovasz_x(m: int, k: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _fit(_lovasz_root(m, k, *_descend(m, k)[:2], _binom_real_at(k)), "lovasz_x", k)
+    n, c, _ = _descend(m, k)
+    return _fit(_lovasz_root(m, k, n, c, _binom_real_at(k), _cold_start(m, k)), "lovasz_x", k)
 
 
 def lovasz_bound(m: int, k: int, p: int) -> float:
@@ -386,22 +393,18 @@ def bound_reports(
     carries the cascade and its shadow sum kk_exact from m to m (from m = 0
     for the first) and builds no cascade record.  Its leading index n is
     flag_r, the bracket [n, n+1] of the Lovasz root, and best_r (n or n + 1).
-    Each row computes y = (k! m)^(1/k) once, for withoutr and, in the first
-    row of each bracket, the root's series start (_cold_start's, from y);
-    while n is unchanged the root starts from a Taylor step off the
-    previous one (_warm_start).  Either way it is lovasz_x(m, k) bit for bit.
-    A level the cursor makes afresh is one bisection of a cached Pascal
-    column wherever it lies in one, and at j <= 2 the remainder or a closed
-    form (see _CascadeCursor.advance).  Hoisted: (k!)^(p/k)/p!, k! and the
-    series' coefficients, from one cached lookup; the cached evaluators of
-    C(x, k) and C(x, p), straight-line code; and for a fixed r, C(r, p) and
-    C(r, k).  When n changes, C(n, k) and C(n+1, k) are the cursor's top
-    level, C(n, p) is one binomial, and C(n+1, p) and best_r's threshold
-    C(n, k) + C(n-1, k-1) follow by exact division.  Beyond those, the
-    previous root and the cursor's one entry per cascade level, nothing is
-    kept from row to row.  The arguments are checked, in bound_report's
-    order, when the first row is computed; an m that does not exceed the one
-    before raises ValueError when it is reached.
+    Each row computes y = (k! m)^(1/k) once, for withoutr and the root's
+    series start (_series_start): 2.07 evaluations a row to m = 10^5 at
+    k = 3, 2.70 on the paper's grid, where below y = k a row in the bracket
+    of the one before steps off its root (_warm_start).  Either way the root
+    is lovasz_x(m, k) bit for bit.  Hoisted: _row_constants, the evaluators
+    of C(x, k) and C(x, p), and for a fixed r, C(r, p) and C(r, k).  When n
+    changes, C(n, k) and C(n+1, k) are the cursor's top level, C(n, p) is one
+    binomial, and C(n+1, p) and best_r's threshold follow by exact division.
+    Beyond those, the previous root and the cursor's levels, nothing is kept
+    from row to row.  The arguments are checked, in bound_report's order,
+    when the first row is computed; an m that does not exceed the one before
+    raises ValueError when it is reached.
     """
     rows = iter(ms)
     m = next(rows, None)
@@ -420,11 +423,13 @@ def bound_reports(
     cursor, n_at = _CascadeCursor(k, p), None
     while True:
         n, kk_exact = cursor.advance(m)
-        root = _pow_frac(fact_k * m, 1, k)
-        if n == n_at:
+        root = _pow_frac(big := fact_k * m, 1, k)
+        if n == n_at and root < k:  # the series has no error bound below y = k
             start = _warm_start(x, m_before, m, k)
-        else:  # C(n, k) and C(n+1, k) are the cursor's top level
-            n_at, start, n_k, up_k = n, _series_start(root, series), *cursor.levels[0][2:4]
+        else:
+            start = _series_start(root, big.bit_length(), series)
+        if n != n_at:  # C(n, k) and C(n+1, k) are the cursor's top level
+            n_at, n_k, up_k = n, *cursor.levels[0][2:4]
             n_p = binomial(n, p)
             up_p = n_p * (n + 1) // (n + 1 - p)
             reach = n_k + n_k * k // n  # best_r's C(n, k) + C(n-1, k-1), k >= 2 here

@@ -60,11 +60,12 @@ def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
     by the AM-GM and Maclaurin inequalities never exceeds the answer; a
     relative 1e-12 off covers rounding.  Up to _WALK exact steps walk up from
     it, then galloping and bisecting on exact comparisons make the answer
-    independent of the seed (one beyond float range is replaced by j).  A
-    plain seed whose margin spans more than _WALK integers, or that
-    overflows, gives way to r = floor((j! m)^(1/j)) (_iroot): as
-    (n-j+1)^j <= j! C(n, j) <= (n - (j-1)/2)^j, the answer lies in
-    [r + (j-1)//2, r + j - 1], which one bisection searches.
+    independent of the seed.  A seed whose margin spans more than _WALK
+    integers, or that overflows, gives way to one bisection of a window above
+    an integer root (_iroot): [r + (j-1)//2, r + j - 1], r = floor((j! m)^(1/j)),
+    as (n-j+1)^j <= j! C(n, j) <= (n - (j-1)/2)^j; colored, for m >= C(c, j),
+    [s c, s c + c - 1], s = floor((m / C(c, j))^(1/j)), by T(n, j)_c / C(c, j)
+    lying in [q^j, (q+1)^j] for q = floor(n/c).
     """
     if j == 2 and c is None:
         n = (math.isqrt(8 * m + 1) + 1) // 2
@@ -84,12 +85,16 @@ def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
     except OverflowError:
         lo = margin = None
     hi, step = None, 1
-    if c is None and (margin is None or margin > _WALK):
-        r = _iroot(math.factorial(j) * m, j)
-        lo, hi = max(j, r + (j - 1) // 2), r + j
-        value = math.comb(lo, j)
+    if margin is None or margin > _WALK:
+        if c is not None and m >= (lead := math.comb(c, j)):
+            s = _iroot(m // lead, j)
+            lo, value, hi = s * c, lead * s**j, s * c + c
+        else:  # below C(c, j), T(n, j)_c = C(n, j)
+            r = _iroot(math.factorial(j) * m, j)
+            lo, hi = max(j, r + (j - 1) // 2), r + j
+            value = math.comb(lo, j)
     else:
-        lo = j if lo is None else max(j, lo - margin)
+        lo = max(j, lo - margin)
         value = math.comb(lo, j) if c is None else turan_coefficient(lo, j, c)
         if value > m:
             lo, value, hi = j, 1, lo  # T(j, j)_c = 1 <= m

@@ -243,6 +243,69 @@ def test_power_law_bounds_beyond_float_factorial(k):
                     assert abs(got - want) <= 1e-12 * want, (m, k, p, got)
 
 
+def _accuracy_inputs(count):
+    """count seeded (m, k, p, r): k <= 12 for 6 in 10, <= 80 for 3 and <= 500
+    for 1; m up to 10**30, 10**300 or 10**1000; k <= r <= k + 60."""
+    rng = random.Random(19)
+    for _ in range(count):
+        k = rng.choice(
+            [rng.randint(2, 12)] * 6 + [rng.randint(13, 80)] * 3 + [rng.randint(81, 500)]
+        )
+        m = rng.randint(1, 10 ** rng.randint(1, rng.choice([30, 300, 1000])))
+        yield m, k, rng.randint(1, k - 1), rng.randint(k, k + 60)
+
+
+def _or_none(call, *args):
+    try:
+        return call(*args)
+    except OverflowError:
+        return None
+
+
+def test_approximations_against_50_digit_references():
+    # Each bound within a relative 2e-12 of its formula in 50-digit mpmath
+    # (worst over these inputs: 7.7e-13 for noreasy and withoutr, whose
+    # m^(p/k) is exp of a log up to 2300, and 1.5e-13 for colorapprox), and
+    # lovasz_x within 2 ulps of the root (worst 0.82).  Each is finite
+    # exactly where the 50-digit value fits in a float, and raises
+    # OverflowError where it does not.
+    worst, overflows = {}, 0
+    with mpmath.workdps(50):
+        for m, k, p, r in _accuracy_inputs(2000):
+            fact, exponent = mpmath.factorial(k), mpmath.mpf(p) / k
+            power = mpmath.mpf(m) ** exponent
+            noreasy = fact**exponent / mpmath.factorial(p) * power
+            withoutr = noreasy * (1 + (k - p) / (2 * (fact * m) ** (mpmath.mpf(1) / k))) ** p
+            color = mpmath.binomial(r, p) * power / mpmath.binomial(r, k) ** exponent
+            for call, args, want in (
+                (noreasy_bound, (m, k, p), noreasy),
+                (withoutr_bound, (m, k, p), withoutr),
+                (colorapprox_bound, (m, k, p, r), color),
+            ):
+                got = _or_none(call, *args)
+                assert (got is None) == (want > sys.float_info.max), (call.__name__, m, k, p, r)
+                if got is None:
+                    overflows += 1
+                    continue
+                error = float(abs(got - want) / want)
+                worst[call.__name__] = max(worst.get(call.__name__, 0.0), error)
+            # The root fits iff C(x, k) reaches m at the largest float, as C(x, k) increases.
+            x, target = _or_none(lovasz_x, m, k), fact * m
+            fits = mpmath.fprod([mpmath.mpf(sys.float_info.max) - i for i in range(k)]) >= target
+            assert (x is not None) == fits, (m, k)
+            if x is None:
+                overflows += 1
+                continue
+            # One 50-digit Newton step from x: within a relative 1e-31 of the root.
+            shifted = [mpmath.mpf(x) - i for i in range(k)]
+            g = mpmath.fprod(shifted) / target
+            root = x - (g - 1) / (g * mpmath.fsum([1 / d for d in shifted]))
+            worst["lovasz_x"] = max(worst.get("lovasz_x", 0.0), float(abs(x - root) / math.ulp(x)))
+    assert overflows > 500, overflows
+    assert max(worst["noreasy_bound"], worst["withoutr_bound"]) <= 2e-12, worst
+    assert worst["colorapprox_bound"] <= 2e-12 and worst["lovasz_x"] <= 2, worst
+
+
 # Beyond float range each approximation raises one OverflowError, worded as
 # binom_real's; before, withoutr returned inf and the others "math range error".
 def _too_large(call):
@@ -359,6 +422,7 @@ def _fits_or_names_its_function(call, *args):
 @example((10**445, 10, 7, None))
 @example((123966065931675 * 10**425, 10, 7, None))  # a row whose lovasz column overflows first
 @example((10**9000, 2, 1, None))  # str() of the row's flag r, 4500 digits, raised ValueError
+@example((10**6000, 19, 1, None))  # a root start of exp(log(k! m) / k) raised "math range error"
 def test_every_overflow_names_a_public_function(case):
     # Never binom_real(...), "math range error" or "int too large to convert to float".
     m, k, p, r = case

@@ -218,6 +218,30 @@ def test_colored_search_only_above_the_budget(monkeypatch):
         assert not searched, (m, k, r)
 
 
+@pytest.mark.parametrize("j", [3, 5])
+def test_colored_index_far_beyond_2_53_takes_few_evaluations(j, monkeypatch):
+    # Past 2^53 the colored seed's margin spans many integers, and past float
+    # range the seed overflows.  From s = floor((m / C(c, j))^(1/j)) a
+    # bisection of [s c, s c + c - 1] takes a few turan_coefficient calls,
+    # where the gallop of the former search took thousands:
+    # colored_cascade_decompose(m, 3, 5) took 18.5 ms a call below 10**1000.
+    rng, real, calls = random.Random(j), cascade.turan_coefficient, 0
+
+    def counted(n, i, c):
+        nonlocal calls
+        calls += 1
+        return real(n, i, c)
+
+    monkeypatch.setattr(cascade, "turan_coefficient", counted)
+    for c in (j, j + 2, j + 10):
+        for _ in range(12):
+            m = rng.randint(1, 10 ** rng.randint(1, 999))
+            calls = 0
+            found = cascade._max_index(m, j, c)
+            assert calls <= 64 and found == _frozen_max_index(m, j, c), (m, j, c, calls)
+        _check(m, j, c)
+
+
 def _frozen_binom_real_at(k):
     fact = float(math.factorial(k)) if k <= 170 else math.nan
     shifts = tuple(map(float, range(k)))

@@ -255,7 +255,8 @@ def test_root_equals_the_former_root_from_the_former_start():
         else:
             m = c + rng.randrange(gap)
         f = binomials._binom_real_at(k)
-        if approx._lovasz_root(m, k, n, c, f) != _frozen_lovasz_root(m, k, n, c, f):
+        start = approx._cold_start(m, k)
+        if approx._lovasz_root(m, k, n, c, f, start) != _frozen_lovasz_root(m, k, n, c, f):
             differ.append((m, k))
     assert not differ, differ[:5]
 
@@ -502,13 +503,12 @@ def test_root_does_not_depend_on_its_start(case, fractions):
     n, c, _ = approx._descend(m, k)
     f = approx._binom_real_at(k)
 
-    def outcome(*start):
+    def outcome(start):
         try:
-            return approx._lovasz_root(m, k, n, c, f, *start).hex()
+            return approx._lovasz_root(m, k, n, c, f, start).hex()
         except OverflowError as exc:  # an evaluation beyond float range
             return repr(exc)
 
-    expected = outcome()
-    starts = [n + t for t in fractions] + [approx._cold_start(m, k)]
-    for start in starts:
+    expected = outcome(approx._cold_start(m, k))
+    for start in [n + t for t in fractions]:
         assert outcome(start) == expected, (m, k, start)
