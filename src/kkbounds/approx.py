@@ -7,18 +7,10 @@ import sys
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .binomials import _binom_real_at, _ratio_at, _shown, binomial
-from .cascade import FaceVector, _CascadeCursor, _descend
+from .binomials import _binom_real_at, _exp, _ratio_at, _shown, binomial
+from .cascade import FaceVector, _CascadeCursor, _descend, _lead_root
 
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
-
-
-def _exp(x: float) -> float:
-    """math.exp(x), or inf where it overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def _pow_frac(m: int, num: int, den: int) -> float:
@@ -67,10 +59,10 @@ def _cold_start(m: int, k: int) -> float:
     relative error is below 5e-15 from y = 4k, 5e-14 from y = 2k and 1e-9
     from y = k (the first term alone: 2e-6, 3e-5 and 4e-4).  Below y = k the
     series may diverge: a start outside (n, n+1), or not finite, gives way to
-    the regula falsi start.  y is _pow_frac(k! m, 1, k) for k <= 18, else from log-gamma.
+    the regula falsi start.  y is _pow_frac(k! m, 1, k) for k <= 18, else _lead_root.
     """
     if k > 18:  # k! m > 2^53: y is unbiased
-        return _series_start(_exp((math.lgamma(k + 1) + math.log(m)) / k), 54, _series_at(k))
+        return _series_start(_lead_root(m, k), 54, _series_at(k))
     big = math.factorial(k) * m
     return _series_start(_pow_frac(big, 1, k), big.bit_length(), _series_at(k))
 
@@ -119,11 +111,15 @@ def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float) -> float:
             a = x
         else:
             b = x
-        # Newton step, f/f' = 1 / sum 1/(x-i); an overflow makes it nan and so a bisection.
+        # Newton step, f/f' = 1 / sum 1/(x-i), its quotients kept in float range;
+        # an inf fx makes it nan and so a bisection.  A step that leaves x as it
+        # is ends the search: past k ~ 300 the float error of C(x, k) may exceed tol.
         slope = 0.0
         for i in range(k):
             slope += 1.0 / (x - i)
-        x_new = x - (fx - target) / (fx * slope)
+        x_new = x - (fx - target) / fx / slope
+        if x_new == x:
+            break
         if not a < x_new < b:
             x_new = 0.5 * (a + b)
             if not a < x_new < b:
@@ -142,29 +138,6 @@ def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float) -> float:
     return lo if abs(f_lo - target) <= abs(f_hi - target) else hi
 
 
-def _warm_start(x: float, m: int, m_next: int, k: int) -> float:
-    """A start for the root at m_next from x, the root at m: a third-order Taylor step.
-
-    bound_reports takes it only where (k! m)^(1/k) < k, as the series start
-    has no error bound there (paper grid: 2.70 evaluations a warm row, 2.94
-    without it).  The step is in log x, where log C(x, k) is nearly linear: with
-    t_i = x / (x - i), a = sum t, b = sum t^2 and c = sum t^3, its
-    derivatives are a, a - b and a - 3b + 2c, and the inverse series in
-    w = log(m_next / m) gives the step in log x.  The t_i keep it scale-free (in
-    powers of 1/(x - i) the terms underflow at large x).  As a series in
-    (m_next - m) / m the step starts 1e5 times farther off at 6% a row.
-    """
-    a = b = c = 1.0  # t_0 = 1
-    for i in range(1, k):
-        t = x / (x - i)
-        a += t
-        b += t * t
-        c += t * t * t
-    d2, d3 = a - b, a - 3 * b + 2 * c
-    v = math.log1p((m_next - m) / m) / a  # w / a, the first-order step
-    return x * math.exp(v * (1 - d2 * v / (2 * a) + (3 * d2 * d2 - a * d3) * v * v / (6 * a * a)))
-
-
 def lovasz_x(m: int, k: int) -> float:
     """The unique x > k-1 with binom_real(x, k) = m, to float precision.
 
@@ -173,16 +146,18 @@ def lovasz_x(m: int, k: int) -> float:
     returned, which keeps integer coincidences exact.  Otherwise Newton
     steps start from the six-term inverse series of C(x, k) = m (_cold_start)
     if it lies in (n, n+1), else by regula falsi, inside a bracket shrunk by
-    every evaluation, until |binom_real(x, k) - m| <= m * k * 2e-16 or the
-    bracket holds no float.  From there the result walks ulp by ulp to the
-    adjacent floats lo < hi with binom_real(lo, k) < m <= binom_real(hi, k)
-    (in float arithmetic, so possibly just outside [n, n+1]) and returns the
-    one with the smaller residual, lo on a tie: the final rule of a bisection
-    run to the last bit, which takes 55 evaluations of the polynomial.  This
-    takes 2.09 a call over every m to 20000 at k = 3 and 2.94 on the paper's
-    grid: the start is within a relative 1e-13 of the root from y = 2k on,
-    and within an ulp in 99.7% of calls to m = 10^5 at k = 3 (_series_start),
-    so none or one Newton step, and the two floats of the walk.
+    every evaluation, until |binom_real(x, k) - m| <= m * k * 2e-16, a step
+    leaves x as it is, or the bracket holds no float.  From there the result
+    walks ulp by ulp to the adjacent floats lo < hi with
+    binom_real(lo, k) < m <= binom_real(hi, k) (in float arithmetic, so
+    possibly just outside [n, n+1]) and returns the one with the smaller
+    residual, lo on a tie: the final rule of a bisection run to the last bit,
+    which takes 55 evaluations of the polynomial.  This takes 2.09 a call
+    over every m to 20000 at k = 3 and 2.94 on the paper's grid: the start is
+    within a relative 1e-13 of the root from y = 2k on, and within an ulp in
+    99.7% of calls to m = 10^5 at k = 3 (_series_start), so none or one
+    Newton step, and the two floats of the walk.  At k of 300 to 600, where
+    y < k, it takes 6.0.
 
     The pair, and so the result, does not depend on the path to it.  For
     x > k-1 every factor x - i is positive, and a rounded subtraction,
@@ -395,16 +370,15 @@ def bound_reports(
     flag_r, the bracket [n, n+1] of the Lovasz root, and best_r (n or n + 1).
     Each row computes y = (k! m)^(1/k) once, for withoutr and the root's
     series start (_series_start): 2.07 evaluations a row to m = 10^5 at
-    k = 3, 2.70 on the paper's grid, where below y = k a row in the bracket
-    of the one before steps off its root (_warm_start).  Either way the root
-    is lovasz_x(m, k) bit for bit.  Hoisted: _row_constants, the evaluators
-    of C(x, k) and C(x, p), and for a fixed r, C(r, p) and C(r, k).  When n
+    k = 3 and 2.94 on the paper's grid, as lovasz_x takes, and the root is
+    lovasz_x(m, k) bit for bit.  Hoisted: _row_constants, the evaluators of
+    C(x, k) and C(x, p), and for a fixed r, C(r, p) and C(r, k).  When n
     changes, C(n, k) and C(n+1, k) are the cursor's top level, C(n, p) is one
     binomial, and C(n+1, p) and best_r's threshold follow by exact division.
-    Beyond those, the previous root and the cursor's levels, nothing is kept
-    from row to row.  The arguments are checked, in bound_report's order,
-    when the first row is computed; an m that does not exceed the one before
-    raises ValueError when it is reached.
+    Beyond those and the cursor's levels, nothing is kept from row to row.
+    The arguments are checked, in bound_report's order, when the first row is
+    computed; an m that does not exceed the one before raises ValueError when
+    it is reached.
     """
     rows = iter(ms)
     m = next(rows, None)
@@ -424,16 +398,12 @@ def bound_reports(
     while True:
         n, kk_exact = cursor.advance(m)
         root = _pow_frac(big := fact_k * m, 1, k)
-        if n == n_at and root < k:  # the series has no error bound below y = k
-            start = _warm_start(x, m_before, m, k)
-        else:
-            start = _series_start(root, big.bit_length(), series)
         if n != n_at:  # C(n, k) and C(n+1, k) are the cursor's top level
             n_at, n_k, up_k = n, *cursor.levels[0][2:4]
             n_p = binomial(n, p)
             up_p = n_p * (n + 1) // (n + 1 - p)
             reach = n_k + n_k * k // n  # best_r's C(n, k) + C(n-1, k-1), k >= 2 here
-        x = _lovasz_root(m, k, n, n_k, evaluate, start)
+        x = _lovasz_root(m, k, n, n_k, evaluate, _series_start(root, big.bit_length(), series))
         m_pow = _pow_frac(m, p, k)
         flag = _colorapprox(m, k, p, n_p, n_k)
         if r is not None:
@@ -454,6 +424,6 @@ def bound_reports(
         # half the cost of a BoundReport(...) call.
         fields = m, k, p, kk_exact, x, lovasz, withoutr, lead * m_pow, withr_r, withr, n, flag
         yield tuple.__new__(BoundReport, fields)
-        m_before, m = m, next(rows, None)
+        m = next(rows, None)
         if m is None:
             return

@@ -10,6 +10,14 @@ from itertools import combinations
 DEFAULT_ORACLE_LIMIT = 14
 
 
+def _exp(x: float) -> float:
+    """math.exp(x), or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k) as an exact integer, with value 0 when k < 0, k > n, or n < 0.
 

@@ -25,7 +25,7 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .binomials import _Record, _set, _shown, binomial, turan_coefficient
+from .binomials import _Record, _exp, _set, _shown, binomial, turan_coefficient
 
 _WALK = 4  # exact steps before a search, down from the level above or up from a float seed
 _COLUMN_J, _COLUMN_LEN = 64, 512  # at most 62 columns of 512 entries
@@ -33,8 +33,8 @@ _columns = [[1] for _ in range(_COLUMN_J + 1)]  # replaced, never changed in pla
 
 
 def _lead_root(m: int, k: int) -> float:
-    """(k! m)^(1/k), the leading term of the root of C(x, k) = m, from log-gamma."""
-    return math.exp((math.lgamma(k + 1) + math.log(m)) / k)
+    """(k! m)^(1/k), the leading term of the root of C(x, k) = m, from log-gamma, or inf."""
+    return _exp((math.lgamma(k + 1) + math.log(m)) / k)
 
 
 def _iroot(a: int, j: int) -> int:

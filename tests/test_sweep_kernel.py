@@ -281,8 +281,8 @@ def test_warm_rows_equal_cold_rows(case):
     assert list(bound_reports(ms, k, p)) == [bound_report(m, k, p) for m in ms]
 
 
-def _root_evaluations_per_row(monkeypatch, ms, k, p, rows):
-    """Mean evaluations of the root's polynomial per row of rows(ms, k, p)."""
+def _root_evaluations(monkeypatch, ms, k, p, rows) -> list[int]:
+    """Evaluations of the root's polynomial in each row of rows(ms, k, p), a lazy iterator."""
     calls = 0
     real = approx._binom_real_at
 
@@ -299,28 +299,29 @@ def _root_evaluations_per_row(monkeypatch, ms, k, p, rows):
         return counted
 
     monkeypatch.setattr(approx, "_binom_real_at", counting)
-    count = len(rows(ms, k, p))
-    return calls / count
+    counts, before = [], 0
+    for _ in rows(ms, k, p):
+        counts.append(calls - before)
+        before = calls
+    return counts
 
 
 @pytest.mark.parametrize(
-    "ms, k, p, most, cold_above",
+    "ms, k, p, most",
     [
-        (range(1, 20001), 3, 2, 2.15, False),
-        (geometric_grid(1, 12777711870, 400), 10, 7, 2.8, True),
+        (range(1, 20001), 3, 2, 2.15),
+        (geometric_grid(1, 12777711870, 400), 10, 7, 3.05),
     ],
 )
-def test_warm_root_evaluations_per_row(monkeypatch, ms, k, p, most, cold_above):
-    # Warm and cold rows alike start from the series at their own centred y,
-    # except warm rows below y = (k! m)^(1/k) = k, which step off the previous
-    # root.  At k = 3 that leaves warm = cold = 2.09 evaluations a row (before
-    # the centring: 2.13 warm, 2.61 cold); on the paper's grid warm rows take
-    # 2.79 and cold ones 3.02.
-    warm = _root_evaluations_per_row(monkeypatch, ms, k, p, lambda *a: list(bound_reports(*a)))
-    cold = _root_evaluations_per_row(
-        monkeypatch, ms, k, p, lambda ms, k, p: [bound_report(m, k, p) for m in ms]
+def test_sweep_root_evaluations_per_row(monkeypatch, ms, k, p, most):
+    # A sweep row starts its root as a cold bound_report row does, from the
+    # series at its own centred y, so the two take the same evaluations row by
+    # row: 2.09 a row at k = 3 and 3.02 on this 400-point paper grid.
+    sweep = _root_evaluations(monkeypatch, ms, k, p, bound_reports)
+    cold = _root_evaluations(
+        monkeypatch, ms, k, p, lambda ms, k, p: (bound_report(m, k, p) for m in ms)
     )
-    assert warm <= most and (most < cold if cold_above else cold <= most)
+    assert sweep == cold and sum(cold) / len(cold) <= most
 
 
 def test_cold_row_root_evaluations(monkeypatch):
@@ -328,9 +329,10 @@ def test_cold_row_root_evaluations(monkeypatch):
     # the power withoutr takes, centred: 2.09 evaluations a row at k = 3, as
     # lovasz_x takes (2.61 and 2.71 before the centring).
     def rows(ms, k, p):
-        return [bound_report(m, k, p) for m in ms]
+        return (bound_report(m, k, p) for m in ms)
 
-    assert _root_evaluations_per_row(monkeypatch, range(1, 20001), 3, 2, rows) <= 2.15
+    counts = _root_evaluations(monkeypatch, range(1, 20001), 3, 2, rows)
+    assert sum(counts) / len(counts) <= 2.15
 
 
 def test_centred_series_start_within_an_ulp_of_the_root():
@@ -365,9 +367,10 @@ def test_cold_root_evaluations_per_call(monkeypatch, ms, k, most):
     # start's ceilings, the next two the series start's, the last the
     # centred start's.
     def roots(ms, k, p):
-        return [lovasz_x(m, k) for m in ms]
+        return (lovasz_x(m, k) for m in ms)
 
-    assert _root_evaluations_per_row(monkeypatch, ms, k, k - 1, roots) <= most
+    counts = _root_evaluations(monkeypatch, ms, k, k - 1, roots)
+    assert sum(counts) / len(counts) <= most
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
