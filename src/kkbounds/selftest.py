@@ -38,6 +38,12 @@ def shifted_root_margin(x: float, p: int, c: float) -> float:
 
     Positive means the inequality holds.  Strict only for p >= 2 (at p = 1
     both sides equal x + c), so callers should sample p >= 2.
+
+    Proof, for x >= p - 1 and c > 0: with g(t) = (t(t-1)...(t-p+1))^(1/p),
+    g'(t) = g(t) (1/p) sum_i 1/(t-i), the geometric mean of the t - i over
+    their harmonic mean.  That is at least 1, with equality only when the
+    t - i are all equal, that is p = 1.  So for p >= 2, g' > 1 on (p-1, inf),
+    and g(x + c) - g(x) > c by the mean value theorem.
     """
     lhs = math.prod(x + c - i for i in range(p)) ** (1 / p)
     rhs = math.prod(x - i for i in range(p)) ** (1 / p) + c

@@ -29,9 +29,9 @@ from kkbounds import (
     withoutr_bound,
 )
 from kkbounds.cli import main as cli_main
+from kkbounds.grid import geometric_grid
 from kkbounds.selftest import (
     check_complex_soundness,
-    geometric_grid,
     narrow_window_margin,
     revlex_face_counts,
     shifted_root_margin,

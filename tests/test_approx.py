@@ -29,6 +29,8 @@ from kkbounds import (
 )
 from kkbounds.selftest import narrow_window_margin, shifted_root_margin
 
+import reference
+
 SLACK = 1e-9
 
 
@@ -233,13 +235,9 @@ def test_power_law_bounds_beyond_float_factorial(k):
     # k! no longer fits in a float, so (k!)^(p/k) / p! comes from log-gamma.
     with mpmath.workdps(50):
         for p in (1, k // 2, k - 1):
-            lead = mpmath.factorial(k) ** (mpmath.mpf(p) / k) / mpmath.factorial(p)
             for m in (1, 5, 10**5, 10**40, 10**300):
-                noreasy = lead * mpmath.mpf(m) ** (mpmath.mpf(p) / k)
-                root = (mpmath.factorial(k) * m) ** (mpmath.mpf(1) / k)
-                withoutr = noreasy * (1 + (k - p) / (2 * root)) ** p
-                for got, want in ((noreasy_bound(m, k, p), noreasy),
-                                  (withoutr_bound(m, k, p), withoutr)):
+                for got, want in ((noreasy_bound(m, k, p), reference.mp_noreasy(m, k, p)),
+                                  (withoutr_bound(m, k, p), reference.mp_withoutr(m, k, p))):
                     assert abs(got - want) <= 1e-12 * want, (m, k, p, got)
 
 
@@ -272,17 +270,12 @@ def test_approximations_against_50_digit_references():
     worst, overflows = {}, 0
     with mpmath.workdps(50):
         for m, k, p, r in _accuracy_inputs(2000):
-            fact, exponent = mpmath.factorial(k), mpmath.mpf(p) / k
-            power = mpmath.mpf(m) ** exponent
-            noreasy = fact**exponent / mpmath.factorial(p) * power
-            withoutr = noreasy * (1 + (k - p) / (2 * (fact * m) ** (mpmath.mpf(1) / k))) ** p
-            color = mpmath.binomial(r, p) * power / mpmath.binomial(r, k) ** exponent
-            for call, args, want in (
-                (noreasy_bound, (m, k, p), noreasy),
-                (withoutr_bound, (m, k, p), withoutr),
-                (colorapprox_bound, (m, k, p, r), color),
+            for call, args, formula in (
+                (noreasy_bound, (m, k, p), reference.mp_noreasy),
+                (withoutr_bound, (m, k, p), reference.mp_withoutr),
+                (colorapprox_bound, (m, k, p, r), reference.mp_colorapprox),
             ):
-                got = _or_none(call, *args)
+                got, want = _or_none(call, *args), formula(*args)
                 assert (got is None) == (want > sys.float_info.max), (call.__name__, m, k, p, r)
                 if got is None:
                     overflows += 1
@@ -290,7 +283,7 @@ def test_approximations_against_50_digit_references():
                 error = float(abs(got - want) / want)
                 worst[call.__name__] = max(worst.get(call.__name__, 0.0), error)
             # The root fits iff C(x, k) reaches m at the largest float, as C(x, k) increases.
-            x, target = _or_none(lovasz_x, m, k), fact * m
+            x, target = _or_none(lovasz_x, m, k), mpmath.factorial(k) * m
             fits = mpmath.fprod([mpmath.mpf(sys.float_info.max) - i for i in range(k)]) >= target
             assert (x is not None) == fits, (m, k)
             if x is None:

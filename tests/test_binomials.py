@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kkbounds import (
     binom_real,
@@ -12,7 +14,9 @@ from kkbounds import (
     turan_coefficient,
     turan_graph,
 )
-from kkbounds.binomials import _binom_real_at, _ratio_at
+from kkbounds.binomials import _binom_real_at
+
+import reference
 
 
 def test_binomial_values():
@@ -41,10 +45,12 @@ def test_binom_real_zeros():
 
 
 def test_binom_real_agrees_with_integers():
+    # The reference loop is exact while its products stay below 2^53.
     for n in range(1, 61):
         for k in range(1, min(n, 20) + 1):
             exact = binomial(n, k)
             assert abs(binom_real(float(n), k) - exact) <= exact * 1e-12
+            assert reference.binom_real(float(n), k) == exact or math.perm(n, k) >= 2**53
 
 
 def test_binom_real_strictly_increasing():
@@ -59,52 +65,53 @@ def test_binom_real_large_k_where_the_product_overflows():
     for n, k in ((200, 170), (400, 200), (600, 400), (1100, 1000)):
         exact = binomial(n, k)
         assert abs(binom_real(float(n), k) - exact) <= exact * 1e-12
+        assert abs(reference.binom_real(float(n), k) - exact) <= exact * 1e-12
     assert binom_real(5.0, 400) == 0.0
     with pytest.raises(OverflowError):
         binom_real(3000.0, 1500)
 
 
-def _frozen_evaluator(k):
-    """_binom_real_at(k) for k <= 170 as the loop it was before it became straight-line code."""
-    by_ratios = _ratio_at(k, k)
-    fact = float(math.factorial(k))
-    shifts = tuple(map(float, range(k)))
-
-    def evaluate(x):
-        num = 1.0
-        for i in shifts:
-            num *= x - i
-        value = num / fact
-        return value if math.isfinite(value) else by_ratios(x)
-
-    return evaluate
-
-
-def _binom_real_outcome(x, k):
+def _check(x, k):
+    """_binom_real_at(k)(x) is the reference loop bit for bit, inf too, where binom_real raises."""
+    want = reference.binom_real(x, k)
+    assert _binom_real_at(k)(x).hex() == want.hex(), (k, x)
     try:
-        return binom_real(x, k).hex()
+        got = binom_real(x, k).hex()
     except OverflowError:
-        return "OverflowError"
+        got = "OverflowError"
+    assert got == (want.hex() if math.isfinite(want) else "OverflowError"), (k, x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data(), st.one_of(st.integers(1, 40), st.sampled_from([170, 171, 400])))
+def _check_drawn(data, k):
+    tops = [st.floats(k - 1, top, exclude_min=True) for top in (k + 50, 1e20, 1e300)]
+    _check(data.draw(st.one_of(*tops)), k)
 
 
 def test_straight_line_evaluators_equal_the_loop_bit_for_bit():
+    # Every k <= 170, whose evaluator is straight-line code, then k = 170 to
+    # 1500 around the largest float factorial, then hypothesis draws.
     rng = random.Random(18)
     fallbacks = 0
     for k in range(1, 171):
-        evaluate, frozen = _binom_real_at(k), _frozen_evaluator(k)
         near = [k - 1 + rng.random() * 4 for _ in range(30)]
         wide = [(k - 1) * 10 ** (rng.random() * 14) + rng.random() for _ in range(50)]
         for x in (*near, *[min(x, 1e12) for x in wide], float(k - 1), 1e12):
-            assert evaluate(x).hex() == frozen(x).hex(), (k, x)
+            _check(x, k)
             # Where the product overflows, the value comes from the ratios.
-            fallbacks += math.isinf(math.prod(x - i for i in range(k))) and evaluate(x) < math.inf
-        # binom_real itself, at negative x and between the integer zeros.
+            overflows = math.isinf(math.prod(x - i for i in range(k)))
+            fallbacks += overflows and _binom_real_at(k)(x) < math.inf
+        # At negative x and between the integer zeros.
         for x in [-rng.random() * 10 ** rng.randint(0, 12) for _ in range(20)] + near:
-            x -= rng.randint(0, k)
-            want = frozen(x)
-            want = want.hex() if math.isfinite(want) else "OverflowError"
-            assert _binom_real_outcome(x, k) == want, (k, x)
+            _check(x - rng.randint(0, k), k)
     assert fallbacks > 500, fallbacks  # finite values from the ratio fallback (840)
+    for k in (170, 171, 400, 1500):
+        rng = random.Random(k)
+        xs = [k - 1.0, k - 0.5, float(k), k + 0.3, k + 1.7, 2.0 * k, 1e3 * k, 1e6]
+        for x in xs + [rng.uniform(k - 1, 4 * k) for _ in range(200)]:
+            _check(x, k)
+    _check_drawn()
 
 
 def test_binomial_sandwich():

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,8 @@ from kkbounds import (
 )
 from kkbounds import cascade
 from kkbounds.cascade import _COLUMN_J, _COLUMN_LEN, _WALK, _CascadeCursor
+
+import reference
 
 
 def test_decompose_examples():
@@ -58,22 +61,6 @@ def test_roundtrip_large(m, k):
     assert cascade_evaluate(cascade_decompose(m, k)) == m
 
 
-def _plain_greedy(m, k):
-    """The cascade by its definition: the largest C(n, j) <= rem at each level, by math.comb."""
-    terms, rem, j = [], m, k
-    while rem > 0:
-        lo, hi = j, 2 * j
-        while math.comb(hi, j) <= rem:
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if math.comb(mid, j) <= rem else (lo, mid)
-        terms.append((lo, j))
-        rem -= math.comb(lo, j)
-        j -= 1
-    return tuple(terms)
-
-
 def _fresh_cursor_terms(m, k):
     cursor = _CascadeCursor(k, k)
     cursor.advance(m)
@@ -83,7 +70,7 @@ def _fresh_cursor_terms(m, k):
 @pytest.mark.parametrize("k", range(1, 13))
 def test_descent_equals_the_plain_greedy_for_every_small_m(k):
     for m in range(1, 20001):
-        want = _plain_greedy(m, k)
+        want = reference.greedy(m, k)
         assert cascade_decompose(m, k).terms == want, (m, k)
         assert _fresh_cursor_terms(m, k) == want, (m, k)
 
@@ -97,7 +84,7 @@ def test_descent_equals_the_plain_greedy_across_large_jumps(k, jumps):
     warm, m = _CascadeCursor(k, k), 0
     for jump in jumps:
         m += jump
-        want = _plain_greedy(m, k)
+        want = reference.greedy(m, k)
         assert cascade_decompose(m, k).terms == want, (m, k)
         assert _fresh_cursor_terms(m, k) == want, (m, k)
         warm.advance(m)
@@ -114,7 +101,7 @@ def test_descent_falls_back_beyond_the_step_cap(k, monkeypatch):
     for n in (k + _COLUMN_LEN + 100, 2000, 10**5):
         m = binomial(n, k) + binomial(n - 12, k - 1)
         searches.clear()
-        want = _plain_greedy(m, k)
+        want = reference.greedy(m, k)
         assert cascade_decompose(m, k).terms == want, (m, k)
         assert searches == _searched_levels(want) == [k, k - 1], (m, k, searches)
         assert _fresh_cursor_terms(m, k) == want, (m, k)
@@ -135,7 +122,7 @@ def test_leading_index_far_beyond_2_53_takes_few_comparisons(k, monkeypatch):
 
     for _ in range(30):
         m = rng.randint(1, 10 ** rng.randint(1, 999))
-        want = _plain_greedy(m, k)
+        want = reference.greedy(m, k)
         calls = 0
         with monkeypatch.context() as patched:
             patched.setattr(math, "comb", counted)
@@ -158,7 +145,7 @@ def test_levels_at_j_up_to_2_are_made_inline(k, monkeypatch):
     rng, warm, m, made = random.Random(k), _CascadeCursor(k, k), 0, 0
     for _ in range(300):
         m += rng.randint(1, 10 ** rng.randint(0, 80))
-        want = _plain_greedy(m, k)
+        want = reference.greedy(m, k)
         assert _fresh_cursor_terms(m, k) == want, (m, k)
         warm.advance(m)
         assert warm.cascade().terms == want, (m, k)
@@ -201,7 +188,7 @@ def test_long_cascades_beyond_the_columns_walk_down(k, m, monkeypatch):
     # Beyond the columns at large k, n - j never grows from a level to the
     # next, so nearly every level lies 1 to _WALK steps below the one above.
     searches = _count_searches(monkeypatch)
-    want = _plain_greedy(m, k)
+    want = reference.greedy(m, k)
     assert cascade_decompose(m, k).terms == want
     assert searches == _searched_levels(want) and len(searches) <= len(want) // 10, searches
 
@@ -254,7 +241,7 @@ def test_threads_growing_the_columns_read_whole_columns(monkeypatch):
         for n in range(k + 1, k + 200, 7)
         for d in (-1, 0)
     ]
-    want = [_plain_greedy(m, k) for m, k in cases]
+    want = [reference.greedy(m, k) for m, k in cases]
     errors = []
 
     def work(order):
@@ -297,7 +284,7 @@ def test_levels_at_the_edge_of_the_columns(j, state, monkeypatch):
         ms = [base + m for m in edge]
         warm, r = _CascadeCursor(k, k - 1), n + k + 2  # every colored level plain
         for m in ms:
-            want = _plain_greedy(m, k)
+            want = reference.greedy(m, k)
             assert want[k - j][0] == (n - 1 if m == ms[0] else n), (m, k, want)
             searches.clear()
             assert cascade_decompose(m, k).terms == want, (m, k)
@@ -356,6 +343,19 @@ def test_shadow_full_level_sharpness():
         for k in range(2, n + 1):
             for p in range(1, k):
                 assert shadow_bound(binomial(n, k), k, p) == binomial(n, p)
+
+
+def test_shadow_bound_is_the_least_shadow_of_any_family():
+    # Every family of m k-subsets of [n] covers at least shadow_bound(m, k, p)
+    # p-subsets, and one covers exactly that many: all 2^C(n, k) families.
+    # So does the reference greedy's shadow sum.
+    for n, k in ((5, 2), (5, 3), (5, 4), (6, 2), (6, 3), (6, 4)):
+        ksets = list(combinations(range(n), k))
+        for p in range(1, k):
+            least = reference.least_shadows(ksets, p)
+            for m in range(1, len(ksets) + 1):
+                want = reference.shadow(reference.greedy(m, k), k, p)
+                assert shadow_bound(m, k, p) == least[m] == want, (n, k, p, m)
 
 
 def test_shadow_monotone_in_m():

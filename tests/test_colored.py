@@ -1,5 +1,7 @@
 """Colored cascades, colored shadow bounds, and colored validation."""
 
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,8 @@ from kkbounds import (
     turan_coefficient,
     validate_colored_face_vector,
 )
+
+import reference
 
 
 def test_decompose_examples():
@@ -115,3 +119,30 @@ def test_validate_colored_shadow_failure_level():
     # 12 edges on 3 colors force 6 vertices; offering 5 fails at k = 2
     result = validate_colored_face_vector(FaceVector((1, 5, 12)), 3)
     assert (result.ok, result.failing_k) == (False, 2)
+
+
+def _rainbow(sizes, k):
+    """The k-sets of the vertices 0, 1, ... in classes of these sizes that meet no class twice."""
+    color = [c for c, size in enumerate(sizes) for _ in range(size)]
+    return [s for s in combinations(range(len(color)), k) if len({color[v] for v in s}) == k]
+
+
+def test_colored_shadow_bound_is_the_least_shadow_over_every_coloring():
+    # The faces of an r-colorable complex on n vertices are rainbow for some
+    # partition into r classes, some maybe empty, and the least shadow depends
+    # on the class sizes only.  Over every partition, the fewest p-sets any m
+    # rainbow k-sets cover is the bound: every family of up to 20 sets, 165 cases.
+    cases = 0
+    for classes in ((2, 2, 2), (2, 2, 1, 1), (3, 2, 2), (2, 2, 2, 2)):
+        n, r = sum(classes), len(classes)
+        for k in range(2, r + 1):
+            most = len(_rainbow(classes, k))  # the Turán partition has the most
+            for p in range(1, k) if most <= 20 else ():
+                shapes = [s for s in combinations_with_replacement(range(n + 1), r) if sum(s) == n]
+                tables = [reference.least_shadows(_rainbow(sizes, k), p) for sizes in shapes]
+                least = [min(t[m] for t in tables if m < len(t)) for m in range(most + 1)]
+                for m in range(1, most + 1):
+                    want = reference.shadow(reference.greedy(m, k, r), k, p)
+                    assert colored_shadow_bound(m, k, p, r) == least[m] == want, (classes, k, p, m)
+                    cases += 1
+    assert cases == 165

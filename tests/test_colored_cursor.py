@@ -1,12 +1,8 @@
-"""Colored cascades from the shared cursor: equal to the former colored greedy, bounded memory.
+"""Colored cascades from the shared cursor: equal to the greedy by its definition, bounded memory.
 
-_frozen_colored_terms is a frozen copy of the colored greedy that
-colored_cascade_decompose ran before the cursor served both families: a float
-seed, galloping and a bisection on turan_coefficient at every level.  It
-evaluates Turán coefficients without the cache, so it neither fills nor reads
-the one the cursor uses.  _frozen_binom_real_at is the C(x, k) evaluator as it
-was before k > 170 skipped the direct product, and before it read inf where
-its value does not fit in a float instead of raising.
+reference.greedy with a color budget takes at every level the largest
+T(n, j)_c that fits, by bisection on Turán coefficients evaluated without the
+cache, so it neither fills nor reads the one the cursor uses.
 """
 
 import math
@@ -28,7 +24,7 @@ from kkbounds import (
 from kkbounds.cascade import _CascadeCursor
 from kkbounds.grid import geometric_grid
 
-_turan = binomials.turan_coefficient.__wrapped__  # uncached
+import reference
 
 # turan_coefficient evaluations (cache misses after cache_clear) of the
 # former colored greedy, with its unbounded cache, over the two sets below.
@@ -36,50 +32,13 @@ FORMER_RANDOM_SET_EVALUATIONS = 255_166
 FORMER_PAPER_GRID_EVALUATIONS = 669
 
 
-def _frozen_max_index(m, j, c):
-    if j == 1:
-        return m, m
-    try:
-        log_ways = math.lgamma(c + 1) - math.lgamma(j + 1) - math.lgamma(c - j + 1)
-        seed = c * math.exp((math.log(m) - log_ways) / j)
-        lo = max(j, int(seed) - int(seed * 1e-12))
-    except OverflowError:
-        lo = j
-    value = _turan(lo, j, c)
-    hi, step = None, 1
-    if value > m:
-        lo, value, hi = j, 1, lo
-    while hi is None or hi - lo > 1:
-        probe = lo + step if hi is None else (lo + hi) // 2
-        at = _turan(probe, j, c)
-        if at <= m:
-            lo, value, step = probe, at, 2 * step
-        else:
-            hi = probe
-    return lo, value
-
-
-def _frozen_colored_terms(m, k, r):
-    terms, rem, j = [], m, k
-    while rem > 0:
-        n, value = _frozen_max_index(rem, j, j + (r - k))
-        terms.append((n, j, j + (r - k)))
-        rem, j = rem - value, j - 1
-    return tuple(terms)
-
-
-def _frozen_shadow(terms, k, p):
-    drop = k - p
-    return sum(_turan(n, j - drop, c) for n, j, c in terms)
-
-
 def _check(m, k, r):
-    want = _frozen_colored_terms(m, k, r)
+    want = reference.greedy(m, k, r)
     rep = colored_cascade_decompose(m, k, r)
     assert rep.terms == want, (m, k, r)
     assert colored_cascade_evaluate(rep) == m
     for p in range(1, k):
-        assert colored_shadow_bound(m, k, p, r) == _frozen_shadow(want, k, p), (m, k, p, r)
+        assert colored_shadow_bound(m, k, p, r) == reference.shadow(want, k, p), (m, k, p, r)
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,7 +106,7 @@ def test_warm_colored_cursor_equals_a_fresh_one(k, extra, data, jumps):
         fresh = _CascadeCursor(k, p, r)
         assert warm.advance(m) == fresh.advance(m), (m, k, p, r)
         assert warm.levels == fresh.levels, (m, k, p, r)
-        assert tuple((n, j, j + extra) for n, j, *_ in warm.levels) == _frozen_colored_terms(m, k, r)
+        assert tuple((n, j, j + extra) for n, j, *_ in warm.levels) == reference.greedy(m, k, r)
 
 
 @pytest.mark.parametrize("k, r", [(2, 2), (2, 4), (3, 3), (3, 5), (4, 6)])
@@ -238,44 +197,6 @@ def test_colored_index_far_beyond_2_53_takes_few_evaluations(j, monkeypatch):
             m = rng.randint(1, 10 ** rng.randint(1, 999))
             calls = 0
             found = cascade._max_index(m, j, c)
-            assert calls <= 64 and found == _frozen_max_index(m, j, c), (m, j, c, calls)
+            n = reference.greedy(m, j, c)[0][0]
+            assert calls <= 64 and found == (n, reference.turan(n, j, c)), (m, j, c, calls)
         _check(m, j, c)
-
-
-def _frozen_binom_real_at(k):
-    fact = float(math.factorial(k)) if k <= 170 else math.nan
-    shifts = tuple(map(float, range(k)))
-
-    def evaluate(x):
-        num = 1.0
-        for i in shifts:
-            num *= x - i
-        value = num / fact
-        if math.isfinite(value):
-            return value
-        value = 1.0
-        for i in shifts:
-            value *= (x - i) / (k - i)
-        if not math.isfinite(value):
-            raise OverflowError(f"binom_real({x}, {k}) does not fit in a float")
-        return value
-
-    return evaluate
-
-
-def _outcome(evaluate, x):
-    try:
-        return evaluate(x).hex()
-    except OverflowError:
-        return "overflow"
-
-
-@pytest.mark.parametrize("k", [170, 171, 400, 1500])
-def test_evaluator_beyond_float_factorial_is_bit_identical(k):
-    rng = random.Random(k)
-    xs = [k - 1.0, k - 0.5, float(k), k + 0.3, k + 1.7, 2.0 * k, 1e3 * k, 1e6]
-    xs += [rng.uniform(k - 1, 4 * k) for _ in range(200)]
-    ours, frozen = binomials._binom_real_at(k), _frozen_binom_real_at(k)
-    for x in xs:
-        want = _outcome(frozen, x)
-        assert ours(x).hex() == ("inf" if want == "overflow" else want), (k, x)

@@ -21,7 +21,7 @@ from kkbounds import (
     shadow_bound,
 )
 from kkbounds.cli import EXIT_OK, EXIT_USAGE, main, sample_grid
-from kkbounds.selftest import geometric_grid
+from kkbounds.grid import geometric_grid
 
 HUGE = 10**320
 

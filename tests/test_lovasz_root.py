@@ -1,14 +1,13 @@
-"""The bracketed Lovasz root: bit-identical to bisection, cheap, and exact at large m.
+"""The Lovasz root: bit-identical to its definition, cheap, and exact at large m.
 
-_bisection_root is a frozen copy of the bisection lovasz_x used before the
-bracketed method; it is the reference for bit-identity.  _frozen_lovasz_root
-is the bracketed root as it was before its start became a six-term series.
-mpmath serves as a 50-digit reference for the roots themselves.
+reference.lovasz_root, the adjacent float pair straddling m found by
+bisection on the float bits, is the definition every root is compared with;
+given the kernel's root as a hint, it starts from 3 floats either side.
+reference.mp_root, a 50-digit mpmath root, checks the roots themselves.
 """
 
 import math
 import random
-import struct
 import sys
 
 import mpmath
@@ -31,87 +30,11 @@ from kkbounds import (
     lovasz_x,
     shadow_bound,
 )
-from kkbounds.selftest import geometric_grid
+from kkbounds.grid import geometric_grid
+
+import reference
 
 MAX_MEAN_EVALUATIONS = 10
-
-
-def _bisection_root(m: int, k: int) -> float:
-    """The former lovasz_x: bisection from [k-1, (k! m)^(1/k) + 2k - 1]."""
-    n = cascade_decompose(m, k).terms[0][0]
-    if binomial(n, k) == m:
-        return float(n)
-    target = float(m)
-    lo = float(k - 1)
-    km = math.factorial(k) * m
-    root = float(km) ** (1 / k) if km.bit_length() <= 53 else math.exp(math.log(km) / k)
-    hi = k - 1 + root + k
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        try:
-            below = binom_real(mid, k) < target
-        except OverflowError:
-            below = False
-        if below:
-            lo = mid
-        else:
-            hi = mid
-    if abs(binom_real(lo, k) - target) <= abs(binom_real(hi, k) - target):
-        return lo
-    return hi
-
-
-def _frozen_cold_start(m: int, k: int) -> float:
-    """The former _cold_start: y + (k-1)/2 + (k^2-1)/(24y), y = (k! m)^(1/k)."""
-    y = math.exp((math.lgamma(k + 1) + math.log(m)) / k)
-    return y + 0.5 * (k - 1) + (k * k - 1) / (24.0 * y)
-
-
-def _frozen_lovasz_root(m: int, k: int, n: int, c: int, f) -> float:
-    """The former _lovasz_root, started from _frozen_cold_start."""
-    try:
-        a, b = float(n), float(n + 1)
-    except OverflowError:
-        return math.inf
-    if c == m:
-        return a
-    try:
-        target = float(m)
-    except OverflowError:
-        target, f = m / c, binomials._ratio_at(n, k)
-    tol = target * (k * 2e-16)
-    start = _frozen_cold_start(m, k)
-    x = start if a < start < b else n + (m - c) * (n - k + 1) / (c * k)
-    while True:
-        fx = f(x)
-        if abs(fx - target) <= tol:
-            break
-        if fx < target:
-            a = x
-        else:
-            b = x
-        slope = 0.0
-        for i in range(k):
-            slope += 1.0 / (x - i)
-        x_new = x - (fx - target) / (fx * slope)
-        if not a < x_new < b:
-            x_new = 0.5 * (a + b)
-            if not a < x_new < b:
-                break
-        x = x_new
-    lo = hi = x
-    f_lo = f_hi = fx
-    while f_lo >= target:
-        hi, f_hi = lo, f_lo
-        lo = math.nextafter(lo, -math.inf)
-        f_lo = f(lo)
-    while f_hi < target:
-        lo, f_lo = hi, f_hi
-        hi = math.nextafter(hi, math.inf)
-        f_hi = f(hi)
-    return lo if abs(f_lo - target) <= abs(f_hi - target) else hi
 
 
 def _random_cases() -> list[tuple[int, int]]:
@@ -153,43 +76,33 @@ def _count_evaluations(monkeypatch, most=None) -> list[int]:
 @pytest.mark.parametrize("name", sorted(CASE_SETS))
 def test_bit_identical_to_bisection_in_few_evaluations(name, monkeypatch):
     cases = CASE_SETS[name]
-    expected = [_bisection_root(m, k) for m, k in cases]
     calls = _count_evaluations(monkeypatch)
     got = [lovasz_x(m, k) for m, k in cases]
+    expected = [reference.lovasz_root(m, k, x) for (m, k), x in zip(cases, got)]
     differ = [(m, k, e, g) for (m, k), e, g in zip(cases, expected, got) if e != g]
     assert not differ, differ[:5]
     assert calls[0] / len(cases) <= MAX_MEAN_EVALUATIONS
 
 
-def _mp_root(m: int, k: int, start: float) -> mpmath.mpf:
-    """50-digit root of x(x-1)...(x-k+1) = k! m by Newton from a float start."""
-    with mpmath.workdps(50):
-        target = mpmath.factorial(k) * m
-        x = mpmath.mpf(start)
-        for _ in range(30):
-            g = mpmath.fprod([x - i for i in range(k)]) / target
-            x -= (g - 1) / (g * mpmath.fsum([1 / (x - i) for i in range(k)]))
-        return x
-
-
 def _ulps_off(x: float, m: int, k: int) -> float:
     with mpmath.workdps(50):
-        return float(abs(mpmath.mpf(x) - _mp_root(m, k, x)) / math.ulp(x))
+        return float(abs(mpmath.mpf(x) - reference.mp_root(m, k, x)) / math.ulp(x))
 
 
 def test_large_m_root_within_two_ulps_of_mpmath():
-    # Bisection returned the end of its bracket here, 7 ulps below the root:
-    # the upper end, from exp(log(k! m) / k), had rounded below it.
+    # A former bisection returned 1.4112170220256387e20 here, the end of its
+    # bracket 7 ulps below the root: the upper end, from exp(log(k! m) / k),
+    # had rounded below it.
     m = 9957667416274576305949578375064030571160
-    assert _bisection_root(m, 2) == 1.4112170220256387e20
     assert binom_real(1.4112170220256387e20, 2) < m
+    assert lovasz_x(m, 2) == reference.lovasz_root(m, 2) > 1.4112170220256387e20
     assert _ulps_off(lovasz_x(m, 2), m, 2) <= 2
     rng = random.Random(4242)
     for k in (2, 3, 5, 10):
         for exponent in (*range(1, 301, 3), 300):
             m = int(mpmath.mpf(10) ** (exponent - rng.random()))
             x = lovasz_x(m, k)
-            assert _ulps_off(x, m, k) <= 2, (m, k, x)
+            assert x == reference.lovasz_root(m, k) and _ulps_off(x, m, k) <= 2, (m, k, x)
 
 
 def test_root_for_m_beyond_float_range():
@@ -208,10 +121,10 @@ def test_root_for_m_beyond_float_range():
         except OverflowError:
             with mpmath.workdps(30):
                 low = (mpmath.factorial(k) * m) ** (mpmath.mpf(1) / k)
-                assert low + k > sys.float_info.max, (m, k)
+                assert low + k > sys.float_info.max and reference.lovasz_root(m, k) == math.inf
             continue
         fitted += 1
-        assert _ulps_off(x, m, k) <= 1, (m, k, x)
+        assert x == reference.lovasz_root(m, k, x) and _ulps_off(x, m, k) <= 1, (m, k, x)
     assert fitted >= 30
     # Sweep rows, their cursor carried over from the row before, equal
     # one-row bound_reports here too.
@@ -240,21 +153,20 @@ def test_root_at_large_k_in_few_evaluations(monkeypatch):
     # exceed the stopping tolerance: Newton reached the root and went on, its
     # step below an ulp fell on the bracket's end, and the search bisected,
     # 11.0 evaluations a call here.  A step that leaves x unchanged now ends
-    # the search: 6.0 a call, each root still bisection's bit for bit.
+    # the search: 6.0 a call, each root still the reference's bit for bit.
     rng = random.Random(5)
     cases = []
     for _ in range(40):
         k = rng.randint(300, 600)
         cases.append((rng.randint(1, 10**30), k))
-    expected = [_bisection_root(m, k) for m, k in cases]
     calls = _count_evaluations(monkeypatch)
-    assert [lovasz_x(m, k) for m, k in cases] == expected
+    got = [lovasz_x(m, k) for m, k in cases]
+    assert got == [reference.lovasz_root(m, k, x) for (m, k), x in zip(cases, got)]
     assert calls[0] / len(cases) <= 6.5, calls[0]
 
 
-def test_root_equals_the_former_root_from_the_former_start():
-    # The ulp walk makes the root independent of its start (see lovasz_x), so
-    # the series start changed no root.  40000 seeded inputs, k <= 500 (above
+def test_root_equals_the_reference_root_on_40000_inputs():
+    # The root from the kernel's start is the reference's.  40000 seeded inputs, k <= 500 (above
     # 80 for a twentieth) and m up to about 10**300 or 10**1000, drawn by their
     # leading index n, C(n, k) <= m < C(n+1, k), and for a fifth within 3 of an end.
     rng = random.Random(20261019)
@@ -272,9 +184,8 @@ def test_root_equals_the_former_root_from_the_former_start():
             m = min(max(m, c), c + gap - 1)
         else:
             m = c + rng.randrange(gap)
-        f = binomials._binom_real_at(k)
-        start = approx._cold_start(m, k)
-        if approx._lovasz_root(m, k, n, c, f, start) != _frozen_lovasz_root(m, k, n, c, f):
+        x = approx._lovasz_root(m, k, n, c, binomials._binom_real_at(k), approx._cold_start(m, k))
+        if x != reference.lovasz_root(m, k, x):
             differ.append((m, k))
     assert not differ, differ[:5]
 
@@ -293,7 +204,7 @@ def test_cold_start_is_accurate(k):
             m = int(mpmath.mpf(k * ratio) ** k / fact) + 1
             y = (fact * m) ** (mpmath.mpf(1) / k)
             start = approx._cold_start(m, k)
-            root = _mp_root(m, k, start)
+            root = reference.mp_root(m, k, start)
             off = abs(start - root) / root
             assert off <= (1e-12 if y >= 2 * k else 1e-8), (m, k, float(y / k), float(off))
 
@@ -398,82 +309,7 @@ def test_evaluator_cache_is_bounded():
     assert approx._row_constants.cache_parameters()["maxsize"] == 256
 
 
-def _frozen_binom_real(x: float, k: int) -> float:
-    """binom_real as it was before it became a call of the fixed-k evaluator."""
-    x = float(x)
-    num = 1.0
-    for i in range(k):
-        num *= x - i
-    try:
-        value = num / math.factorial(k)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        value = 1.0
-        for i in range(k):
-            value *= (x - i) / (k - i)
-        if not math.isfinite(value):
-            raise OverflowError(f"binom_real({x}, {k}) does not fit in a float")
-    return value
-
-
 KS = st.one_of(st.integers(min_value=1, max_value=40), st.sampled_from([170, 171, 400]))
-
-
-def _outcome(k, evaluate, x):
-    try:
-        return evaluate(x).hex()
-    except OverflowError:
-        return "OverflowError"
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.data(), KS)
-def test_fixed_k_evaluator_is_binom_real_bit_for_bit(data, k):
-    x = data.draw(
-        st.one_of(
-            st.floats(min_value=k - 1, max_value=k + 50, exclude_min=True),
-            st.floats(min_value=k - 1, max_value=1e20, exclude_min=True),
-            st.floats(min_value=k - 1, max_value=1e300, exclude_min=True),
-        )
-    )
-    # The private evaluator reads inf where the public binom_real raises.
-    expected = _outcome(k, lambda y: _frozen_binom_real(y, k), x)
-    assert _outcome(k, lambda y: binom_real(y, k), x) == expected
-    evaluated = approx._binom_real_at(k)(x).hex()
-    assert evaluated == ("inf" if expected == "OverflowError" else expected)
-
-
-def _bits(x: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _from_bits(b: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", b))[0]
-
-
-def _straddling_pair(m: int, k: int) -> tuple[float, float]:
-    """Adjacent floats lo < hi above k-1 with binom_real(lo, k) < m <= binom_real(hi, k).
-
-    Bisects on the bit patterns of the positive floats, which are ordered as
-    the floats are; an overflow counts as at or above m.
-    """
-    target = float(m)
-
-    def at_or_above(b: int) -> bool:
-        try:
-            return binom_real(_from_bits(b), k) >= target
-        except OverflowError:
-            return True
-
-    lo, hi = _bits(float(k - 1)), _bits(sys.float_info.max)  # binom_real(k-1, k) = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if at_or_above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return _from_bits(lo), _from_bits(hi)
 
 
 @settings(max_examples=300, deadline=None)
@@ -486,15 +322,7 @@ def _straddling_pair(m: int, k: int) -> tuple[float, float]:
     KS,
 )
 def test_root_is_the_rule_applied_to_the_unique_straddling_pair(m, k):
-    lo, hi = _straddling_pair(m, k)
-    target = float(m)
-    if binomial(cascade_decompose(m, k).terms[0][0], k) == m:
-        expected = float(cascade_decompose(m, k).terms[0][0])  # an exact integer coincidence
-    elif abs(binom_real(lo, k) - target) <= abs(binom_real(hi, k) - target):
-        expected = lo
-    else:
-        expected = hi
-    assert lovasz_x(m, k) == expected
+    assert lovasz_x(m, k) == reference.lovasz_root(m, k)  # from the whole float range
 
 
 @st.composite

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from kkbounds import (
     BoundReport,
     best_r,
-    binom_real,
     binomial,
     bound_report,
     bound_reports,
@@ -32,30 +31,31 @@ from kkbounds import approx, cli
 from kkbounds.cascade import _CascadeCursor, _shadow_sum
 from kkbounds.cli import EXIT_OK, EXIT_USAGE, main
 from kkbounds.grid import geometric_grid, linear_grid
-from test_cascade import _plain_greedy
+
+import reference
 
 M_MAX = 10**15
 
 
-def _frozen_bound_report(m, k, p, r=None):
-    """bound_report as it was before bound_reports: every column from the public functions."""
-    n = cascade_decompose(m, k).terms[0][0]
-    x = lovasz_x(m, k)
-    withr_r = r if r is not None else best_r(m, k)
-    return BoundReport(
-        m=m,
-        k=k,
-        p=p,
-        kk_exact=shadow_bound(m, k, p),
-        lovasz_x=x,
-        lovasz=binom_real(x, p),
-        withoutr=withoutr_bound(m, k, p),
-        noreasy=noreasy_bound(m, k, p),
-        withr_r=withr_r,
-        withr=colorapprox_bound(m, k, p, withr_r),
-        flag_r=n,
-        flag=colorapprox_bound(m, k, p, n),
-    )
+def _public_row(m, k, p, r=None):
+    """The row of the public functions, or the message of the first to overflow.
+
+    They are called in the order in which bound_reports checks the columns.
+    lovasz_x fits wherever flag does: the root lies in [n, n+1], and
+    flag >= C(n, p) >= n.
+    """
+    try:
+        n, withr_r = flag_r(m, k), r if r is not None else best_r(m, k)
+        flag = colorapprox_bound(m, k, p, n)
+        withr = colorapprox_bound(m, k, p, withr_r)
+        x = lovasz_x(m, k)
+        lovasz = lovasz_bound(m, k, p)
+        withoutr = withoutr_bound(m, k, p)
+        noreasy = noreasy_bound(m, k, p)
+    except OverflowError as exc:
+        return str(exc)
+    kk_exact = shadow_bound(m, k, p)
+    return BoundReport(m, k, p, kk_exact, x, lovasz, withoutr, noreasy, withr_r, withr, n, flag)
 
 
 def _run(capsys, *argv):
@@ -90,10 +90,10 @@ def _advance(cursor, m, p):
     """Advance the cursor to m and check what it carries against a fresh cascade.
 
     cascade_decompose runs a fresh cursor, so the cascade is also checked
-    against _plain_greedy, which shares no code with either.
+    against reference.greedy, which shares no code with either.
     """
     rep = cascade_decompose(m, cursor.k)
-    assert rep.terms == _plain_greedy(m, cursor.k), (m, cursor.k)
+    assert rep.terms == reference.greedy(m, cursor.k), (m, cursor.k)
     assert cursor.advance(m) == (rep.terms[0][0], _shadow_sum(rep, p)), (m, cursor.k, p)
     assert cursor.cascade() == rep, (m, cursor.k)
 
@@ -178,31 +178,11 @@ SWEEPS = {
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_bound_reports_equal_frozen_rows(name):
+    # The rows of the public functions, one call a column.
     ms, k, p = SWEEPS[name]
-    assert list(bound_reports(ms, k, p)) == [_frozen_bound_report(m, k, p) for m in ms]
+    assert list(bound_reports(ms, k, p)) == [_public_row(m, k, p) for m in ms]
     r = k + 7
-    assert list(bound_reports(ms, k, p, r)) == [_frozen_bound_report(m, k, p, r) for m in ms]
-
-
-def _public_row(m, k, p, r):
-    """The row of the public functions, or the message of the first to overflow.
-
-    They are called in the order in which bound_reports checks the columns.
-    lovasz_x fits wherever flag does: the root lies in [n, n+1], and
-    flag >= C(n, p) >= n.
-    """
-    try:
-        n, withr_r = flag_r(m, k), r if r is not None else best_r(m, k)
-        flag = colorapprox_bound(m, k, p, n)
-        withr = colorapprox_bound(m, k, p, withr_r)
-        x = lovasz_x(m, k)
-        lovasz = lovasz_bound(m, k, p)
-        withoutr = withoutr_bound(m, k, p)
-        noreasy = noreasy_bound(m, k, p)
-    except OverflowError as exc:
-        return str(exc)
-    kk_exact = shadow_bound(m, k, p)
-    return BoundReport(m, k, p, kk_exact, x, lovasz, withoutr, noreasy, withr_r, withr, n, flag)
+    assert list(bound_reports(ms, k, p, r)) == [_public_row(m, k, p, r) for m in ms]
 
 
 @st.composite
@@ -385,7 +365,7 @@ def test_sweep_output_is_the_frozen_rows_in_every_r_mode(capsys, mode, fmt):
     code, out, err = _run(capsys, *argv)
     assert (code, err) == (EXIT_OK, "")
     rows = []
-    for report in (_frozen_bound_report(m, k, p, fixed_r) for m in ms):
+    for report in (_public_row(m, k, p, fixed_r) for m in ms):
         row = {c: getattr(report, c) for c in cli.SWEEP_COLUMNS}
         if mode == "auto-flag":
             row.update(withr_r=report.flag_r, withr=report.flag)
@@ -404,7 +384,7 @@ def test_sweep_output_is_the_frozen_rows_in_every_r_mode(capsys, mode, fmt):
 
 def test_bound_report_is_the_one_row_case():
     for m, k, p, r in ((11, 3, 2, None), (binomial(50, 10), 10, 7, None), (10**40, 5, 2, 9)):
-        assert bound_report(m, k, p, r) == _frozen_bound_report(m, k, p, r)
+        assert bound_report(m, k, p, r) == _public_row(m, k, p, r)
         assert [bound_report(m, k, p, r)] == list(bound_reports([m], k, p, r))
     assert list(bound_reports([], 3, 2)) == []
 
@@ -506,6 +486,6 @@ def test_streamed_json_is_the_array(capsys):
     rows = json.loads(out)
     assert out == json.dumps(rows) + "\n"
     ms = geometric_grid(1, 5000, 30)
-    expected = [_frozen_bound_report(m, 4, 2) for m in ms]
+    expected = [_public_row(m, 4, 2) for m in ms]
     assert rows == [{c: getattr(row, c) for c in cli.SWEEP_COLUMNS} for row in expected]
     assert all(math.isfinite(row["lovasz"]) for row in rows)
