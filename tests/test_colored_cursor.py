@@ -200,3 +200,14 @@ def test_colored_index_far_beyond_2_53_takes_few_evaluations(j, monkeypatch):
             n = reference.greedy(m, j, c)[0][0]
             assert calls <= 64 and found == (n, reference.turan(n, j, c)), (m, j, c, calls)
         _check(m, j, c)
+
+
+@pytest.mark.parametrize("k", [170, 171, 400, 1500])
+def test_evaluator_beyond_float_factorial_is_bit_identical(k):
+    # The evaluator reads inf where the reference loop's value does not fit.
+    rng = random.Random(k)
+    xs = [k - 1.0, k - 0.5, float(k), k + 0.3, k + 1.7, 2.0 * k, 1e3 * k, 1e6]
+    xs += [rng.uniform(k - 1, 4 * k) for _ in range(200)]
+    ours = binomials._binom_real_at(k)
+    for x in xs:
+        assert ours(x).hex() == reference.binom_real(x, k).hex(), (k, x)

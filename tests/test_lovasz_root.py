@@ -312,6 +312,29 @@ def test_evaluator_cache_is_bounded():
 KS = st.one_of(st.integers(min_value=1, max_value=40), st.sampled_from([170, 171, 400]))
 
 
+def _outcome(evaluate, x):
+    try:
+        return evaluate(x).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data(), KS)
+def test_fixed_k_evaluator_is_binom_real_bit_for_bit(data, k):
+    x = data.draw(
+        st.one_of(
+            st.floats(min_value=k - 1, max_value=k + 50, exclude_min=True),
+            st.floats(min_value=k - 1, max_value=1e20, exclude_min=True),
+            st.floats(min_value=k - 1, max_value=1e300, exclude_min=True),
+        )
+    )
+    # The private evaluator reads inf where the public binom_real raises.
+    want = reference.binom_real(x, k).hex()
+    assert _outcome(lambda y: binom_real(y, k), x) == ("OverflowError" if want == "inf" else want)
+    assert approx._binom_real_at(k)(x).hex() == want
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
