@@ -20,9 +20,21 @@ def _pow_frac(m: int, num: int, den: int) -> float:
     return _exp(math.log(m) * num / den)
 
 
+def _lead(m: int, k: int) -> tuple[float, int]:
+    """y = (k! m)^(1/k), of withoutr and the root's start, and the bits _series_start centres by.
+
+    From the exact k! m to k = 170, where C(x, k) and _power_lead stop taking
+    k!; beyond, from log-gamma (_lead_root), unbiased as k! m > 2^53: 54 bits.
+    """
+    if k > 170:
+        return _lead_root(m, k), 54
+    big = math.factorial(k) * m
+    return _pow_frac(big, 1, k), big.bit_length()
+
+
 @lru_cache(maxsize=256)
 def _series_at(k: int) -> tuple[float, ...]:
-    """(k-1)/2, c_1, ..., c_6 of _cold_start and δ ln 2 of _series_start; cached for 256 k."""
+    """(k-1)/2, c_1, ..., c_6 and δ ln 2 of _series_start at k; cached for 256 k."""
     K = float(k * k)
     a, b = (1 / k).as_integer_ratio()  # δ = 1/k - float(1/k), exactly (b - k a) / (k b)
     return (
@@ -39,18 +51,12 @@ def _series_at(k: int) -> tuple[float, ...]:
     )
 
 
-@lru_cache(maxsize=256)
-def _row_constants(k: int, p: int) -> tuple[float, int, tuple[float, ...]]:
-    """_power_lead(k, p), k! and _series_at(k), the constants of a row; cached for 256 (k, p)."""
-    return _power_lead(k, p), math.factorial(k), _series_at(k)
-
-
-def _cold_start(m: int, k: int) -> float:
+def _series_start(y: float, bits: int, series: tuple[float, ...]) -> float:
     """The root of C(x, k) = m from its inverse series to six terms.
 
-    With y = (k! m)^(1/k) and e = 1/y^2 it is
-    y + (k-1)/2 + y (c_1 e + c_2 e^2 + ... + c_6 e^6), the c_j polynomials in
-    K = k^2 (_series_at): c_1 = (K-1)/24, c_2 = (K-1)(K-9)/1920,
+    (y, bits) is _lead(m, k) and series is _series_at(k).  With e = 1/y^2 the
+    start is y + (k-1)/2 + y (c_1 e + c_2 e^2 + ... + c_6 e^6), the c_j
+    polynomials in K = k^2: c_1 = (K-1)/24, c_2 = (K-1)(K-9)/1920,
     c_3 = (K-1)(K-25)(13K-61)/580608, and so on.  Derivation: in
     u = x - (k-1)/2 the factors x - i are u + s_i, s_i = (k-1)/2 - i, whose odd
     power sums vanish, so k log y = log(k! m) = k log u - sum_j P_2j/(2j u^2j)
@@ -58,22 +64,13 @@ def _cold_start(m: int, k: int) -> float:
     arithmetic) gives u = y (1 + sum_j c_j e^j).  Against a 50-digit root the
     relative error is below 5e-15 from y = 4k, 5e-14 from y = 2k and 1e-9
     from y = k (the first term alone: 2e-6, 3e-5 and 4e-4).  Below y = k the
-    series may diverge: a start outside (n, n+1), or not finite, gives way to
-    the regula falsi start.  y is _pow_frac(k! m, 1, k) for k <= 18, else _lead_root.
-    """
-    if k > 18:  # k! m > 2^53: y is unbiased
-        return _series_start(_lead_root(m, k), 54, _series_at(k))
-    big = math.factorial(k) * m
-    return _series_start(_pow_frac(big, 1, k), big.bit_length(), _series_at(k))
-
-
-def _series_start(y: float, bits: int, series: tuple[float, ...]) -> float:
-    """_cold_start from y = (k! m)^(1/k), bits = (k! m).bit_length() and series = _series_at(k).
+    series may diverge: a start outside (n, n+1), or not finite (y = inf),
+    gives way to the regula falsi start.
 
     Below 2^53, y = float(k! m) ** float(1/k) is off by a factor of about
     1 - δ ln(k! m), δ = 1/k - float(1/k); times 1 + δ ln 2 bits it is centred:
     at k = 3, m <= 10^5 the start is then the root in 65% of rows and 1 ulp
-    off in 35% (uncentred: 5% and 64%).  Not finite for y = inf.
+    off in 35% (uncentred: 5% and 64%).
     """
     half, c1, c2, c3, c4, c5, c6, bias = series
     y *= 1.0 + bias * bits if bits <= 53 else 1.0
@@ -144,7 +141,8 @@ def lovasz_x(m: int, k: int) -> float:
     The root lies in [n, n+1] for the leading cascade index n, as
     C(n, k) <= m < C(n+1, k), and when m = C(n, k) exactly the exact n is
     returned, which keeps integer coincidences exact.  Otherwise Newton
-    steps start from the six-term inverse series of C(x, k) = m (_cold_start)
+    steps start from the six-term inverse series of C(x, k) = m at
+    y = (k! m)^(1/k) (_series_start at _lead(m, k), the y of withoutr too)
     if it lies in (n, n+1), else by regula falsi, inside a bracket shrunk by
     every evaluation, until |binom_real(x, k) - m| <= m * k * 2e-16, a step
     leaves x as it is, or the bracket holds no float.  From there the result
@@ -177,7 +175,8 @@ def lovasz_x(m: int, k: int) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n, c, _ = _descend(m, k)
-    return _fit(_lovasz_root(m, k, n, c, _binom_real_at(k), _cold_start(m, k)), "lovasz_x", k)
+    start = _series_start(*_lead(m, k), _series_at(k))
+    return _fit(_lovasz_root(m, k, n, c, _binom_real_at(k), start), "lovasz_x", k)
 
 
 def lovasz_bound(m: int, k: int, p: int) -> float:
@@ -205,8 +204,7 @@ def withoutr_bound(m: int, k: int, p: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 < p < k:
         raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
-    root = _pow_frac(math.factorial(k) * m, 1, k)
-    value = _withoutr(k, p, _power_lead(k, p), root, _pow_frac(m, p, k))
+    value = _withoutr(k, p, _power_lead(k, p), _lead(m, k)[0], _pow_frac(m, p, k))
     return _fit(value, "withoutr_bound", k, p)
 
 
@@ -224,9 +222,9 @@ def _power_lead(k: int, p: int) -> float:
 def _withoutr(k: int, p: int, lead: float, root: float, m_pow: float) -> float:
     """withoutr_bound(m, k, p) given lead = _power_lead(k, p), root and m_pow.
 
-    root = (k! m)^(1/k) and m_pow = m^(p/k) come from _pow_frac.  Its
-    factors are at least 1, so an inf one, or an overflow on the way, means
-    that the value does not fit either, and it is inf; lead * m_pow,
+    root = (k! m)^(1/k) comes from _lead, m_pow = m^(p/k) from _pow_frac.
+    Its factors are at least 1, so an inf one, or an overflow on the way,
+    means that the value does not fit either, and it is inf; lead * m_pow,
     noreasy, is at most the value in float arithmetic too.
     """
     try:
@@ -368,14 +366,15 @@ def bound_reports(
     carries the cascade and its shadow sum kk_exact from m to m (from m = 0
     for the first) and builds no cascade record.  Its leading index n is
     flag_r, the bracket [n, n+1] of the Lovasz root, and best_r (n or n + 1).
-    Each row computes y = (k! m)^(1/k) once, for withoutr and the root's
-    series start (_series_start): 2.07 evaluations a row to m = 10^5 at
-    k = 3 and 2.94 on the paper's grid, as lovasz_x takes, and the root is
-    lovasz_x(m, k) bit for bit.  Hoisted: _row_constants, the evaluators of
-    C(x, k) and C(x, p), and for a fixed r, C(r, p) and C(r, k).  When n
-    changes, C(n, k) and C(n+1, k) are the cursor's top level, C(n, p) is one
-    binomial, and C(n+1, p) and best_r's threshold follow by exact division.
-    Beyond those and the cursor's levels, nothing is kept from row to row.
+    Each row takes y = (k! m)^(1/k) from _lead once, for withoutr and the
+    root's series start (_series_start): 2.07 evaluations a row to m = 10^5
+    at k = 3 and 2.94 on the paper's grid, as lovasz_x takes, and the root is
+    lovasz_x(m, k) bit for bit.  Hoisted: _power_lead, _series_at, the
+    evaluators of C(x, k) and C(x, p), and for a fixed r, C(r, p) and
+    C(r, k).  When n changes, C(n, k) and C(n+1, k) are the cursor's top
+    level, C(n, p) is one binomial, and C(n+1, p) and best_r's threshold
+    follow by exact division.  Beyond those and the cursor's levels, nothing
+    is kept from row to row.
     The arguments are checked, in bound_report's order, when the first row is
     computed; an m that does not exceed the one before raises ValueError when
     it is reached.
@@ -390,20 +389,20 @@ def bound_reports(
         raise ValueError(f"need 1 <= p < k, got p={_shown(p)}, k={_shown(k)}")
     if r is not None and r < k:
         raise ValueError(f"need k <= r, got k={_shown(k)}, r={_shown(r)}")
-    lead, fact_k, series = _row_constants(k, p)
+    lead, series = _power_lead(k, p), _series_at(k)
     evaluate, lovasz_at = _binom_real_at(k), _binom_real_at(p)
     if r is not None:
         r_p, r_k = binomial(r, p), binomial(r, k)
     cursor, n_at = _CascadeCursor(k, p), None
     while True:
         n, kk_exact = cursor.advance(m)
-        root = _pow_frac(big := fact_k * m, 1, k)
+        root, bits = _lead(m, k)
         if n != n_at:  # C(n, k) and C(n+1, k) are the cursor's top level
             n_at, n_k, up_k = n, *cursor.levels[0][2:4]
             n_p = binomial(n, p)
             up_p = n_p * (n + 1) // (n + 1 - p)
             reach = n_k + n_k * k // n  # best_r's C(n, k) + C(n-1, k-1), k >= 2 here
-        x = _lovasz_root(m, k, n, n_k, evaluate, _series_start(root, big.bit_length(), series))
+        x = _lovasz_root(m, k, n, n_k, evaluate, _series_start(root, bits, series))
         m_pow = _pow_frac(m, p, k)
         flag = _colorapprox(m, k, p, n_p, n_k)
         if r is not None:

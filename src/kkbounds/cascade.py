@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import starmap
 from typing import NamedTuple
 
 from .binomials import _Record, _exp, _set, _shown, binomial, turan_coefficient
@@ -167,15 +168,6 @@ def _descend(rem: int, j: int, top: int = 0, at: int | None = None) -> tuple[int
     return n, value, value * (n + 1) // (n + 1 - j)
 
 
-def _shadow_sum(rep: CascadeRep, p: int) -> int:
-    """Each term C(n, j) of rep pushed down to C(n, j - (k - p)), summed (p = k evaluates rep)."""
-    drop, total, comb = rep.k - p, 0, math.comb
-    for n, j in rep.terms:
-        if j >= drop:
-            total += comb(n, j - drop)
-    return total
-
-
 class _Cascade(_Record):
     """Term checks and rendering shared by CascadeRep and ColoredCascadeRep."""
 
@@ -252,7 +244,7 @@ class _CascadeCursor:
     starts at m = 0 with no levels.  A larger m keeps a prefix of the levels
     and runs the greedy from the first index that grows.  A level is
     (n_j, j, T(n_j, j)_c, T(n_j + 1, j)_c, shadow), where shadow sums
-    T(n_i, i - (k-p))_c over it and the levels above (_shadow_sum at p).
+    T(n_i, i - (k-p))_c over it and the levels above.
     """
 
     __slots__ = ("m", "k", "drop", "extra", "levels")
@@ -350,7 +342,7 @@ class _CascadeCursor:
 
 def cascade_evaluate(rep: CascadeRep) -> int:
     """The integer a CascadeRep stands for (inverse of cascade_decompose)."""
-    return _shadow_sum(rep, rep.k)
+    return sum(starmap(math.comb, rep.terms))
 
 
 def shadow_bound(m: int, k: int, p: int) -> int:

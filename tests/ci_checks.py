@@ -164,7 +164,7 @@ def overflow() -> None:
     """Roots near the top of float range return, and overflows name the bound (20 s each).
 
     A CLI run exits 0, or 2 with "does not fit in a float"; never "math
-    range error", never a timeout.
+    range error", never a timeout.  bound at k = 10**6 exits 0 within 8 s.
     """
     for m, k in ((10**306 + 12345, 557), (10**307, 200)):
         expect(isinstance(within(20, lovasz_x, m, k), float), f"lovasz_x(m, {k})")
@@ -172,6 +172,9 @@ def overflow() -> None:
         code, _, err = cli("bound", "--m", m, "--k", k, "--p", p, timeout=20)
         expect(code == 0 or (code == 2 and "does not fit in a float" in err), f"bound: {code}")
         expect("math range error" not in err, err)
+    # Huge k takes no k!, as math.factorial(10**6) alone takes seconds.
+    code = cli("bound", "--m", 5, "--k", 1000000, "--p", 1, timeout=8)[0]
+    expect(code == 0, f"bound at k = 10**6: {code}")
     # Beyond 2**1024, where m itself is no float, bounds that fit are
     # returned, and a root that does not fit names lovasz_x.
     expect(cli("bound", "--m", HUGE, "--k", 10, "--p", 7, timeout=20)[0] == 0, "bound at 10**320")

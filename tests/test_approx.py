@@ -17,6 +17,7 @@ from kkbounds import (
     binom_real,
     binomial,
     bound_report,
+    bound_reports,
     cascade_decompose,
     colorapprox_bound,
     flag_r,
@@ -241,6 +242,24 @@ def test_power_law_bounds_beyond_float_factorial(k):
                     assert abs(got - want) <= 1e-12 * want, (m, k, p, got)
 
 
+def test_huge_k_takes_no_factorial_beyond_170(monkeypatch):
+    # y = (k! m)^(1/k) comes from log-gamma beyond k = 170, where C(x, k) and
+    # (k!)^(p/k) / p! stop taking k! too; math.factorial(10**6) alone takes
+    # seconds.
+    factorial = math.factorial
+
+    def small_factorial(n):
+        assert n <= 170, f"math.factorial({n})"
+        return factorial(n)
+
+    monkeypatch.setattr(math, "factorial", small_factorial)
+    k, p, ms = 2000, 2, [10**30 - 1, 10**30, 10**30 + 1]
+    rows = list(bound_reports(ms, k, p))
+    assert rows == [bound_report(m, k, p) for m in ms]
+    for row in rows:
+        assert row.lovasz_x == lovasz_x(row.m, k) and row.withoutr == withoutr_bound(row.m, k, p)
+
+
 def _accuracy_inputs(count):
     """count seeded (m, k, p, r): k <= 12 for 6 in 10, <= 80 for 3 and <= 500
     for 1; m up to 10**30, 10**300 or 10**1000; k <= r <= k + 60."""
@@ -310,7 +329,7 @@ def test_withoutr_beyond_float_range_raises():
         withoutr_bound(10**300, 1000, 500)
     m, k, p = 10**300, 1000, 500  # the sweep's withoutr column, which reads inf
     lead, m_pow = approx._power_lead(k, p), approx._pow_frac(m, p, k)
-    root = approx._pow_frac(math.factorial(k) * m, 1, k)
+    root = approx._lead(m, k)[0]
     assert approx._withoutr(k, p, lead, root, m_pow) == math.inf
     assert 1e9 < withoutr_bound(10**1000, 400, 2) < 1e10
     with _too_large("withoutr_bound(m, 3000, 1100)"):  # (k!)^(p/k) / p! alone does not fit

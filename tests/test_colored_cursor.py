@@ -83,7 +83,7 @@ def test_budget_beyond_n_k(m, k, data):
         _check(m, k, r)
 
 
-def test_small_inputs_equal_the_former_greedy():
+def test_small_inputs_equal_the_reference_greedy():
     for r in range(1, 7):
         for k in range(1, r + 1):
             for m in range(1, 1501):

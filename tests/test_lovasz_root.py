@@ -54,34 +54,14 @@ CASE_SETS = {
 }
 
 
-def _count_evaluations(monkeypatch, most=None) -> list[int]:
-    """Count the root's evaluations of C(x, k), in a one-item list; more than most fail at once."""
-    calls = [0]
-    real = binomials._binom_real_at
-
-    def counting(k):
-        evaluate = real(k)
-
-        def counted(x):
-            calls[0] += 1
-            assert most is None or calls[0] <= most, f"more than {most} evaluations"
-            return evaluate(x)
-
-        return counted
-
-    monkeypatch.setattr(approx, "_binom_real_at", counting)
-    return calls
-
-
 @pytest.mark.parametrize("name", sorted(CASE_SETS))
-def test_bit_identical_to_bisection_in_few_evaluations(name, monkeypatch):
+def test_bit_identical_to_bisection_in_few_evaluations(name, root_evaluations):
     cases = CASE_SETS[name]
-    calls = _count_evaluations(monkeypatch)
-    got = [lovasz_x(m, k) for m, k in cases]
+    got, counts = root_evaluations(lovasz_x(m, k) for m, k in cases)
     expected = [reference.lovasz_root(m, k, x) for (m, k), x in zip(cases, got)]
     differ = [(m, k, e, g) for (m, k), e, g in zip(cases, expected, got) if e != g]
     assert not differ, differ[:5]
-    assert calls[0] / len(cases) <= MAX_MEAN_EVALUATIONS
+    assert sum(counts) / len(cases) <= MAX_MEAN_EVALUATIONS
 
 
 def _ulps_off(x: float, m: int, k: int) -> float:
@@ -132,7 +112,7 @@ def test_root_for_m_beyond_float_range():
     assert list(bound_reports(ms, 10, 7)) == [bound_report(m, 10, 7) for m in ms]
 
 
-def test_root_near_the_top_of_float_range(monkeypatch):
+def test_root_near_the_top_of_float_range(root_evaluations):
     # The stopping tolerance m * k * 2e-16 overflowed to inf where m k > 1.8e308,
     # so Newton stopped at its first evaluation and the ulp walk crawled to the
     # root: lovasz_x(10**306 + 12345, 557) ran for minutes.  At the largest
@@ -142,13 +122,12 @@ def test_root_near_the_top_of_float_range(monkeypatch):
     cases += [(int(sys.float_info.max), k) for k in (2, 171, 200)]
     for k in (2, 10, 170, 171, 557, 1000, 1500):
         cases.append((int(mpmath.mpf(10) ** rng.uniform(300, 308.23)), k))
-    for m, k in cases:
-        calls = _count_evaluations(monkeypatch, most=16)
-        x = lovasz_x(m, k)
-        assert calls[0] <= 16 and _ulps_off(x, m, k) <= 2, (m, k, x, calls[0])
+    got, _ = root_evaluations((lovasz_x(m, k) for m, k in cases), most=16)
+    for (m, k), x in zip(cases, got):
+        assert _ulps_off(x, m, k) <= 2, (m, k, x)
 
 
-def test_root_at_large_k_in_few_evaluations(monkeypatch):
+def test_root_at_large_k_in_few_evaluations(root_evaluations):
     # C(x, k) in floats carries about k ulps of error, which past k ~ 300 can
     # exceed the stopping tolerance: Newton reached the root and went on, its
     # step below an ulp fell on the bracket's end, and the search bisected,
@@ -159,10 +138,14 @@ def test_root_at_large_k_in_few_evaluations(monkeypatch):
     for _ in range(40):
         k = rng.randint(300, 600)
         cases.append((rng.randint(1, 10**30), k))
-    calls = _count_evaluations(monkeypatch)
-    got = [lovasz_x(m, k) for m, k in cases]
+    got, counts = root_evaluations(lovasz_x(m, k) for m, k in cases)
     assert got == [reference.lovasz_root(m, k, x) for (m, k), x in zip(cases, got)]
-    assert calls[0] / len(cases) <= 6.5, calls[0]
+    assert sum(counts) / len(cases) <= 6.5, sum(counts)
+
+
+def _start(m, k):
+    """The root's series start, at the y of approx._lead, as lovasz_x takes it."""
+    return approx._series_start(*approx._lead(m, k), approx._series_at(k))
 
 
 def test_root_equals_the_reference_root_on_40000_inputs():
@@ -184,17 +167,18 @@ def test_root_equals_the_reference_root_on_40000_inputs():
             m = min(max(m, c), c + gap - 1)
         else:
             m = c + rng.randrange(gap)
-        x = approx._lovasz_root(m, k, n, c, binomials._binom_real_at(k), approx._cold_start(m, k))
+        x = approx._lovasz_root(m, k, n, c, binomials._binom_real_at(k), _start(m, k))
         if x != reference.lovasz_root(m, k, x):
             differ.append((m, k))
     assert not differ, differ[:5]
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 10, 25, 70, 171])
+@pytest.mark.parametrize("k", [2, 3, 5, 10, 25, 70, 170, 171, 400])
 def test_cold_start_is_accurate(k):
     # The six-term series start against a 50-digit root: within a relative
     # 1e-12 where y = (k! m)^(1/k) >= 2k and 1e-8 where k <= y < 2k.  Its first
-    # term alone is off by up to 2.6e-5 and 3.5e-4 there.
+    # term alone is off by up to 2.6e-5 and 3.5e-4 there.  Its y, from the
+    # exact k! m to k = 170 and from log-gamma beyond, is within 1e-14.
     rng = random.Random(k)
     with mpmath.workdps(50):
         fact = mpmath.factorial(k)
@@ -203,10 +187,11 @@ def test_cold_start_is_accurate(k):
             ratio = rng.uniform(1, 2) if i % 3 == 0 else math.exp(rng.uniform(0.7, 27.7))
             m = int(mpmath.mpf(k * ratio) ** k / fact) + 1
             y = (fact * m) ** (mpmath.mpf(1) / k)
-            start = approx._cold_start(m, k)
+            start = _start(m, k)
             root = reference.mp_root(m, k, start)
             off = abs(start - root) / root
             assert off <= (1e-12 if y >= 2 * k else 1e-8), (m, k, float(y / k), float(off))
+            assert abs(approx._lead(m, k)[0] - y) / y <= 1e-14, (m, k)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 10])
@@ -306,7 +291,6 @@ def test_cascades_are_not_cached():
 def test_evaluator_cache_is_bounded():
     assert approx._binom_real_at.cache_parameters()["maxsize"] == 256
     assert approx._series_at.cache_parameters()["maxsize"] == 256
-    assert approx._row_constants.cache_parameters()["maxsize"] == 256
 
 
 KS = st.one_of(st.integers(min_value=1, max_value=40), st.sampled_from([170, 171, 400]))
@@ -378,6 +362,6 @@ def test_root_does_not_depend_on_its_start(case, fractions):
         except OverflowError as exc:  # an evaluation beyond float range
             return repr(exc)
 
-    expected = outcome(approx._cold_start(m, k))
+    expected = outcome(_start(m, k))
     for start in [n + t for t in fractions]:
         assert outcome(start) == expected, (m, k, start)

@@ -28,7 +28,7 @@ from kkbounds import (
     withoutr_bound,
 )
 from kkbounds import approx, cli
-from kkbounds.cascade import _CascadeCursor, _shadow_sum
+from kkbounds.cascade import _CascadeCursor
 from kkbounds.cli import EXIT_OK, EXIT_USAGE, main
 from kkbounds.grid import geometric_grid, linear_grid
 
@@ -94,7 +94,8 @@ def _advance(cursor, m, p):
     """
     rep = cascade_decompose(m, cursor.k)
     assert rep.terms == reference.greedy(m, cursor.k), (m, cursor.k)
-    assert cursor.advance(m) == (rep.terms[0][0], _shadow_sum(rep, p)), (m, cursor.k, p)
+    shadow = reference.shadow(rep.terms, cursor.k, p)
+    assert cursor.advance(m) == (rep.terms[0][0], shadow), (m, cursor.k, p)
     assert cursor.cascade() == rep, (m, cursor.k)
 
 
@@ -261,31 +262,6 @@ def test_warm_rows_equal_cold_rows(case):
     assert list(bound_reports(ms, k, p)) == [bound_report(m, k, p) for m in ms]
 
 
-def _root_evaluations(monkeypatch, ms, k, p, rows) -> list[int]:
-    """Evaluations of the root's polynomial in each row of rows(ms, k, p), a lazy iterator."""
-    calls = 0
-    real = approx._binom_real_at
-
-    def counting(j):
-        evaluate = real(j)
-        if j != k:
-            return evaluate  # the lovasz column's C(x, p)
-
-        def counted(x):
-            nonlocal calls
-            calls += 1
-            return evaluate(x)
-
-        return counted
-
-    monkeypatch.setattr(approx, "_binom_real_at", counting)
-    counts, before = [], 0
-    for _ in rows(ms, k, p):
-        counts.append(calls - before)
-        before = calls
-    return counts
-
-
 @pytest.mark.parametrize(
     "ms, k, p, most",
     [
@@ -293,26 +269,14 @@ def _root_evaluations(monkeypatch, ms, k, p, rows) -> list[int]:
         (geometric_grid(1, 12777711870, 400), 10, 7, 3.05),
     ],
 )
-def test_sweep_root_evaluations_per_row(monkeypatch, ms, k, p, most):
+def test_sweep_root_evaluations_per_row(root_evaluations, ms, k, p, most):
     # A sweep row starts its root as a cold bound_report row does, from the
-    # series at its own centred y, so the two take the same evaluations row by
-    # row: 2.09 a row at k = 3 and 3.02 on this 400-point paper grid.
-    sweep = _root_evaluations(monkeypatch, ms, k, p, bound_reports)
-    cold = _root_evaluations(
-        monkeypatch, ms, k, p, lambda ms, k, p: (bound_report(m, k, p) for m in ms)
-    )
+    # series at its own centred y = (k! m)^(1/k), the y withoutr takes, so the
+    # two take the same evaluations row by row: 2.09 a row at k = 3 (2.61 and
+    # 2.71 before the centring) and 3.02 on this 400-point paper grid.
+    _, sweep = root_evaluations(bound_reports(ms, k, p))
+    _, cold = root_evaluations(bound_report(m, k, p) for m in ms)
     assert sweep == cold and sum(cold) / len(cold) <= most
-
-
-def test_cold_row_root_evaluations(monkeypatch):
-    # A cold row starts its root from the series at its own (k! m)^(1/k),
-    # the power withoutr takes, centred: 2.09 evaluations a row at k = 3, as
-    # lovasz_x takes (2.61 and 2.71 before the centring).
-    def rows(ms, k, p):
-        return (bound_report(m, k, p) for m in ms)
-
-    counts = _root_evaluations(monkeypatch, range(1, 20001), 3, 2, rows)
-    assert sum(counts) / len(counts) <= 2.15
 
 
 def test_centred_series_start_within_an_ulp_of_the_root():
@@ -322,8 +286,8 @@ def test_centred_series_start_within_an_ulp_of_the_root():
     series, near, near_uncentred = approx._series_at(3), 0, 0
     ms = range(1, 100001)
     for m, row in zip(ms, bound_reports(ms, 3, 2)):
-        y, ulp = approx._pow_frac(6 * m, 1, 3), math.ulp(row.lovasz_x)
-        near += abs(approx._cold_start(m, 3) - row.lovasz_x) <= ulp
+        (y, bits), ulp = approx._lead(m, 3), math.ulp(row.lovasz_x)
+        near += abs(approx._series_start(y, bits, series) - row.lovasz_x) <= ulp
         uncentred = approx._series_start(y, 54, series)  # 54 bits: taken as unbiased
         near_uncentred += abs(uncentred - row.lovasz_x) <= ulp
     assert near >= 0.95 * len(ms) and near_uncentred <= 0.75 * len(ms), (near, near_uncentred)
@@ -339,17 +303,14 @@ def test_centred_series_start_within_an_ulp_of_the_root():
         (range(1, 20001), 3, 2.15),
     ],
 )
-def test_cold_root_evaluations_per_call(monkeypatch, ms, k, most):
+def test_cold_root_evaluations_per_call(root_evaluations, ms, k, most):
     # From the six-term series start: 2.71 at k = 3 and 3.01 on the paper's
     # grid (3.01 and 4.63 from its first term alone, 4.55 and 5.50 from the
     # regula falsi start alone), and 2.09 and 2.94 once its y is centred for
     # the rounding of float(1/k).  The first two cases hold the first-term
     # start's ceilings, the next two the series start's, the last the
     # centred start's.
-    def roots(ms, k, p):
-        return (lovasz_x(m, k) for m in ms)
-
-    counts = _root_evaluations(monkeypatch, ms, k, k - 1, roots)
+    _, counts = root_evaluations(lovasz_x(m, k) for m in ms)
     assert sum(counts) / len(counts) <= most
 
 
