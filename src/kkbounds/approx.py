@@ -7,7 +7,7 @@ import sys
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .binomials import _binom_real_at, _exp, _ratio_at, _shown, binomial
+from .binomials import _binom_real_at, _check, _exp, _ratio_at, _shown, binomial
 from .cascade import FaceVector, _CascadeCursor, _descend, _lead_root
 
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
@@ -170,10 +170,7 @@ def lovasz_x(m: int, k: int) -> float:
     overflows, they are those of C(x, k) / C(n, k) against m / C(n, k).  A
     root that does not fit raises OverflowError.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check(m, k)
     n, c, _ = _descend(m, k)
     start = _series_start(*_lead(m, k), _series_at(k))
     return _fit(_lovasz_root(m, k, n, c, _binom_real_at(k), start), "lovasz_x", k)
@@ -181,8 +178,7 @@ def lovasz_x(m: int, k: int) -> float:
 
 def lovasz_bound(m: int, k: int, p: int) -> float:
     """binom_real(x, p) at x = lovasz_x(m, k); OverflowError where it does not fit."""
-    if not 1 <= p < k:
-        raise ValueError(f"need 1 <= p < k, got p={p}, k={k}")
+    _check(m, k, p)
     return _fit(_binom_real_at(p)(lovasz_x(m, k)), "lovasz_bound", k, p)
 
 
@@ -200,10 +196,7 @@ def withoutr_bound(m: int, k: int, p: int) -> float:
 
     Raises OverflowError when the value does not fit in a float.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not 0 < p < k:
-        raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
+    _check(m, k, p)
     value = _withoutr(k, p, _power_lead(k, p), _lead(m, k)[0], _pow_frac(m, p, k))
     return _fit(value, "withoutr_bound", k, p)
 
@@ -238,10 +231,7 @@ def noreasy_bound(m: int, k: int, p: int) -> float:
 
     Raises OverflowError when the value does not fit in a float.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if not 0 < p < k:
-        raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
+    _check(m, k, p, least=0)
     if m == 0:
         return 0.0
     return _fit(_power_lead(k, p) * _pow_frac(m, p, k), "noreasy_bound", k, p)
@@ -272,12 +262,7 @@ def colorapprox_bound(m: int, k: int, p: int, r: int) -> float:
     m < C(r+1, k) (see flag_r).  Raises OverflowError when the value does not
     fit in a float; C(r, p) alone may exceed float range.
     """
-    if not 0 < p < k:
-        raise ValueError(f"need 0 < p < k, got p={p}, k={k}")
-    if k > r:
-        raise ValueError(f"need k <= r, got k={k}, r={r}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    _check(m, k, p, r, least=0)
     if m == 0:
         return 0.0
     return _fit(_colorapprox(m, k, p, binomial(r, p), binomial(r, k)), "colorapprox_bound", k, p, r)
@@ -306,10 +291,7 @@ def best_r(m: int, k: int) -> int:
     m <= C(n, k) + C(n-1, k-1), and n + 1 otherwise: C(n+1, k) + C(n, k-1)
     exceeds m, while r = n - 1 gives C(n-1, k) + C(n-2, k-1) < C(n, k) <= m.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check(m, k)
     if k == 1:
         return max(1, m - 1)
     n, c, _ = _descend(m, k)
@@ -322,10 +304,7 @@ def flag_r(m: int, k: int) -> int:
     This is exactly the leading cascade index n: C(n, k) <= m < C(n+1, k)
     and n >= k, while any smaller r has C(r+1, k) <= C(n, k) <= m.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check(m, k)
     return _descend(m, k)[0]
 
 
@@ -375,20 +354,15 @@ def bound_reports(
     level, C(n, p) is one binomial, and C(n+1, p) and best_r's threshold
     follow by exact division.  Beyond those and the cursor's levels, nothing
     is kept from row to row.
-    The arguments are checked, in bound_report's order, when the first row is
-    computed; an m that does not exceed the one before raises ValueError when
-    it is reached.
+    The arguments are checked by _check, with the first m, when the first
+    row is computed; an m that does not exceed the one before raises
+    ValueError when it is reached.
     """
     rows = iter(ms)
     m = next(rows, None)
     if m is None:
         return
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {_shown(m)}")
-    if not 1 <= p < k:
-        raise ValueError(f"need 1 <= p < k, got p={_shown(p)}, k={_shown(k)}")
-    if r is not None and r < k:
-        raise ValueError(f"need k <= r, got k={_shown(k)}, r={_shown(r)}")
+    _check(m, k, p, r)
     lead, series = _power_lead(k, p), _series_at(k)
     evaluate, lovasz_at = _binom_real_at(k), _binom_real_at(p)
     if r is not None:

@@ -37,14 +37,13 @@ def binom_real(x: float, k: int) -> float:
     product stays below 2**53).  The value is _binom_real_at(k)(x), and
     OverflowError where that does not fit in a float.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _check(1, k)  # the k rule alone
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     value = _binom_real_at(k)(x)
     if not math.isfinite(value):
-        raise OverflowError(f"binom_real({x}, {k}) does not fit in a float")
+        raise OverflowError(f"binom_real({x}, {_shown(k)}) does not fit in a float")
     return value
 
 
@@ -103,6 +102,22 @@ def _shown(a: int) -> str:
     return str(a) if -(2**64) < a < 2**64 else f"{'-' * (a < 0)}<{a.bit_length()}-bit int>"
 
 
+def _check(m: int, k: int, p: int | None = None, r: int | None = None, least: int = 1) -> None:
+    """ValueError for the first of m >= least, k >= 1, 1 <= p < k and k <= r that fails.
+
+    The one argument check of the public functions, in bound_report's order;
+    p and r are checked when given.
+    """
+    if m < least:
+        raise ValueError(f"m must be >= {least}, got {_shown(m)}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {_shown(k)}")
+    if p is not None and not 1 <= p < k:
+        raise ValueError(f"need 1 <= p < k, got p={_shown(p)}, k={_shown(k)}")
+    if r is not None and r < k:
+        raise ValueError(f"need k <= r, got k={_shown(k)}, r={_shown(r)}")
+
+
 class _Record:
     """Immutable record over __slots__: equality, hash and repr field by field.
 
@@ -144,7 +159,7 @@ class TuranGraph(_Record):
 
     def __init__(self, n: int, r: int, parts: tuple[frozenset[int], ...]) -> None:
         if r < 1 or n < 0:
-            raise ValueError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
+            raise ValueError(f"need n >= 0 and r >= 1, got n={_shown(n)}, r={_shown(r)}")
         if len(parts) != r:
             raise ValueError("number of parts must equal r")
         sizes = sorted(len(part) for part in parts)
@@ -171,7 +186,7 @@ class TuranGraph(_Record):
 def turan_graph(n: int, r: int) -> TuranGraph:
     """Partition {1..n} into r parts of size floor(n/r) or ceil(n/r)."""
     if n < 0 or r < 1:
-        raise ValueError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
+        raise ValueError(f"need n >= 0 and r >= 1, got n={_shown(n)}, r={_shown(r)}")
     base, extra = divmod(n, r)
     parts = []
     start = 1
@@ -194,7 +209,7 @@ def turan_coefficient(n: int, k: int, r: int) -> int:
     or k > r.
     """
     if n < 0 or r < 1:
-        raise ValueError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
+        raise ValueError(f"need n >= 0 and r >= 1, got n={_shown(n)}, r={_shown(r)}")
     if k < 0:
         return 0
     p, q = divmod(n, r)
@@ -213,7 +228,7 @@ def turan_clique_count_oracle(
     intentionally independent of the closed form.
     """
     if n > limit:
-        raise ValueError(f"oracle limited to n <= {limit}, got n={n}")
+        raise ValueError(f"oracle limited to n <= {_shown(limit)}, got n={_shown(n)}")
     if k < 0:
         return 0
     graph = turan_graph(n, r)

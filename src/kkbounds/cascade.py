@@ -26,7 +26,7 @@ from bisect import bisect_right
 from itertools import starmap
 from typing import NamedTuple
 
-from .binomials import _Record, _exp, _set, _shown, binomial, turan_coefficient
+from .binomials import _Record, _check, _exp, _set, _shown, binomial, turan_coefficient
 
 _WALK = 4  # exact steps before a search, down from the level above or up from a float seed
 _COLUMN_J, _COLUMN_LEN = 64, 512  # at most 62 columns of 512 entries
@@ -175,8 +175,7 @@ class _Cascade(_Record):
 
     def _check(self) -> None:
         k, r, terms = self.k, getattr(self, "r", None), self.terms
-        if k < 1 or (r is not None and r < k):
-            raise ValueError(f"need r >= k >= 1, got k={k}, r={r}")
+        _check(1, k, r=r)  # the k and r rules alone: the terms give m
         if not terms:
             raise ValueError("cascade needs at least one term")
         if terms[-1][1] < 1:
@@ -187,12 +186,14 @@ class _Cascade(_Record):
             if j != k - pos or (r is not None and term[2] != r - pos):
                 raise ValueError("indices and color budgets must step down by one")
             if n < j:
-                raise ValueError(f"term {term} has n < j")
+                raise ValueError(f"term ({', '.join(map(_shown, term))}) has n < j")
             # The gap condition n - floor(n/c) > n'; strict decrease when c is None.
             if previous is not None:
                 gap = 0 if r is None else previous // (r - pos + 1)
                 if previous - gap <= n:
-                    raise ValueError(f"gap condition fails: {previous} - {gap} <= {n}")
+                    raise ValueError(
+                        f"gap condition fails: {_shown(previous)} - {_shown(gap)} <= {_shown(n)}"
+                    )
             previous = n
 
     @classmethod
@@ -228,10 +229,7 @@ class CascadeRep(_Cascade):
 
 def cascade_decompose(m: int, k: int) -> CascadeRep:
     """Greedy cascade of m at level k: peel off the largest C(n_j, j) each step."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {_shown(m)}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {_shown(k)}")
+    _check(m, k)
     cursor = _CascadeCursor(k, 0)  # its shadow, C(n_k, 0) = 1, costs least to carry
     cursor.advance(m)
     return cursor.cascade()
@@ -262,7 +260,7 @@ class _CascadeCursor:
         or the closed form, all inline, or else from _descend.
         """
         if m <= self.m:
-            raise ValueError(f"m must increase strictly, got {m} after {self.m}")
+            raise ValueError(f"m must increase strictly, got {_shown(m)} after {_shown(self.m)}")
         levels, rem, drop, extra, top = self.levels, m, self.drop, self.extra, math.inf
         # Above the first level that grows, every remainder rises by m - self.m.
         for pos, (n, j, value, above, shadow) in enumerate(levels):
@@ -331,7 +329,7 @@ class _CascadeCursor:
                 rem -= value
                 top, j, at = n, j - 1, above - value
             if rem:
-                raise ValueError(f"cascade levels do not sum to m={m}")
+                raise ValueError(f"cascade levels do not sum to m={_shown(m)}")
         self.m = m
         return levels[0][0], levels[-1][4]
 
@@ -351,10 +349,7 @@ def shadow_bound(m: int, k: int, p: int) -> int:
     Evaluates the chained closed form: each cascade term C(n_j, j) contributes
     C(n_j, j - (k - p)), where terms whose lower index drops below zero vanish.
     """
-    if not 1 <= p < k:
-        raise ValueError(f"need 1 <= p < k, got p={p}, k={k}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check(m, k, p)
     return _CascadeCursor(k, p).advance(m)[1]
 
 

@@ -23,7 +23,7 @@ from operator import attrgetter
 from typing import Sequence
 
 from .approx import bound_report, bound_reports
-from .binomials import _shown
+from .binomials import _check
 from .cascade import FaceVector, cascade_decompose, cascade_evaluate, validate_face_vector
 from .grid import _check_range, geometric_grid, linear_grid
 
@@ -122,13 +122,9 @@ def _cmd_cascade(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        entries = tuple(int(token) for token in args.vector.split(","))
-    except ValueError:
-        shown = repr(args.vector)  # a long one cut short, keeping the error line short
-        if len(shown) > 64:
-            shown = f"{shown[:48]}... ({len(args.vector)} characters)"
-        raise ValueError(f"cannot parse face vector from {shown}")
-    f = FaceVector(entries)
+        f = FaceVector(map(_int_arg, args.vector.split(",")))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"cannot parse face vector: {exc}") from None
     if args.r is None:
         result = validate_face_vector(f)
     else:
@@ -147,15 +143,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if not 1 <= args.p < args.k:
-        raise ValueError(f"need 1 <= p < k, got p={_shown(args.p)}, k={_shown(args.k)}")
-    if args.r_mode == "fixed":
-        if args.r is None:
-            raise ValueError("--r-mode fixed requires --r")
-        if args.r < args.k:
-            raise ValueError(f"need k <= r, got k={_shown(args.k)}, r={_shown(args.r)}")
-    elif args.r is not None:
+    if args.r_mode == "fixed" and args.r is None:
+        raise ValueError("--r-mode fixed requires --r")
+    if args.r_mode != "fixed" and args.r is not None:
         raise ValueError("--r needs --r-mode fixed")
+    _check(1, args.k, args.p, args.r)  # before the grid is built, which checks the m range
     ms = sample_grid(args.m_start, args.m_end, args.samples, linear=args.linear)
     rows = bound_reports(ms, args.k, args.p, args.r)
     # The first row is computed before anything is written, so a sweep that
@@ -182,13 +174,19 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if run_selftest(args.scale) else EXIT_SELFTEST
 
 
-def _samples_arg(text: str):
-    if text == "all":
-        return "all"
+def _int_arg(text: str, expected: str = "an integer") -> int:
+    """An integer option's value; a bad token shows cut short, keeping the error line short."""
     try:
         return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"samples must be an integer or 'all', got {text!r}")
+    except ValueError:  # not an integer, or longer than int() takes (4300 digits)
+        shown = repr(text)
+        if len(shown) > 32:
+            shown = f"{shown[:24]}... ({len(text)} characters)"
+        raise argparse.ArgumentTypeError(f"not {expected}: {shown}") from None
+
+
+def _samples_arg(text: str):
+    return text if text == "all" else _int_arg(text, "an integer or 'all'")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -199,32 +197,38 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate every bound at one (m, k, p)")
-    p_bound.add_argument("--m", type=int, required=True, help="number of faces on k vertices")
-    p_bound.add_argument("--k", type=int, required=True)
-    p_bound.add_argument("--p", type=int, required=True)
-    p_bound.add_argument("--r", type=int, help="color count for the colored bound (default: best_r)")
+    p_bound.add_argument("--m", type=_int_arg, required=True, help="number of faces on k vertices")
+    p_bound.add_argument("--k", type=_int_arg, required=True)
+    p_bound.add_argument("--p", type=_int_arg, required=True)
+    p_bound.add_argument(
+        "--r", type=_int_arg, help="color count for the colored bound (default: best_r)"
+    )
     p_bound.add_argument("--format", choices=("table", "json"), default="table")
     p_bound.set_defaults(handler=_cmd_bound)
 
     p_cascade = sub.add_parser("cascade", help="show the (colored) cascade of m at level k")
-    p_cascade.add_argument("--m", type=int, required=True)
-    p_cascade.add_argument("--k", type=int, required=True)
-    p_cascade.add_argument("--r", type=int, help="color budget; switches to the colored cascade")
+    p_cascade.add_argument("--m", type=_int_arg, required=True)
+    p_cascade.add_argument("--k", type=_int_arg, required=True)
+    p_cascade.add_argument(
+        "--r", type=_int_arg, help="color budget; switches to the colored cascade"
+    )
     p_cascade.set_defaults(handler=_cmd_cascade)
 
     p_validate = sub.add_parser("validate", help="check a face vector, e.g. 1,4,6,4,1")
     p_validate.add_argument("vector", help="comma-separated face counts starting with 1")
-    p_validate.add_argument("--r", type=int, help="validate against the r-colorable conditions")
+    p_validate.add_argument(
+        "--r", type=_int_arg, help="validate against the r-colorable conditions"
+    )
     p_validate.add_argument(
         "--realize", action="store_true", help="print a complex realizing the vector"
     )
     p_validate.set_defaults(handler=_cmd_validate)
 
     p_sweep = sub.add_parser("sweep", help="CSV/JSON sweep of all bounds over a range of m")
-    p_sweep.add_argument("--k", type=int, required=True)
-    p_sweep.add_argument("--p", type=int, required=True)
-    p_sweep.add_argument("--m-start", type=int, default=1)
-    p_sweep.add_argument("--m-end", type=int, required=True)
+    p_sweep.add_argument("--k", type=_int_arg, required=True)
+    p_sweep.add_argument("--p", type=_int_arg, required=True)
+    p_sweep.add_argument("--m-start", type=_int_arg, default=1)
+    p_sweep.add_argument("--m-end", type=_int_arg, required=True)
     p_sweep.add_argument("--samples", type=_samples_arg, default=200)
     p_sweep.add_argument(
         "--linear", action="store_true", help="sample at equal spacing instead of equal ratios"
@@ -235,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto-best",
         help="how the withr column picks r (flag columns always use flag_r)",
     )
-    p_sweep.add_argument("--r", type=int, help="r for --r-mode fixed")
+    p_sweep.add_argument("--r", type=_int_arg, help="r for --r-mode fixed")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(handler=_cmd_sweep)
 

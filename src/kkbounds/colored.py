@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import starmap
 
-from .binomials import _set, _shown, turan_coefficient
+from .binomials import _check, _set, _shown, turan_coefficient
 from .cascade import FaceVector, ValidationResult, _Cascade, _CascadeCursor, _first_failure
 
 
@@ -30,10 +30,7 @@ class ColoredCascadeRep(_Cascade):
 
 def colored_cascade_decompose(m: int, k: int, r: int) -> ColoredCascadeRep:
     """Greedy cascade of m over Turán coefficients, decrementing k and r together."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {_shown(m)}")
-    if k < 1 or r < k:
-        raise ValueError(f"need r >= k >= 1, got k={_shown(k)}, r={_shown(r)}")
+    _check(m, k, r=r)
     cursor = _CascadeCursor(k, 0, r)  # its shadow, T(n_k, 0)_r = 1, costs least to carry
     cursor.advance(m)
     terms = tuple([(level[0], level[1], level[1] + r - k) for level in cursor.levels])
@@ -52,12 +49,7 @@ def colored_shadow_bound(m: int, k: int, p: int, r: int) -> int:
     cascade contributes T(n, j - (k - p))_c, with the usual zero/one
     conventions at and below lower index zero.
     """
-    if not 1 <= p < k:
-        raise ValueError(f"need 1 <= p < k, got p={p}, k={k}")
-    if k > r:
-        raise ValueError(f"need k <= r, got k={k}, r={r}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check(m, k, p, r)
     return _CascadeCursor(k, p, r).advance(m)[1]
 
 
@@ -69,7 +61,7 @@ def validate_colored_face_vector(f: FaceVector, r: int) -> ValidationResult:
     shadow inequality.
     """
     if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+        raise ValueError(f"r must be >= 1, got {_shown(r)}")
     if len(f.entries) - 1 > r:
         reason = f"f_{r}={f.entries[r + 1]} faces on {r + 1} vertices need more than r={r} colors"
         return ValidationResult(False, r + 1, reason)

@@ -11,7 +11,7 @@ import random
 from collections import Counter
 from itertools import combinations, product
 
-from .binomials import _Record, _set, turan_graph
+from .binomials import _Record, _check, _set, _shown, turan_graph
 from .cascade import FaceVector, validate_face_vector
 
 DEFAULT_MAX_FACES = 20000
@@ -95,10 +95,7 @@ def revlex_precedes(a, b) -> bool:
 
 def revlex_ksets(m: int, k: int) -> list[frozenset[int]]:
     """The first m k-subsets of {1, 2, ...} in rev-lex order, via successors."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check(m, k)
     current = list(range(1, k + 1))
     out = [frozenset(current)]
     while len(out) < m:
@@ -210,7 +207,7 @@ def is_r_colorable(
     worst case, hence the vertex limit.
     """
     if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+        raise ValueError(f"r must be >= 1, got {_shown(r)}")
     vertices = sorted(complex_.vertices)
     if len(vertices) > limit:
         raise ValueError(f"coloring oracle limited to {limit} vertices")
@@ -252,7 +249,7 @@ def replicate(
     (v-1)*q + 1 .. v*q.
     """
     if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+        raise ValueError(f"q must be >= 1, got {_shown(q)}")
     faces = set()
     for face in complex_.faces:
         base = sorted(face)
@@ -298,7 +295,7 @@ def random_complex(
     stay, so the result remains a complex but need not be flag).
     """
     if n < 0 or n > limit:
-        raise ValueError(f"need 0 <= n <= {limit}, got n={n}")
+        raise ValueError(f"need 0 <= n <= {_shown(limit)}, got n={_shown(n)}")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     if not 0.0 <= prune <= 1.0:

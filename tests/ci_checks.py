@@ -190,13 +190,21 @@ def overflow() -> None:
     expect(error.startswith("lovasz_bound(m, 10, 7) does not fit in a float"), error)
     # One error line each: at m = 10**620 the flag column's r has 1031 bits,
     # and a reversed range starts at 10**320; each shows its number by its size.
+    # An integer option of 5000 digits, beyond what int() takes, shows cut
+    # short, in the last line, after argparse's usage lines.
+    ones = "1" * 5000
     for most, start, args in (
         (101, "error: colorapprox_bound(m, 2, 1, ", ("bound", "--m", 10**620, "--k", 2, "--p", 1)),
         (121, "error: ", ("sweep", "--k", 3, "--p", 2, "--m-start", HUGE, "--m-end", 3)),
+        (121, "kkbounds bound: error: argument --m: ", ("bound", "--m", ones, "--k", 3, "--p", 2)),
+        (121, "kkbounds sweep: error: argument --samples: ", ("sweep", *DENSE[:-1], ones)),
     ):
         code, _, err = cli(*args, timeout=20)
-        one_line = err.count("\n") == 1 and len(err.encode()) <= most
-        expect(code == 2 and one_line and err.startswith(start), err)
+        *usage, last = err.splitlines(keepends=True)
+        # Only argparse's own errors have usage lines; the two others are one line alone.
+        from_argparse = start.startswith("kkbounds")
+        framed = bool(usage) and usage[0].startswith("usage: ") if from_argparse else not usage
+        expect(code == 2 and framed and len(last.encode()) <= most and last.startswith(start), err)
 
 
 def _peak_growth(run, most: float) -> None:

@@ -95,16 +95,23 @@ def test_noreasy_values():
 
 
 def test_bound_ranges_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 1 <= p < k, got p=3, k=3$"):
         lovasz_bound(10, 3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
         withoutr_bound(0, 3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 1 <= p < k, got p=0, k=3$"):
         withoutr_bound(10, 3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m must be >= 0, got -1$"):
         noreasy_bound(-1, 3, 2)
-    with pytest.raises(ValueError):
-        colorapprox_bound(10, 4, 2, 3)  # k > r
+    with pytest.raises(ValueError, match=r"^need k <= r, got k=4, r=3$"):
+        colorapprox_bound(10, 4, 2, 3)
+    # m is checked first, then k, p and r, as in bound_report.
+    with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
+        lovasz_bound(0, 3, 3)
+    with pytest.raises(ValueError, match=r"^m must be >= 0, got -1$"):
+        colorapprox_bound(-1, 4, 4, 3)
+    with pytest.raises(ValueError, match=r"^need 1 <= p < k, got p=4, k=4$"):
+        colorapprox_bound(10, 4, 4, 3)
 
 
 def test_symmetric_chain_values():

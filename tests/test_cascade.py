@@ -330,12 +330,16 @@ def test_shadow_bound_examples():
 
 
 def test_shadow_bound_rejects_bad_ranges():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 1 <= p < k, got p=3, k=3$"):
         shadow_bound(10, 3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 1 <= p < k, got p=0, k=3$"):
         shadow_bound(10, 3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
         shadow_bound(0, 3, 2)
+    with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):  # m before p
+        shadow_bound(0, 3, 3)
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+        shadow_bound(10, 0, 0)
 
 
 def test_shadow_full_level_sharpness():

@@ -118,11 +118,31 @@ def test_validate_names_the_broken_inequality(capsys):
 
 def test_validate_parse_errors(capsys):
     code, _, err = run(capsys, "validate", "1,two,3")
-    assert code == EXIT_USAGE and "cannot parse" in err
+    assert code == EXIT_USAGE and err == "error: cannot parse face vector: not an integer: 'two'\n"
     code, _, err = run(capsys, "validate", "2,3")
     assert code == EXIT_USAGE and "must start with" in err
     code, _, err = run(capsys, "validate", "1,0,3")
     assert code == EXIT_USAGE and "positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--m", "1" * 5000, "--k", "3", "--p", "2"],
+        ["sweep", "--k", "3", "--p", "2", "--m-end", "9", "--samples", "1" * 5000],
+        ["validate", "1," + "1" * 5000],
+    ],
+    ids=["bound --m", "sweep --samples", "validate"],
+)
+def test_5000_digit_integer_is_shown_cut_short(capsys, argv):
+    # int() takes at most 4300 digits: the token shows cut short, in a short last line.
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert code == EXIT_USAGE
+    assert len(last) <= 120 and last.endswith(": '11111111111111111111111... (5000 characters)")
 
 
 def test_sweep_csv_shape(capsys):
@@ -182,6 +202,18 @@ def test_sweep_rejects_r_outside_fixed_mode(capsys):
     for mode in ((), ("--r-mode", "auto-flag"), ("--r-mode", "off")):
         code, out, err = run(capsys, *argv, *mode)
         assert (code, out, err) == (EXIT_USAGE, "", "error: --r needs --r-mode fixed\n")
+
+
+def test_sweep_checks_k_p_and_r_before_building_its_grid(capsys, monkeypatch):
+    # A bad p or r fails at once, not after --samples values are made.
+    monkeypatch.setattr("kkbounds.cli.sample_grid", lambda *a, **kw: pytest.fail("grid built"))
+    argv = ("sweep", "--k", "3", "--m-end", str(10**12), "--samples", str(10**8))
+    for extra, message in (
+        (("--p", "3"), "need 1 <= p < k, got p=3, k=3"),
+        (("--p", "2", "--r-mode", "fixed", "--r", "2"), "need k <= r, got k=3, r=2"),
+    ):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_sweep_rejects_oversampling(capsys):

@@ -70,12 +70,17 @@ def test_shadow_bound_examples():
 
 
 def test_shadow_bound_rejects_bad_ranges():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 1 <= p < k, got p=2, k=2$"):
         colored_shadow_bound(5, 2, 2, 3)
-    with pytest.raises(ValueError):
-        colored_shadow_bound(5, 4, 1, 3)  # k > r
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need k <= r, got k=4, r=3$"):
+        colored_shadow_bound(5, 4, 1, 3)
+    with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
         colored_shadow_bound(0, 2, 1, 3)
+    # m before p and r, p before r
+    with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
+        colored_shadow_bound(0, 4, 4, 3)
+    with pytest.raises(ValueError, match=r"^need 1 <= p < k, got p=4, k=4$"):
+        colored_shadow_bound(5, 4, 4, 3)
 
 
 def test_full_level_sharpness():

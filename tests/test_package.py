@@ -1,9 +1,10 @@
-"""The package surface (every public name, star import, dir) and the record types."""
+"""The package surface (every public name, star import, dir), the records, the argument checks."""
 
 import copy
 import importlib
 import pickle
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,10 +16,30 @@ from kkbounds import (
     Graph,
     SimplicialComplex,
     TuranGraph,
+    best_r,
+    binom_real,
     binomial,
+    bound_report,
+    bound_reports,
     cascade_decompose,
+    colorapprox_bound,
     colored_cascade_decompose,
+    colored_shadow_bound,
+    flag_r,
+    is_r_colorable,
+    lovasz_bound,
+    lovasz_x,
+    noreasy_bound,
+    random_complex,
+    replicate,
+    revlex_complex,
+    revlex_ksets,
+    shadow_bound,
+    turan_clique_count_oracle,
+    turan_coefficient,
     turan_graph,
+    validate_colored_face_vector,
+    withoutr_bound,
 )
 from kkbounds.cascade import _CascadeCursor
 
@@ -154,3 +175,86 @@ def test_cursor_cascades_equal_decompose_with_equal_hashes():
             assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
             with pytest.raises(AttributeError):
                 got.k = k
+
+
+HUGE = 10**5000  # 16610 bits; str() of it raises past 4300 digits
+SIZE = "<16610-bit int>"
+# Every public function that takes m, k, p or r, with the names it takes, in that order.
+CHECKED = {
+    "lovasz_x": (lovasz_x, "mk"),
+    "lovasz_bound": (lovasz_bound, "mkp"),
+    "withoutr_bound": (withoutr_bound, "mkp"),
+    "noreasy_bound": (noreasy_bound, "mkp"),
+    "colorapprox_bound": (colorapprox_bound, "mkpr"),
+    "best_r": (best_r, "mk"),
+    "flag_r": (flag_r, "mk"),
+    "bound_report": (bound_report, "mkpr"),
+    "bound_reports": (lambda m, k, p, r: next(bound_reports([m, m + 1], k, p, r)), "mkpr"),
+    "cascade_decompose": (cascade_decompose, "mk"),
+    "shadow_bound": (shadow_bound, "mkp"),
+    "colored_cascade_decompose": (colored_cascade_decompose, "mkr"),
+    "colored_shadow_bound": (colored_shadow_bound, "mkpr"),
+    "revlex_ksets": (revlex_ksets, "mk"),
+    "revlex_complex": (revlex_complex, "mk"),
+    "CascadeRep": (lambda k: CascadeRep(k, [(5, 3)]), "k"),
+    "ColoredCascadeRep": (lambda k, r: ColoredCascadeRep(k, r, [(5, 3, 4)]), "kr"),
+    "binom_real": (lambda k: binom_real(5.0, k), "k"),
+}
+VALID = {"m": 10, "k": 3, "p": 2, "r": 4}
+BAD = {"m": -HUGE, "k": -HUGE, "p": HUGE, "r": -HUGE}
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_arguments_checked_in_one_order_and_shown_by_size(name):
+    call, names = CHECKED[name]
+    least = 0 if name in ("noreasy_bound", "colorapprox_bound") else 1
+    messages = {
+        "m": f"m must be >= {least}, got -{SIZE}",
+        "k": f"k must be >= 1, got -{SIZE}",
+        "p": f"need 1 <= p < k, got p={SIZE}, k=3",
+        "r": f"need k <= r, got k=3, r=-{SIZE}",
+    }
+    # One bad argument, then every two: the first of m, k, p and r is named.
+    for bad in [*names, *combinations(names, 2)]:
+        with pytest.raises(ValueError) as raised:
+            call(*[BAD[x] if x in bad else VALID[x] for x in names])
+        assert str(raised.value) == messages[bad[0]], bad
+
+
+def _advance_twice(k: int, first: int, then: int):
+    cursor = _CascadeCursor(k, k - 1)
+    cursor.advance(first)
+    cursor.advance(then)
+
+
+OTHER_MESSAGES = [
+    (lambda: turan_coefficient(-HUGE, 2, 3), f"need n >= 0 and r >= 1, got n=-{SIZE}, r=3"),
+    (lambda: turan_graph(5, -HUGE), f"need n >= 0 and r >= 1, got n=5, r=-{SIZE}"),
+    (lambda: TuranGraph(-HUGE, 1, ()), f"need n >= 0 and r >= 1, got n=-{SIZE}, r=1"),
+    (lambda: turan_graph(5, 0), "need n >= 0 and r >= 1, got n=5, r=0"),  # no division by 0
+    # At once, not after building r parts.
+    (lambda: turan_graph(-1, HUGE), f"need n >= 0 and r >= 1, got n=-1, r={SIZE}"),
+    (lambda: turan_clique_count_oracle(-1, 2, HUGE), f"need n >= 0 and r >= 1, got n=-1, r={SIZE}"),
+    (lambda: turan_clique_count_oracle(HUGE, 2, 3), f"oracle limited to n <= 14, got n={SIZE}"),
+    (lambda: validate_colored_face_vector(FaceVector((1,)), -HUGE), f"r must be >= 1, got -{SIZE}"),
+    (lambda: is_r_colorable(revlex_complex(2, 2), -HUGE), f"r must be >= 1, got -{SIZE}"),
+    (lambda: replicate(revlex_complex(2, 2), -HUGE), f"q must be >= 1, got -{SIZE}"),
+    (lambda: random_complex(HUGE, 0.5, 0), f"need 0 <= n <= 14, got n={SIZE}"),
+    (lambda: _advance_twice(2, HUGE, 1), f"m must increase strictly, got 1 after {SIZE}"),
+    (lambda: CascadeRep(HUGE, [(HUGE - 1, HUGE)]), f"term ({SIZE}, {SIZE}) has n < j"),
+    (
+        lambda: CascadeRep(2, [(HUGE, 2), (HUGE, 1)]),
+        f"gap condition fails: {SIZE} - 0 <= {SIZE}",
+    ),
+    (
+        lambda: ColoredCascadeRep(2, 2, [(HUGE, 2, 2), (HUGE // 2 + 1, 1, 1)]),
+        f"gap condition fails: {SIZE} - <16609-bit int> <= <16609-bit int>",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", OTHER_MESSAGES, ids=range(len(OTHER_MESSAGES)))
+def test_every_other_message_shows_a_huge_integer_by_its_size(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

@@ -359,11 +359,13 @@ def test_non_increasing_ms_raise(ms):
 
 
 def test_arguments_checked_in_bound_report_order():
-    with pytest.raises(ValueError, match="m must be >= 1"):
-        next(bound_reports([0, 1], 3, 3))
-    with pytest.raises(ValueError, match="p < k"):
-        next(bound_reports([1, 2], 3, 3))
-    with pytest.raises(ValueError, match="k <= r"):
+    with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
+        next(bound_reports([0, 1], 0, 0, -1))
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+        next(bound_reports([1, 2], 0, 0, -1))
+    with pytest.raises(ValueError, match=r"^need 1 <= p < k, got p=3, k=3$"):
+        next(bound_reports([1, 2], 3, 3, 2))
+    with pytest.raises(ValueError, match=r"^need k <= r, got k=3, r=2$"):
         next(bound_reports([1, 2], 3, 2, 2))
 
 
