@@ -94,12 +94,14 @@ def _ratio_at(n: int, k: int):
 _set = object.__setattr__
 
 
-def _shown(a: int) -> str:
-    """An integer for an error message: in full below 2^64 in size, else by its size.
+def _shown(a) -> str:
+    """An integer for a message: in full below 2^64 in size, else by its size; others by repr.
 
     str() of a huge one is long, and fails past 4300 digits.
     """
-    return str(a) if -(2**64) < a < 2**64 else f"{'-' * (a < 0)}<{a.bit_length()}-bit int>"
+    if not isinstance(a, int) or -(2**64) < a < 2**64:
+        return repr(a)
+    return f"{'-' * (a < 0)}<{a.bit_length()}-bit int>"
 
 
 def _check(m: int, k: int, p: int | None = None, r: int | None = None, least: int = 1) -> None:
@@ -177,7 +179,7 @@ class TuranGraph(_Record):
         for i, part in enumerate(self.parts):
             if v in part:
                 return i
-        raise ValueError(f"vertex {v} not in graph")
+        raise ValueError(f"vertex {_shown(v)} not in graph")
 
     def adjacent(self, u: int, v: int) -> bool:
         return u != v and self.part_of(u) != self.part_of(v)

@@ -1,22 +1,23 @@
 """Binomial and colored cascades and the exact shadow bounds they induce.
 
-Both families come from one _CascadeCursor; a plain cascade is a colored one
-whose budget c exceeds every index (None), as T(n, j)_c = C(n, j) for n <= c.
+Both families come from one function, _greedy, run on an empty level list by
+one-shot calls; _CascadeCursor is its warm wrapper, which keeps the levels
+above the first index that grows.  A plain cascade is a colored one whose
+budget c exceeds every index (None), as T(n, j)_c = C(n, j) for n <= c.
 A level (n, j, c) stores T(n, j)_c and T(n+1, j)_c, whose difference is
 T(top, j-1)_{c-1}, top = n - floor(n/c): the next index lies below this exact
 limit, the gap condition, so each level is checked once, as it is made.
 Colored levels with j >= 2 and a limit above their budget search on the
-cached turan_coefficient (_max_index).  From the first other level on, a
-colored cascade is plain, its plain tail for the plain greedy.  There a
-remainder that lies in Pascal column j, the cached C(j + i, j) below 2^64 for
-3 <= j <= 64, gives the level by one bisection, inline in the cursor's loop:
-the column run.  As n - j never grows from a level to the next, and
-C(n, j-1) <= C(n+1, j), the run goes on down to j = 3 once it has begun.
-Inline too are j = 2, _max_index's closed form, and j = 1, the remainder.
-Every other plain level goes through _descend, which walks down from the
-level above by C(t-1, j) = C(t, j) (t-j)/t or searches; it also gives a
-leading index alone (flag_r, best_r, lovasz_x), from the same columns.  A
-search far beyond 2^53 bisects a window of j integers above an integer root.
+cached turan_coefficient (_max_index); from the first other level on, the
+cascade is plain.  There a remainder in Pascal column j, the cached
+C(j + i, j) below 2^64 for 3 <= j <= 64, gives the level by one bisection:
+the column run, which goes on down to j = 3 once begun, as n - j never grows
+and C(n, j-1) <= C(n+1, j).  It is inline in _greedy's loop, as are j = 2,
+_max_index's closed form, and j = 1, the remainder.  Every other plain level
+is _descend's, which walks down from the level above by C(t-1, j) =
+C(t, j) (t-j)/t or searches; it also gives a leading index alone (flag_r,
+best_r, lovasz_x).  A search far beyond 2^53 bisects a window of j integers
+above an integer root.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _descend(rem: int, j: int, top: int = 0, at: int | None = None) -> tuple[int
     j = 1 takes rem, and j = 2 _max_index's closed form, with
     C(n+1, 2) = C(n, 2) + n.  At 3 <= j <= _COLUMN_J, a rem below the last
     entry of Pascal column j, grown on demand, gives all three by one
-    bisection.  (The cursor makes these levels inline, and asks here for the
+    bisection.  (_greedy makes these levels inline, and asks here for the
     others.)  Otherwise, given at, up to _WALK exact steps walk down from
     top; else _max_index.  As n - j never grows from a level to the next, the
     walk takes 1704 of the 1705 levels at k = 2000, m = 10**30.
@@ -166,6 +167,76 @@ def _descend(rem: int, j: int, top: int = 0, at: int | None = None) -> tuple[int
         at = below
     n, value = _max_index(rem, j, None)
     return n, value, value * (n + 1) // (n + 1 - j)
+
+
+def _outside(term: tuple, top) -> ValueError:
+    """The error for a level whose term breaks 1 <= j <= n < top."""
+    shown = ", ".join(map(_shown, term))
+    return ValueError(f"term ({shown}) is not within 1 <= j <= n < {_shown(top)}")
+
+
+def _greedy(levels: list, rem: int, k: int, drop: int, extra: int | None) -> list:
+    """Append the greedy levels of rem >= 1 to levels, below those there; return levels.
+
+    Plain with extra None, else colored with level j's budget c = j + extra.
+    A level is (n_j, j, T(n_j, j)_c, T(n_j + 1, j)_c, shadow), shadow summing
+    T(n_i, i - drop)_c over it and the levels above.  Each level made must lie
+    within 1 <= j <= n_j < the limit above, and they must take all of rem;
+    else ValueError.
+    """
+    j, top, shadow, at = k - len(levels), math.inf, 0, None
+    if levels:
+        n, i, value, above, shadow = levels[-1]
+        top = n
+    if extra is not None:  # colored: level j's budget is c = j + extra
+        if levels:
+            top, at = n - n // (i + extra), above - value
+        elif rem < math.comb(j + extra, j):  # T(r, k)_r = C(r, k) exceeds m, so n_k < r
+            top = j + extra
+        c = j + extra
+        # At top <= c or j = 1, T(t, j)_c = C(t, j): this level and all below are plain.
+        while rem and j > 1 and top > c:
+            n, value = _max_index(rem, j, c)
+            limit = n - n // c
+            # T(n+1, 2)_c - T(n, 2)_c = n - n // c; for j > 2 the search probed n + 1.
+            above = value + limit if j == 2 else turan_coefficient(n + 1, j, c)
+            if not j <= n < top:
+                raise _outside((n, j, c), top)
+            if j > drop and limit < n:  # else n < c, or i = 0: T(n, i)_c = C(n, i)
+                shadow += turan_coefficient(n, j - drop, c)
+            elif j >= drop:
+                shadow += math.comb(n, j - drop)
+            levels.append((n, j, value, above, shadow))
+            rem -= value
+            top, j, c, at = limit, j - 1, c - 1, above - value
+    columns, comb = _columns, math.comb
+    while rem > 0 and j > 0:
+        # The column run and j <= 2 inline: a helper call per level made the
+        # paper grid's cold cascades take 1.17x as long.
+        if 2 < j <= _COLUMN_J and rem < 1 << 64 and (
+            rem < (column := columns[j])[-1] or rem < (column := _column(rem, j))[-1]
+        ):
+            i = bisect_right(column, rem)
+            n, value, above = j + i - 1, column[i - 1], column[i]
+        elif j == 1:
+            n = value = rem
+            above = rem + 1
+        elif j == 2:
+            n, value = _max_index(rem, 2, None)
+            above = value + n
+        else:
+            n, value, above = _descend(rem, j, top, at)
+        if not j <= n < top:
+            raise _outside((n, j), top)
+        if j >= drop:  # C(n, j - drop), zero for j < drop
+            shadow += comb(n, j - drop)
+        levels.append((n, j, value, above, shadow))
+        rem -= value
+        top, j, at = n, j - 1, above - value
+    if rem:  # every level's value was taken from m, so they and rem sum to it
+        m = rem + sum([level[2] for level in levels])
+        raise ValueError(f"cascade levels do not sum to m={_shown(m)}")
+    return levels
 
 
 class _Cascade(_Record):
@@ -197,12 +268,15 @@ class _Cascade(_Record):
             previous = n
 
     @classmethod
-    def _unchecked(cls, k: int, terms: tuple, r: int | None = None):
-        """A cascade of terms its caller has checked already, stored as given."""
+    def _of_levels(cls, k: int, levels: list, r: int | None = None):
+        """The cascade of levels made and checked by _greedy, colored given r."""
         rep = object.__new__(cls)
         _set(rep, "k", k)
-        _set(rep, "terms", terms)
-        if r is not None:
+        if r is None:
+            _set(rep, "terms", tuple([level[:2] for level in levels]))
+        else:
+            extra = r - k
+            _set(rep, "terms", tuple([(n, j, j + extra) for n, j, _, _, _ in levels]))
             _set(rep, "r", r)
         return rep
 
@@ -230,19 +304,17 @@ class CascadeRep(_Cascade):
 def cascade_decompose(m: int, k: int) -> CascadeRep:
     """Greedy cascade of m at level k: peel off the largest C(n_j, j) each step."""
     _check(m, k)
-    cursor = _CascadeCursor(k, 0)  # its shadow, C(n_k, 0) = 1, costs least to carry
-    cursor.advance(m)
-    return cursor.cascade()
+    levels = _greedy([], m, k, k, None)  # its shadow, C(n_k, 0) = 1, costs least to carry
+    return CascadeRep._of_levels(k, levels)
 
 
 class _CascadeCursor:
-    """Cascades of a strictly increasing sequence of m, each built from the one before.
+    """_greedy's warm wrapper: cascades of a strictly increasing sequence of m.
 
     Plain with r None, else colored with level j's budget j + (r - k).  It
-    starts at m = 0 with no levels.  A larger m keeps a prefix of the levels
-    and runs the greedy from the first index that grows.  A level is
-    (n_j, j, T(n_j, j)_c, T(n_j + 1, j)_c, shadow), where shadow sums
-    T(n_i, i - (k-p))_c over it and the levels above.
+    starts at m = 0 with no levels.  A larger m keeps the levels above the
+    first index that grows and runs _greedy below them, with drop = k - p:
+    the levels and shadow sums are _greedy's.
     """
 
     __slots__ = ("m", "k", "drop", "extra", "levels")
@@ -254,10 +326,8 @@ class _CascadeCursor:
     def advance(self, m: int) -> tuple[int, int]:
         """Move to m, which must exceed the previous m: its leading index and shadow sum.
 
-        Each level made here is checked to lie within 1 <= j <= n_j < the
-        limit above, then all levels to sum to m; a failure raises ValueError.
-        A plain level comes from a Pascal column, at j <= 2 from the remainder
-        or the closed form, all inline, or else from _descend.
+        A plain index that grows by one is stepped here, and checked against
+        the limit above; _greedy makes and checks the levels below.
         """
         if m <= self.m:
             raise ValueError(f"m must increase strictly, got {_shown(m)} after {_shown(self.m)}")
@@ -268,74 +338,19 @@ class _CascadeCursor:
                 del levels[pos:]
                 # A plain index most often grows by one: n + 1 stands when rem
                 # is below C(n+2, j), and its shadow term grows by C(n, i-1).
-                # Otherwise, and always when colored, the greedy below runs.
+                # Otherwise, and always when colored, _greedy runs from here.
                 if extra is None and rem < (above_next := above * (n + 2) // (n + 2 - j)):
                     if n + 1 >= top:
-                        raise ValueError(f"term {(n + 1, j)} is not within 1 <= j <= n < {top}")
+                        raise _outside((n + 1, j), top)
                     levels.append((n + 1, j, above, above_next, shadow + binomial(n, j - drop - 1)))
                     rem -= above
-                    top = n + 1
                 break
             rem -= value
             top = n
         if rem:
-            j, shadow, at = self.k - len(levels), levels[-1][4] if levels else 0, None
-            if extra is not None:  # colored: level j's budget is c = j + extra
-                if levels:
-                    n, i, value, above, _ = levels[-1]
-                    top, at = n - n // (i + extra), above - value
-                elif m < math.comb(j + extra, j):  # T(r, k)_r = C(r, k) exceeds m, so n_k < r
-                    top = j + extra
-                c = j + extra
-                # At top <= c or j = 1, T(t, j)_c = C(t, j): this level and all below are plain.
-                while rem and j > 1 and top > c:
-                    n, value = _max_index(rem, j, c)
-                    limit = n - n // c
-                    # T(n+1, 2)_c - T(n, 2)_c = n - n // c; for j > 2 the search probed n + 1.
-                    above = value + limit if j == 2 else turan_coefficient(n + 1, j, c)
-                    if not j <= n < top:
-                        raise ValueError(f"term {(n, j, c)} is not within 1 <= j <= n < {top}")
-                    if j > drop and limit < n:  # else n < c, or i = 0: T(n, i)_c = C(n, i)
-                        shadow += turan_coefficient(n, j - drop, c)
-                    elif j >= drop:
-                        shadow += math.comb(n, j - drop)
-                    levels.append((n, j, value, above, shadow))
-                    rem -= value
-                    top, j, c, at = limit, j - 1, c - 1, above - value
-            columns, comb = _columns, math.comb
-            while rem > 0 and j > 0:
-                # The column run: a level in cached Pascal column j is one bisection,
-                # inline, as a helper call per level made the paper grid's cold
-                # cascades take 1.17x as long.  So are j = 1, the remainder, and
-                # j = 2, the closed form.  Every other level is _descend's.
-                if 2 < j <= _COLUMN_J and rem < 1 << 64 and (
-                    rem < (column := columns[j])[-1] or rem < (column := _column(rem, j))[-1]
-                ):
-                    i = bisect_right(column, rem)
-                    n, value, above = j + i - 1, column[i - 1], column[i]
-                elif j == 1:
-                    n = value = rem
-                    above = rem + 1
-                elif j == 2:
-                    n, value = _max_index(rem, 2, None)
-                    above = value + n
-                else:
-                    n, value, above = _descend(rem, j, top, at)
-                if not j <= n < top:
-                    raise ValueError(f"term {(n, j)} is not within 1 <= j <= n < {top}")
-                if j >= drop:  # C(n, j - drop), zero for j < drop
-                    shadow += comb(n, j - drop)
-                levels.append((n, j, value, above, shadow))
-                rem -= value
-                top, j, at = n, j - 1, above - value
-            if rem:
-                raise ValueError(f"cascade levels do not sum to m={_shown(m)}")
+            _greedy(levels, rem, self.k, drop, extra)
         self.m = m
         return levels[0][0], levels[-1][4]
-
-    def cascade(self) -> CascadeRep:
-        """The cascade of the current m; plain cursors only."""
-        return CascadeRep._unchecked(self.k, tuple([level[:2] for level in self.levels]))
 
 
 def cascade_evaluate(rep: CascadeRep) -> int:
@@ -350,7 +365,7 @@ def shadow_bound(m: int, k: int, p: int) -> int:
     C(n_j, j - (k - p)), where terms whose lower index drops below zero vanish.
     """
     _check(m, k, p)
-    return _CascadeCursor(k, p).advance(m)[1]
+    return _greedy([], m, k, k - p, None)[-1][4]
 
 
 class FaceVector(_Record):
@@ -391,7 +406,8 @@ def _first_failure(f: FaceVector, bound) -> ValidationResult:
     for k in range(2, len(entries)):
         required = bound(entries[k], k, k - 1)
         if entries[k - 1] < required:
-            reason = f"f_{k - 2}={entries[k - 1]} < {required} required by f_{k - 1}={entries[k]}"
+            below, faces = _shown(entries[k - 1]), _shown(entries[k])
+            reason = f"f_{k - 2}={below} < {_shown(required)} required by f_{k - 1}={faces}"
             return ValidationResult(False, k, reason)
     return ValidationResult(True, None)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import starmap
 
 from .binomials import _check, _set, _shown, turan_coefficient
-from .cascade import FaceVector, ValidationResult, _Cascade, _CascadeCursor, _first_failure
+from .cascade import FaceVector, ValidationResult, _Cascade, _first_failure, _greedy
 
 
 class ColoredCascadeRep(_Cascade):
@@ -31,10 +31,8 @@ class ColoredCascadeRep(_Cascade):
 def colored_cascade_decompose(m: int, k: int, r: int) -> ColoredCascadeRep:
     """Greedy cascade of m over Turán coefficients, decrementing k and r together."""
     _check(m, k, r=r)
-    cursor = _CascadeCursor(k, 0, r)  # its shadow, T(n_k, 0)_r = 1, costs least to carry
-    cursor.advance(m)
-    terms = tuple([(level[0], level[1], level[1] + r - k) for level in cursor.levels])
-    return ColoredCascadeRep._unchecked(k, terms, r)
+    levels = _greedy([], m, k, k, r - k)  # its shadow, T(n_k, 0)_r = 1, costs least to carry
+    return ColoredCascadeRep._of_levels(k, levels, r)
 
 
 def colored_cascade_evaluate(rep: ColoredCascadeRep) -> int:
@@ -50,7 +48,7 @@ def colored_shadow_bound(m: int, k: int, p: int, r: int) -> int:
     conventions at and below lower index zero.
     """
     _check(m, k, p, r)
-    return _CascadeCursor(k, p, r).advance(m)[1]
+    return _greedy([], m, k, k - p, r - k)[-1][4]
 
 
 def validate_colored_face_vector(f: FaceVector, r: int) -> ValidationResult:
@@ -63,6 +61,7 @@ def validate_colored_face_vector(f: FaceVector, r: int) -> ValidationResult:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {_shown(r)}")
     if len(f.entries) - 1 > r:
-        reason = f"f_{r}={f.entries[r + 1]} faces on {r + 1} vertices need more than r={r} colors"
+        f_r = _shown(f.entries[r + 1])
+        reason = f"f_{r}={f_r} faces on {r + 1} vertices need more than r={r} colors"
         return ValidationResult(False, r + 1, reason)
     return _first_failure(f, lambda m, k, p: colored_shadow_bound(m, k, p, r))

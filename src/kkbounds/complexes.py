@@ -31,7 +31,7 @@ class SimplicialComplex(_Record):
         for face in faces:
             for v in face:
                 if not isinstance(v, int) or v < 1:
-                    raise ValueError(f"vertex labels must be positive ints, got {v!r}")
+                    raise ValueError(f"vertex labels must be positive ints, got {_shown(v)}")
             # checking one-smaller subsets suffices: closure follows by induction
             if face:
                 for sub in combinations(face, len(face) - 1):
@@ -132,7 +132,7 @@ class Graph(_Record):
         _set(self, "edges", edges)
         for v in vertices:
             if not isinstance(v, int) or v < 1:
-                raise ValueError(f"vertex labels must be positive ints, got {v!r}")
+                raise ValueError(f"vertex labels must be positive ints, got {_shown(v)}")
         for e in edges:
             if len(e) != 2:
                 raise ValueError(f"edges must join two distinct vertices, got {set(e)}")

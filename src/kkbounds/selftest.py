@@ -106,33 +106,20 @@ def _complex_outcomes(cx: complexes.SimplicialComplex) -> Iterator[bool | str]:
                 ("noreasy_bound", approx.noreasy_bound(m, k, p), ORDERING_SLACK),
             ]
             for r in range(max(k, chromatic), n_verts + 1):
-                evaluated.append(
-                    (
-                        f"colored_shadow_bound[r={r}]",
-                        colored.colored_shadow_bound(m, k, p, r),
-                        0.0,
-                    )
-                )
-                evaluated.append(
-                    (
-                        f"colorapprox_bound[r={r}]",
-                        approx.colorapprox_bound(m, k, p, r),
-                        ORDERING_SLACK,
-                    )
-                )
+                colored_shadow = colored.colored_shadow_bound(m, k, p, r)
+                colorapprox = approx.colorapprox_bound(m, k, p, r)
+                evaluated += [
+                    (f"colored_shadow_bound[r={r}]", colored_shadow, 0.0),
+                    (f"colorapprox_bound[r={r}]", colorapprox, ORDERING_SLACK),
+                ]
             if flag:
                 fr = approx.flag_r(m, k)
                 evaluated.append(
                     (f"flag bound[r={fr}]", approx.colorapprox_bound(m, k, p, fr), ORDERING_SLACK)
                 )
                 if k <= top:
-                    evaluated.append(
-                        (
-                            f"flag-dim bound[r={top}]",
-                            approx.colorapprox_bound(m, k, p, top),
-                            ORDERING_SLACK,
-                        )
-                    )
+                    flag_dim = approx.colorapprox_bound(m, k, p, top)
+                    evaluated.append((f"flag-dim bound[r={top}]", flag_dim, ORDERING_SLACK))
             for name, value, tol in evaluated:
                 yield not value > true_count * (1 + tol) or (
                     f"{name}(m={m},k={k},p={p}) = {value} exceeds true count {true_count}"

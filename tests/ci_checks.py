@@ -118,19 +118,24 @@ def golden() -> None:
 
 
 def same() -> None:
-    """Sweep rows equal one-row bound_report rows at full precision.
+    """Sweep rows equal one-row bound_report rows at full precision, and kk_exact shadow_bound.
 
     JSON cells show each float's repr, so a root that moves by an ulp shows
     (CSV cells show 12 digits); the bound_report rows go through the sweep's
-    own %r template.
+    own %r template.  A sweep carries its cascade from row to row on a
+    cursor, while shadow_bound runs the greedy from no levels.
     """
     start, between, end = _SWEEP_FRAMES["json"]
     for case in SWEEPS:
         k, p, m_start, m_end, samples = case
-        rows = [bound_report(m, k, p) for m in sample_grid(m_start, m_end, samples)]
+        ms = sample_grid(m_start, m_end, samples)
+        rows = [bound_report(m, k, p) for m in ms]
         template, values = _row_template(rows[0], SWEEP_COLUMNS, SWEEP_COLUMNS, "json")
         want = start + between.join(template % values(row) for row in rows) + end
-        expect(sweep(*_range(*case), "--format", "json").decode() == want, f"sweep {case}")
+        out = sweep(*_range(*case), "--format", "json").decode()
+        expect(out == want, f"sweep {case}")
+        kk_exact = [row["kk_exact"] for row in json.loads(out)]
+        expect(kk_exact == [shadow_bound(m, k, p) for m in ms], f"kk_exact {case}")
 
 
 def rowcheck() -> None:

@@ -23,6 +23,7 @@ from kkbounds import (
     flag_r,
     lovasz_x,
     shadow_bound,
+    validate_colored_face_vector,
     validate_face_vector,
 )
 from kkbounds import cascade
@@ -61,10 +62,14 @@ def test_roundtrip_large(m, k):
     assert cascade_evaluate(cascade_decompose(m, k)) == m
 
 
+def _terms(cursor):
+    return tuple([level[:2] for level in cursor.levels])
+
+
 def _fresh_cursor_terms(m, k):
     cursor = _CascadeCursor(k, k)
     cursor.advance(m)
-    return cursor.cascade().terms
+    return _terms(cursor)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -80,7 +85,7 @@ def test_descent_equals_the_plain_greedy_for_every_small_m(k):
     k=st.integers(min_value=1, max_value=40),
     jumps=st.lists(st.integers(min_value=1, max_value=10**80), min_size=1, max_size=8),
 )
-def test_descent_equals_the_plain_greedy_across_large_jumps(k, jumps):
+def test_descent_equals_the_reference_greedy_across_large_jumps(k, jumps):
     warm, m = _CascadeCursor(k, k), 0
     for jump in jumps:
         m += jump
@@ -88,7 +93,40 @@ def test_descent_equals_the_plain_greedy_across_large_jumps(k, jumps):
         assert cascade_decompose(m, k).terms == want, (m, k)
         assert _fresh_cursor_terms(m, k) == want, (m, k)
         warm.advance(m)
-        assert warm.cascade().terms == want, (m, k)
+        assert _terms(warm) == want, (m, k)
+
+
+def test_one_shot_calls_build_no_cursor(monkeypatch):
+    # cascade._greedy runs from no levels for every one-shot call; only sweep
+    # rows (bound_reports) build a cursor.  Below f_{k-2}, each face vector
+    # holds f_{i-2} = i f_{i-1}, the most i-sets can cover, which no shadow
+    # bound exceeds: it is valid exactly when f_{k-2} covers f_{k-1}'s shadow.
+    def no_cursor(*args):
+        raise AssertionError("a one-shot call built a cursor")
+
+    monkeypatch.setattr(cascade._CascadeCursor, "__init__", no_cursor)
+    for k in range(1, 7):
+        for r in [None, *range(k, 7)]:
+            colored = r is not None
+            decompose = colored_cascade_decompose if colored else cascade_decompose
+            bound = colored_shadow_bound if colored else shadow_bound
+            validate = validate_colored_face_vector if colored else validate_face_vector
+            budget = (r,) if colored else ()
+            for m in range(1, 2001):
+                want = reference.greedy(m, k, r)
+                assert decompose(m, k, *budget).terms == want, (m, k, r)
+                shadows = [reference.shadow(want, k, p) for p in range(1, k)]
+                assert [bound(m, k, p, *budget) for p in range(1, k)] == shadows, (m, k, r)
+                if k == 1:
+                    continue
+                below = [shadows[-1]]
+                for i in range(k - 1, 1, -1):
+                    below.append(i * below[-1])
+                f = FaceVector((1, *reversed(below), m))
+                assert validate(f, *budget) == (True, None, None), (m, k, r)
+                f = FaceVector((1, *reversed(below[1:]), below[0] - 1, m))
+                reason = f"f_{k - 2}={below[0] - 1} < {below[0]} required by f_{k - 1}={m}"
+                assert validate(f, *budget) == (False, k, reason), (m, k, r)
 
 
 @pytest.mark.parametrize("k", [3, 5, 10, 25, _COLUMN_J + 6])
@@ -148,7 +186,7 @@ def test_levels_at_j_up_to_2_are_made_inline(k, monkeypatch):
         want = reference.greedy(m, k)
         assert _fresh_cursor_terms(m, k) == want, (m, k)
         warm.advance(m)
-        assert warm.cascade().terms == want, (m, k)
+        assert _terms(warm) == want, (m, k)
         made += sum(j <= 2 for _, j in want)
     assert made > 100 and min(asked, default=3) >= 3, (made, sorted(set(asked)))
 
@@ -292,7 +330,7 @@ def test_levels_at_the_edge_of_the_columns(j, state, monkeypatch):
             assert _fresh_cursor_terms(m, k) == want, (m, k)
             kk_exact = sum(math.comb(t, i - 1) for t, i in want)
             assert warm.advance(m) == (want[0][0], kk_exact), (m, k)
-            assert warm.cascade().terms == want, (m, k)
+            assert _terms(warm) == want, (m, k)
             assert shadow_bound(m, k, k - 1) == kk_exact
             colored = colored_cascade_decompose(m, k, r).terms
             assert colored == tuple((t, i, i + r - k) for t, i in want), (m, k)

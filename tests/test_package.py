@@ -39,8 +39,10 @@ from kkbounds import (
     turan_coefficient,
     turan_graph,
     validate_colored_face_vector,
+    validate_face_vector,
     withoutr_bound,
 )
+from kkbounds import cascade
 from kkbounds.cascade import _CascadeCursor
 
 import reference
@@ -169,9 +171,9 @@ def test_cursor_cascades_equal_decompose_with_equal_hashes():
         cursor = _CascadeCursor(k, k)
         for m in ms:
             cursor.advance(m)
-            got, want = cursor.cascade(), cascade_decompose(m, k)
+            got, want = CascadeRep._of_levels(k, cursor.levels), cascade_decompose(m, k)
             assert type(got) is CascadeRep
-            assert want.terms == reference.greedy(m, k)  # cascade_decompose runs a cursor too
+            assert want.terms == reference.greedy(m, k)  # cascade_decompose runs the same greedy
             assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
             with pytest.raises(AttributeError):
                 got.k = k
@@ -227,6 +229,17 @@ def _advance_twice(k: int, first: int, then: int):
     cursor.advance(then)
 
 
+def _step_onto_the_level_above():
+    # C(H, 2) + C(H-1, 1), with C(H+1, 2) stored too large: at m + 1 the top
+    # stays, and the index below steps to H, which the top's H does not exceed.
+    cursor, m = _CascadeCursor(2, 1), binomial(HUGE, 2) + HUGE - 1
+    cursor.advance(m)
+    n, j, value, above, shadow = cursor.levels[0]
+    cursor.levels[0] = (n, j, value, above + 10, shadow)
+    cursor.advance(m + 1)
+
+
+LABELS = "vertex labels must be positive ints"
 OTHER_MESSAGES = [
     (lambda: turan_coefficient(-HUGE, 2, 3), f"need n >= 0 and r >= 1, got n=-{SIZE}, r=3"),
     (lambda: turan_graph(5, -HUGE), f"need n >= 0 and r >= 1, got n=5, r=-{SIZE}"),
@@ -250,6 +263,21 @@ OTHER_MESSAGES = [
         lambda: ColoredCascadeRep(2, 2, [(HUGE, 2, 2), (HUGE // 2 + 1, 1, 1)]),
         f"gap condition fails: {SIZE} - <16609-bit int> <= <16609-bit int>",
     ),
+    (lambda: SimplicialComplex([(), (-HUGE,)]), f"{LABELS}, got -{SIZE}"),
+    (lambda: SimplicialComplex([(), ("a",)]), f"{LABELS}, got 'a'"),  # not an int: its repr
+    (lambda: Graph([-HUGE], []), f"{LABELS}, got -{SIZE}"),
+    (lambda: turan_graph(3, 2).part_of(HUGE), f"vertex {SIZE} not in graph"),
+    (_step_onto_the_level_above, f"term ({SIZE}, 1) is not within 1 <= j <= n < {SIZE}"),
+    # The greedy below a level (n, j, C(n, j)_c, C(n+1, j)_c, shadow) at n = HUGE
+    # meets a remainder too large for the limit under it, plain and colored.
+    (
+        lambda: cascade._greedy([(HUGE, 2, 0, 0, 0)], 2 * HUGE, 2, 2, None),
+        f"term (<16611-bit int>, 1) is not within 1 <= j <= n < {SIZE}",
+    ),
+    (
+        lambda: cascade._greedy([(HUGE, 3, 0, 0, 0)], turan_coefficient(HUGE, 2, 3), 3, 3, 1),
+        f"term ({SIZE}, 2, 3) is not within 1 <= j <= n < {SIZE}",
+    ),
 ]
 
 
@@ -258,3 +286,12 @@ def test_every_other_message_shows_a_huge_integer_by_its_size(call, message):
     with pytest.raises(ValueError) as raised:
         call()
     assert str(raised.value) == message
+
+
+def test_validation_reasons_show_a_huge_entry_by_its_size():
+    huge = FaceVector((1, 1, 10**9000))  # str() of 10**9000 raises past 4300 digits
+    reason = "f_0=1 < <14950-bit int> required by f_1=<29898-bit int>"
+    assert validate_face_vector(huge) == (False, 2, reason)
+    assert validate_colored_face_vector(huge, 3) == (False, 2, reason)
+    reason = "f_2=<29898-bit int> faces on 3 vertices need more than r=2 colors"
+    assert validate_colored_face_vector(FaceVector((1, 3, 3, 10**9000)), 2) == (False, 3, reason)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from kkbounds import (
     BoundReport,
+    CascadeRep,
     best_r,
     binomial,
     bound_report,
@@ -89,14 +90,14 @@ def increasing_runs(draw):
 def _advance(cursor, m, p):
     """Advance the cursor to m and check what it carries against a fresh cascade.
 
-    cascade_decompose runs a fresh cursor, so the cascade is also checked
-    against reference.greedy, which shares no code with either.
+    cascade_decompose runs the same greedy from no levels, so the cascade is
+    also checked against reference.greedy, which shares no code with either.
     """
     rep = cascade_decompose(m, cursor.k)
     assert rep.terms == reference.greedy(m, cursor.k), (m, cursor.k)
     shadow = reference.shadow(rep.terms, cursor.k, p)
     assert cursor.advance(m) == (rep.terms[0][0], shadow), (m, cursor.k, p)
-    assert cursor.cascade() == rep, (m, cursor.k)
+    assert CascadeRep._of_levels(cursor.k, cursor.levels) == rep, (m, cursor.k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -151,7 +152,7 @@ def test_cursor_rejects_a_corrupted_level(corrupt, message):
     with pytest.raises(ValueError, match=message):
         for m in range(m + 1, binomial(21, 3)):
             cursor.advance(m)
-            assert cursor.cascade() == cascade_decompose(m, k), m
+            assert CascadeRep._of_levels(k, cursor.levels) == cascade_decompose(m, k), m
 
 
 def test_cursor_checks_a_kept_level_by_a_fresh_search():
