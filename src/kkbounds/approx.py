@@ -8,7 +8,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .binomials import _binom_real_at, _check, _exp, _ratio_at, _shown, binomial
-from .cascade import FaceVector, _CascadeCursor, _descend, _lead_root
+from .cascade import FaceVector, _CascadeCursor, _descend, _greedy, _lead_root
 
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
@@ -150,12 +150,10 @@ def lovasz_x(m: int, k: int) -> float:
     binom_real(lo, k) < m <= binom_real(hi, k) (in float arithmetic, so
     possibly just outside [n, n+1]) and returns the one with the smaller
     residual, lo on a tie: the final rule of a bisection run to the last bit,
-    which takes 55 evaluations of the polynomial.  This takes 2.09 a call
-    over every m to 20000 at k = 3 and 2.94 on the paper's grid: the start is
-    within a relative 1e-13 of the root from y = 2k on, and within an ulp in
-    99.7% of calls to m = 10^5 at k = 3 (_series_start), so none or one
-    Newton step, and the two floats of the walk.  At k of 300 to 600, where
-    y < k, it takes 6.0.
+    which takes 55 evaluations of the polynomial.  From the series start,
+    within an ulp of the root in 99.7% of calls to m = 10^5 at k = 3, this
+    takes 2.09 a call at k = 3, 2.94 on the paper's grid and 6.0 at k of 300
+    to 600, where y < k.
 
     The pair, and so the result, does not depend on the path to it.  For
     x > k-1 every factor x - i is positive, and a rounded subtraction,
@@ -201,11 +199,12 @@ def withoutr_bound(m: int, k: int, p: int) -> float:
     return _fit(value, "withoutr_bound", k, p)
 
 
+@lru_cache(maxsize=256)
 def _power_lead(k: int, p: int) -> float:
     """(k!)^(p/k) / p!, the constant factor of withoutr_bound and noreasy_bound, or inf.
 
     From log-gamma only when k! or p! does not fit in a float (k > 170), so
-    every smaller k keeps its exact-factorial value.
+    every smaller k keeps its exact-factorial value; cached for 256 (k, p).
     """
     if k <= 170:
         return math.factorial(k) ** (p / k) / math.factorial(p)
@@ -326,77 +325,78 @@ class BoundReport(NamedTuple):
 
 
 def bound_report(m: int, k: int, p: int, r: int | None = None) -> BoundReport:
-    """Evaluate every bound at one (m, k, p): the one-row case of bound_reports.
+    """Evaluate every bound at one (m, k, p): the row bound_reports makes for m.
 
     The colored bound uses the given r when supplied (which must be >= k),
-    otherwise best_r(m, k); the flag bound always uses flag_r(m, k).  The row
-    takes a sweep's path from an empty cursor: one greedy descent of the
-    cascade and a root from the series start.
+    otherwise best_r(m, k); the flag bound always uses flag_r(m, k).  It is
+    shadow_bound's greedy descent from no levels, then _row: no cursor.
     """
-    return next(bound_reports((m,), k, p, r))
+    _check(m, k, p, r)
+    levels = _greedy([], m, k, k - p, None)
+    return _row(m, k, p, levels[-1][4], _index(k, p, levels[0]), *_inputs(k, p, r))
 
 
-def bound_reports(
-    ms: Iterable[int], k: int, p: int, r: int | None = None
-) -> Iterator[BoundReport]:
+def bound_reports(ms: Iterable[int], k: int, p: int, r: int | None = None) -> Iterator[BoundReport]:
     """bound_report(m, k, p, r) for each m of a strictly increasing sequence, lazily.
 
-    Every row, the first one included, comes from one _CascadeCursor, which
-    carries the cascade and its shadow sum kk_exact from m to m (from m = 0
-    for the first) and builds no cascade record.  Its leading index n is
-    flag_r, the bracket [n, n+1] of the Lovasz root, and best_r (n or n + 1).
-    Each row takes y = (k! m)^(1/k) from _lead once, for withoutr and the
-    root's series start (_series_start): 2.07 evaluations a row to m = 10^5
-    at k = 3 and 2.94 on the paper's grid, as lovasz_x takes, and the root is
-    lovasz_x(m, k) bit for bit.  Hoisted: _power_lead, _series_at, the
-    evaluators of C(x, k) and C(x, p), and for a fixed r, C(r, p) and
-    C(r, k).  When n changes, C(n, k) and C(n+1, k) are the cursor's top
-    level, C(n, p) is one binomial, and C(n+1, p) and best_r's threshold
-    follow by exact division.  Beyond those and the cursor's levels, nothing
-    is kept from row to row.
-    The arguments are checked by _check, with the first m, when the first
-    row is computed; an m that does not exceed the one before raises
-    ValueError when it is reached.
+    One _CascadeCursor carries the cascade and kk_exact from m to m (from
+    m = 0 for the first); _inputs are taken once, _index when n changes, and
+    each row is _row's, as bound_report's is.  The arguments are checked with
+    the first m when the first row is computed; an m that does not exceed the
+    one before raises ValueError when it is reached.
     """
-    rows = iter(ms)
-    m = next(rows, None)
-    if m is None:
-        return
-    _check(m, k, p, r)
-    lead, series = _power_lead(k, p), _series_at(k)
-    evaluate, lovasz_at = _binom_real_at(k), _binom_real_at(p)
-    if r is not None:
-        r_p, r_k = binomial(r, p), binomial(r, k)
-    cursor, n_at = _CascadeCursor(k, p), None
-    while True:
+    cursor = None
+    for m in ms:
+        if cursor is None:  # the first m: the arguments are checked with it
+            _check(m, k, p, r)
+            cursor, at, (constants, fixed) = _CascadeCursor(k, p), (0,), _inputs(k, p, r)
         n, kk_exact = cursor.advance(m)
-        root, bits = _lead(m, k)
-        if n != n_at:  # C(n, k) and C(n+1, k) are the cursor's top level
-            n_at, n_k, up_k = n, *cursor.levels[0][2:4]
-            n_p = binomial(n, p)
-            up_p = n_p * (n + 1) // (n + 1 - p)
-            reach = n_k + n_k * k // n  # best_r's C(n, k) + C(n-1, k-1), k >= 2 here
-        x = _lovasz_root(m, k, n, n_k, evaluate, _series_start(root, bits, series))
-        m_pow = _pow_frac(m, p, k)
-        flag = _colorapprox(m, k, p, n_p, n_k)
-        if r is not None:
-            withr_r, withr = r, _colorapprox(m, k, p, r_p, r_k)
-        elif m <= reach:
-            withr_r, withr = n, flag
-        else:
-            withr_r, withr = n + 1, _colorapprox(m, k, p, up_p, up_k)
-        lovasz = lovasz_at(x)
-        withoutr = _withoutr(k, p, lead, root, m_pow)
-        if flag + withr + lovasz + withoutr == math.inf:
-            # The error of the first of these columns that does not fit; noreasy then fits.
-            _fit(flag, "colorapprox_bound", k, p, n)
-            _fit(withr, "colorapprox_bound", k, p, withr_r)
-            _fit(lovasz, "lovasz_bound", k, p)
-            _fit(withoutr, "withoutr_bound", k, p)
-        # The fields in order through tuple.__new__, as BoundReport._make does:
-        # half the cost of a BoundReport(...) call.
-        fields = m, k, p, kk_exact, x, lovasz, withoutr, lead * m_pow, withr_r, withr, n, flag
-        yield tuple.__new__(BoundReport, fields)
-        m = next(rows, None)
-        if m is None:
-            return
+        if n != at[0]:  # every index n >= 1 differs from 0
+            at = _index(k, p, cursor.levels[0])
+        yield _row(m, k, p, kk_exact, at, constants, fixed)
+
+
+@lru_cache(maxsize=256)
+def _constants(k: int, p: int) -> tuple:
+    """_power_lead(k, p), _series_at(k), and the evaluators of C(x, k) and C(x, p); 256 cached."""
+    return _power_lead(k, p), _series_at(k), _binom_real_at(k), _binom_real_at(p)
+
+
+def _inputs(k: int, p: int, r: int | None) -> tuple:
+    """_row's _constants(k, p) and fixed: (r, C(r, p), C(r, k)) for a given r, else None."""
+    return _constants(k, p), None if r is None else (r, binomial(r, p), binomial(r, k))
+
+
+def _index(k: int, p: int, level: tuple) -> tuple:
+    """n, C(n, k), C(n+1, k), C(n, p), C(n+1, p), best_r's C(n, k) + C(n-1, k-1) of level n."""
+    n, _, n_k, up_k, _ = level
+    n_p = binomial(n, p)
+    return n, n_k, up_k, n_p, n_p * (n + 1) // (n + 1 - p), n_k + n_k * k // n
+
+
+def _row(m: int, k: int, p: int, kk_exact: int, at: tuple, constants: tuple, fixed) -> BoundReport:
+    """The row of m from kk_exact, at = _index and _inputs; one _lead for withoutr and the root."""
+    n, n_k, up_k, n_p, up_p, reach = at
+    lead, series, evaluate, lovasz_at = constants
+    root, bits = _lead(m, k)
+    x = _lovasz_root(m, k, n, n_k, evaluate, _series_start(root, bits, series))
+    m_pow = _pow_frac(m, p, k)
+    flag = _colorapprox(m, k, p, n_p, n_k)
+    if fixed is not None:
+        withr_r, withr = fixed[0], _colorapprox(m, k, p, fixed[1], fixed[2])
+    elif m <= reach:
+        withr_r, withr = n, flag
+    else:
+        withr_r, withr = n + 1, _colorapprox(m, k, p, up_p, up_k)
+    lovasz = lovasz_at(x)
+    withoutr = _withoutr(k, p, lead, root, m_pow)
+    if flag + withr + lovasz + withoutr == math.inf:
+        # The error of the first of these columns that does not fit; noreasy then fits.
+        _fit(flag, "colorapprox_bound", k, p, n)
+        _fit(withr, "colorapprox_bound", k, p, withr_r)
+        _fit(lovasz, "lovasz_bound", k, p)
+        _fit(withoutr, "withoutr_bound", k, p)
+    # The fields in order through tuple.__new__, as BoundReport._make does:
+    # half the cost of a BoundReport(...) call.
+    fields = m, k, p, kk_exact, x, lovasz, withoutr, lead * m_pow, withr_r, withr, n, flag
+    return tuple.__new__(BoundReport, fields)

@@ -1,6 +1,6 @@
 """Cascades and shadow bounds over Turán coefficients, for r-colorable complexes.
 
-They come from cascade.py's cursor, with a color budget that starts at r and
+They come from cascade.py's _greedy, with a color budget that starts at r and
 drops with the lower index; see there for the levels' limits and checks.
 """
 

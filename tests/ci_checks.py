@@ -123,17 +123,20 @@ def same() -> None:
     JSON cells show each float's repr, so a root that moves by an ulp shows
     (CSV cells show 12 digits); the bound_report rows go through the sweep's
     own %r template.  A sweep carries its cascade from row to row on a
-    cursor, while shadow_bound runs the greedy from no levels.
+    cursor, while bound_report and shadow_bound run the greedy from no
+    levels.  Every case runs with best_r; the dense k = 3 case also with
+    --r-mode fixed --r 10, and the k = 10 paper grid with --r 60.
     """
     start, between, end = _SWEEP_FRAMES["json"]
-    for case in SWEEPS:
+    for case, r in [*((case, None) for case in SWEEPS), (SWEEPS[1], 10), (SWEEPS[3], 60)]:
         k, p, m_start, m_end, samples = case
         ms = sample_grid(m_start, m_end, samples)
-        rows = [bound_report(m, k, p) for m in ms]
+        rows = [bound_report(m, k, p, r) for m in ms]
         template, values = _row_template(rows[0], SWEEP_COLUMNS, SWEEP_COLUMNS, "json")
         want = start + between.join(template % values(row) for row in rows) + end
-        out = sweep(*_range(*case), "--format", "json").decode()
-        expect(out == want, f"sweep {case}")
+        fixed = [] if r is None else ["--r-mode", "fixed", "--r", r]
+        out = sweep(*_range(*case), *fixed, "--format", "json").decode()
+        expect(out == want, f"sweep {case} at r = {r}")
         kk_exact = [row["kk_exact"] for row in json.loads(out)]
         expect(kk_exact == [shadow_bound(m, k, p) for m in ms], f"kk_exact {case}")
 

@@ -9,6 +9,7 @@ reference.mp_root, a 50-digit mpmath root, checks the roots themselves.
 import math
 import random
 import sys
+import time
 
 import mpmath
 import pytest
@@ -221,18 +222,17 @@ def test_overflow_still_raises():
 
 
 def test_bound_report_builds_one_cascade(monkeypatch):
-    # One call advances one fresh cursor once: one greedy descent, whose top
+    # One call runs the greedy once, from no levels: one descent, whose top
     # level j = k comes from a Pascal column or from an index search.  It
     # makes no lookup of its own (flag_r, best_r and lovasz_x each make one
     # through approx._descend).
     descents = searches = own = 0
-    advance, search, descend = cascade._CascadeCursor.advance, cascade._max_index, cascade._descend
+    greedy, search, descend = cascade._greedy, cascade._max_index, cascade._descend
 
-    def counted_advance(cursor, m):
+    def counted_greedy(levels, *args):
         nonlocal descents
-        assert cursor.m == 0, "the cursor is not fresh"
-        descents += 1
-        return advance(cursor, m)
+        descents += not levels
+        return greedy(levels, *args)
 
     def counted_search(m, j, c):
         nonlocal searches
@@ -244,7 +244,8 @@ def test_bound_report_builds_one_cascade(monkeypatch):
         own += 1
         return descend(rem, j, *above)
 
-    monkeypatch.setattr(cascade._CascadeCursor, "advance", counted_advance)
+    monkeypatch.setattr(cascade, "_greedy", counted_greedy)
+    monkeypatch.setattr(approx, "_greedy", counted_greedy)
     monkeypatch.setattr(cascade, "_max_index", counted_search)
     monkeypatch.setattr(approx, "_descend", counted_own)
     rng = random.Random(7)
@@ -289,8 +290,35 @@ def test_cascades_are_not_cached():
 
 
 def test_evaluator_cache_is_bounded():
-    assert approx._binom_real_at.cache_parameters()["maxsize"] == 256
-    assert approx._series_at.cache_parameters()["maxsize"] == 256
+    for cached in (approx._binom_real_at, approx._series_at, approx._power_lead, approx._constants):
+        assert cached.cache_parameters()["maxsize"] == 256
+    # One _power_lead entry serves withoutr_bound, noreasy_bound and bound_report alike.
+    approx._power_lead.cache_clear()
+    approx._constants.cache_clear()
+    for k in range(2, 300):
+        approx.withoutr_bound(10, k, 1), approx.noreasy_bound(10, k, 1), bound_report(10, k, 1)
+    lead, constants = approx._power_lead.cache_info(), approx._constants.cache_info()
+    assert (lead.misses, lead.hits, lead.currsize) == (298, 596, 256)
+    assert (constants.misses, constants.hits, constants.currsize) == (298, 0, 256)
+
+
+def test_power_bounds_build_no_evaluator(monkeypatch):
+    # withoutr_bound and noreasy_bound take (k!)^(p/k) / p! from _power_lead
+    # alone: at k = 10**7 and 10**8 they build no series and no evaluator,
+    # whose _ratio_at(k, k) would hold k float pairs, and take constant time.
+    def refuse(*args):
+        raise AssertionError("a power bound built a row input")
+
+    for module, name in ((binomials, "_ratio_at"), (approx, "_binom_real_at"),
+                         (approx, "_series_at"), (approx, "_constants")):
+        monkeypatch.setattr(module, name, refuse)
+    start = time.perf_counter()
+    for k in (10**7, 10**8):
+        lead = math.exp(math.lgamma(k + 1) / k)  # (k!)^(1/k), at p = 1 also the root's y
+        assert math.isclose(approx.noreasy_bound(1, k, 1), lead, rel_tol=1e-12)
+        withoutr = lead * (1 + (k - 1) / (2 * lead))
+        assert math.isclose(approx.withoutr_bound(1, k, 1), withoutr, rel_tol=1e-12)
+    assert time.perf_counter() - start < 1.0
 
 
 KS = st.one_of(st.integers(min_value=1, max_value=40), st.sampled_from([170, 171, 400]))

@@ -179,7 +179,7 @@ SWEEPS = {
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_bound_reports_equal_frozen_rows(name):
+def test_bound_reports_equal_public_rows(name):
     # The rows of the public functions, one call a column.
     ms, k, p = SWEEPS[name]
     assert list(bound_reports(ms, k, p)) == [_public_row(m, k, p) for m in ms]
@@ -349,6 +349,23 @@ def test_bound_report_is_the_one_row_case():
         assert bound_report(m, k, p, r) == _public_row(m, k, p, r)
         assert [bound_report(m, k, p, r)] == list(bound_reports([m], k, p, r))
     assert list(bound_reports([], 3, 2)) == []
+
+
+def test_bound_report_builds_no_cursor_and_no_generator(monkeypatch):
+    # A one-shot row runs the greedy from no levels and then the row function.
+    def refuse(*args):
+        raise AssertionError("bound_report built a cursor or a generator")
+
+    monkeypatch.setattr(_CascadeCursor, "__init__", refuse)
+    monkeypatch.setattr(approx, "bound_reports", refuse)
+    cases = [(m, k, p, r) for ms, k, p in SWEEPS.values() for m in ms for r in (None, k + 7)]
+    cases.append((10**6, 2000, 1000, None))  # flag, at r = 2001, overflows
+    for case in cases:
+        try:
+            row = bound_report(*case)
+        except OverflowError as exc:
+            row = str(exc)
+        assert row == _public_row(*case), case
 
 
 @pytest.mark.parametrize("ms", [[5, 5], [5, 4], [1, 2, 3, 3], [10, 20, 15]])
