@@ -242,15 +242,30 @@ class SymmetricChain(NamedTuple):
 
 
 def symmetric_chain(f: FaceVector) -> SymmetricChain:
-    """(p! * f_{p-1})^(1/p) for p = 1..dim+1, plus whether it strictly decreases."""
-    values = tuple(
-        _pow_frac(math.factorial(p) * f.entries[p], 1, p)
-        for p in range(1, len(f.entries))
-    )
+    """(p! * f_{p-1})^(1/p) for p = 1..dim+1, plus whether it strictly decreases.
+
+    The values are floats; the verdict is exact, a^(p+1) > b^p for
+    consecutive a = p! f_{p-1} and b = (p+1)! f_p (_exceeds).
+    """
+    scaled = [math.factorial(p) * f.entries[p] for p in range(1, len(f.entries))]
+    values = tuple([_pow_frac(a, 1, p) for p, a in enumerate(scaled, 1)])
     if math.inf in values:
         raise OverflowError("symmetric_chain(f) does not fit in a float")
-    decreasing = all(a > b for a, b in zip(values, values[1:]))
-    return SymmetricChain(values, decreasing)
+    pairs = enumerate(zip(scaled, scaled[1:]), 1)
+    return SymmetricChain(values, all(_exceeds(a, b, p) for p, (a, b) in pairs))
+
+
+def _exceeds(a: int, b: int, p: int) -> bool:
+    """a^(p+1) > b^p for integers a, b, p >= 1.
+
+    By base-2 logs where they differ by more than a relative 1e-9: math.log2
+    of an int errs by at most (bit length + 4) 2^-52, far inside that.
+    Else in integers, whose powers at p in the hundreds took seconds a call.
+    """
+    high, low = (p + 1) * math.log2(a), p * math.log2(b)
+    if abs(high - low) > 1e-9 * (high + low + 1):
+        return high > low
+    return a ** (p + 1) > b**p
 
 
 def colorapprox_bound(m: int, k: int, p: int, r: int) -> float:

@@ -233,10 +233,6 @@ def turan_clique_count_oracle(
         raise ValueError(f"oracle limited to n <= {_shown(limit)}, got n={_shown(n)}")
     if k < 0:
         return 0
-    graph = turan_graph(n, r)
-    part_id = {v: i for i, part in enumerate(graph.parts) for v in part}
-    count = 0
-    for combo in combinations(range(1, n + 1), k):
-        if len({part_id[v] for v in combo}) == len(combo):
-            count += 1
-    return count
+    # A k-subset is a clique when its vertices' part ids are all distinct.
+    part_ids = [i for i, part in enumerate(turan_graph(n, r).parts) for _ in part]
+    return sum(len(set(combo)) == k for combo in combinations(part_ids, k))

@@ -7,17 +7,19 @@ budget c exceeds every index (None), as T(n, j)_c = C(n, j) for n <= c.
 A level (n, j, c) stores T(n, j)_c and T(n+1, j)_c, whose difference is
 T(top, j-1)_{c-1}, top = n - floor(n/c): the next index lies below this exact
 limit, the gap condition, so each level is checked once, as it is made.
-Colored levels with j >= 2 and a limit above their budget search on the
-cached turan_coefficient (_max_index); from the first other level on, the
-cascade is plain.  There a remainder in Pascal column j, the cached
-C(j + i, j) below 2^64 for 3 <= j <= 64, gives the level by one bisection:
-the column run, which goes on down to j = 3 once begun, as n - j never grows
-and C(n, j-1) <= C(n+1, j).  It is inline in _greedy's loop, as are j = 2,
-_max_index's closed form, and j = 1, the remainder.  Every other plain level
-is _descend's, which walks down from the level above by C(t-1, j) =
-C(t, j) (t-j)/t or searches; it also gives a leading index alone (flag_r,
-best_r, lovasz_x).  A search far beyond 2^53 bisects a window of j integers
-above an integer root.
+A level is colored where j >= 2 and its limit exceeds its budget; from the
+first other level on, the cascade is plain.  A remainder in Pascal column j,
+the cached C(j + i, j) below 2^64 for 3 <= j <= 64, gives a plain level by
+one bisection: the column run, which goes on down to j = 3 once begun, as
+n - j never grows and C(n, j-1) <= C(n+1, j).  A Turán column, the cached
+T(j + i, j)_c below 2^64 for 3 <= j <= c <= 16, gives a colored level alike;
+other colored levels search on the cached turan_coefficient (_max_index),
+which solves j = 2 in closed form.  Both lookups are inline in _greedy's
+loop, as are plain j = 2, _max_index's closed form, and j = 1, the
+remainder.  Every other plain level is _descend's, which walks down from the
+level above by C(t-1, j) = C(t, j) (t-j)/t or searches; it also gives a
+leading index alone (flag_r, best_r, lovasz_x).  A search far beyond 2^53
+bisects a window of j integers above an integer root.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from .binomials import _Record, _check, _exp, _set, _shown, binomial, turan_coef
 
 _WALK = 4  # exact steps before a search, down from the level above or up from a float seed
 _COLUMN_J, _COLUMN_LEN = 64, 512  # at most 62 columns of 512 entries
+_COLUMN_C = 16  # Turán columns for 3 <= j <= c <= 16: at most 105 of 512 entries
 _columns = [[1] for _ in range(_COLUMN_J + 1)]  # replaced, never changed in place
+_turan_columns = [[[1] for _ in range(c + 1)] for c in range(_COLUMN_C + 1)]  # [c][j], likewise
+_turan = turan_coefficient.__wrapped__  # the closed form, past the cache
 
 
 def _lead_root(m: int, k: int) -> float:
@@ -115,22 +120,27 @@ def _max_index(m: int, j: int, c: int | None) -> tuple[int, int]:
     return lo, value
 
 
-def _column(rem: int, j: int) -> list[int]:
-    """Pascal column j, grown until its last entry exceeds rem or it is full.
+def _column(rem: int, j: int, c: int | None = None) -> list[int]:
+    """Column j of C(n, j), or given c of T(n, j)_c, n = j, j+1, ..., grown past rem or full.
 
-    A longer list replaces the column, so a reader holds a whole one; a
-    shorter list published last by another thread is still exact.
+    Full is _COLUMN_LEN entries, or the next entry reaching 2^64.  Pascal
+    entries step by C(n, j) = C(n-1, j) n / (n-j); Turán entries come from
+    the closed form past turan_coefficient's cache, so they evict none of
+    the shadow terms kept there.  A longer list replaces the column, so a
+    reader holds a whole one; a shorter list published last by another
+    thread is still exact.
     """
-    column = _columns[j]
+    table = _columns if c is None else _turan_columns[c]
+    column = table[j]
     n, value, grown = j + len(column) - 1, column[-1], []
     while value <= rem and n + 1 - j < _COLUMN_LEN:
-        value = value * (n + 1) // (n + 1 - j)
         n += 1
+        value = value * n // (n - j) if c is None else _turan(n, j, c)
         if value >= 1 << 64:
             break
         grown.append(value)
     if grown:
-        column = _columns[j] = column + grown
+        column = table[j] = column + grown
     return column
 
 
@@ -193,13 +203,20 @@ def _greedy(levels: list, rem: int, k: int, drop: int, extra: int | None) -> lis
             top, at = n - n // (i + extra), above - value
         elif rem < math.comb(j + extra, j):  # T(r, k)_r = C(r, k) exceeds m, so n_k < r
             top = j + extra
-        c = j + extra
+        c, tables = j + extra, _turan_columns
         # At top <= c or j = 1, T(t, j)_c = C(t, j): this level and all below are plain.
         while rem and j > 1 and top > c:
-            n, value = _max_index(rem, j, c)
+            # A Turán column, as the column run below; else a search.
+            if 2 < j and c <= _COLUMN_C and rem < 1 << 64 and (
+                rem < (column := tables[c][j])[-1] or rem < (column := _column(rem, j, c))[-1]
+            ):
+                i = bisect_right(column, rem)
+                n, value, above = j + i - 1, column[i - 1], column[i]
+            else:
+                n, value = _max_index(rem, j, c)
+                # T(n+1, 2)_c - T(n, 2)_c = n - n // c; for j > 2 the search probed n + 1.
+                above = value + n - n // c if j == 2 else turan_coefficient(n + 1, j, c)
             limit = n - n // c
-            # T(n+1, 2)_c - T(n, 2)_c = n - n // c; for j > 2 the search probed n + 1.
-            above = value + limit if j == 2 else turan_coefficient(n + 1, j, c)
             if not j <= n < top:
                 raise _outside((n, j, c), top)
             if j > drop and limit < n:  # else n < c, or i = 0: T(n, i)_c = C(n, i)

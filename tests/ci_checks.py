@@ -225,7 +225,11 @@ def _peak_growth(run, most: float) -> None:
 
 
 def memory_colored() -> None:
-    """20000 seeded random colored cascades: less than 15 MB (an unbounded Turán cache took 44)."""
+    """20000 seeded random colored cascades: less than 15 MB (an unbounded Turán cache took 44).
+
+    The Turán columns stay within their cap: those of 3 <= j <= c <= _COLUMN_C
+    at most _COLUMN_LEN entries each, the lists of j < 3 one each.
+    """
     rng = random.Random(11)
 
     def run():
@@ -234,6 +238,11 @@ def memory_colored() -> None:
             colored_cascade_decompose(rng.randint(1, 10**30), k, rng.randint(k, k + 60))
 
     _peak_growth(run, 15)
+    tables, most = cascade._turan_columns, cascade._COLUMN_C
+    entries = sum(len(column) for table in tables for column in table)
+    columns, lists = (most - 1) * (most - 2) // 2, sum(map(len, tables))
+    print(f"the Turán columns hold {entries} entries")
+    expect(entries <= columns * cascade._COLUMN_LEN + lists - columns, f"{entries} entries")
 
 
 def memory_columns() -> None:

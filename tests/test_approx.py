@@ -125,6 +125,38 @@ def test_symmetric_chain_values():
     assert single.strictly_decreasing
 
 
+def test_symmetric_chain_verdict_is_exact():
+    # Every face vector's chain strictly decreases (Lovász's theorem).  For
+    # K_n with n near 10^15, n and sqrt(2 C(n, 2)) round to within an ulp or
+    # two of each other, and a comparison of the floats said no for about
+    # half of these n.
+    rng = random.Random(16)
+    for n in (rng.randrange(10**15, 2 * 10**15) for _ in range(500)):
+        chain = symmetric_chain(FaceVector((1, n, binomial(n, 2))))
+        assert chain.strictly_decreasing, n
+    # Equal values (2 and sqrt(2 * 2)), and a vector of no complex.
+    assert symmetric_chain(FaceVector((1, 2, 2))) == ((2.0, 2.0), False)
+    assert not symmetric_chain(FaceVector((1, 1, 100))).strictly_decreasing
+    # Ties and near-ties far beyond 2^53: (2 f_1)^3 against (6 f_2)^2 at
+    # 2 f_1 = y^2, 6 f_2 = y^3, and f_0 against 2 f_1 at f_0 = x, 2 f_1 = x^2.
+    x, y = 2**700, 6 * 2**100
+    for d, decreasing in ((-1, True), (0, False), (1, False)):
+        chain = symmetric_chain(FaceVector((1, y + 1, y * y // 2, y**3 // 6 + d)))
+        assert chain.strictly_decreasing == decreasing, d
+        chain = symmetric_chain(FaceVector((1, x, x * x // 2 + d)))
+        assert chain.strictly_decreasing == decreasing, d
+    # The 299-simplex, whose exact powers at p near 300 took seconds.
+    simplex = FaceVector([binomial(300, i) for i in range(301)])
+    assert symmetric_chain(simplex).strictly_decreasing
+    # The log shortcut agrees with the integers next to b = floor(a^((p+1)/p)).
+    for _ in range(300):
+        p, a = rng.randint(1, 40), rng.randint(1, 2 ** rng.randint(1, 600))
+        b = reference._iroot(a ** (p + 1), p)
+        for c in (b - 2, b - 1, b, b + 1, b + 2, b * 2, max(1, b // 2)):
+            if c >= 1:
+                assert approx._exceeds(a, c, p) == (a ** (p + 1) > c**p), (a, c, p)
+
+
 def test_colorapprox_values():
     assert colorapprox_bound(9, 2, 1, 2) == 6.0
     assert colorapprox_bound(binomial(10, 2), 2, 1, 10) == 10.0

@@ -21,7 +21,7 @@ from kkbounds import (
     colored_cascade_evaluate,
     colored_shadow_bound,
 )
-from kkbounds.cascade import _CascadeCursor
+from kkbounds.cascade import _COLUMN_C, _COLUMN_LEN, _CascadeCursor
 from kkbounds.grid import geometric_grid
 
 import reference
@@ -151,30 +151,122 @@ def test_turan_evaluations_do_not_grow_and_the_cache_stays_bounded():
     assert cached.cache_info().misses < FORMER_PAPER_GRID_EVALUATIONS
 
 
-def test_colored_search_only_above_the_budget(monkeypatch):
-    # _max_index sees j >= 2 only, and a colored level only where its limit
-    # from the level above exceeds its budget c; every other level, and all
-    # below one, go to the plain greedy.  Inputs: the self-test's colored
-    # roundtrip at scale full, then the random set above.
-    real, searched = cascade._max_index, {}
+def _count_colored_levels(monkeypatch):
+    """(searched, columns): the j -> c of each colored _max_index search, and the lists bisected."""
+    real_search, real_bisect, searched, columns = cascade._max_index, cascade.bisect_right, {}, []
 
-    def guarded(m, j, c):
+    def search(m, j, c):
         assert j >= 2, (m, j, c)
         if c is not None:
             searched[j] = c
-        return real(m, j, c)
+        return real_search(m, j, c)
 
-    monkeypatch.setattr(cascade, "_max_index", guarded)
+    def bisect(column, rem):
+        columns.append(column)
+        return real_bisect(column, rem)
+
+    monkeypatch.setattr(cascade, "_max_index", search)
+    monkeypatch.setattr(cascade, "bisect_right", bisect)
+    return searched, columns
+
+
+def _from_column(columns, j, c):
+    """Whether one of columns is the Turán column of (j, c) now kept."""
+    if not 3 <= j <= c <= _COLUMN_C:
+        return False
+    kept = cascade._turan_columns[c][j]
+    return any(column is kept for column in columns)
+
+
+def test_colored_search_only_above_the_budget(monkeypatch):
+    # A colored level comes from one bisection of its Turán column or from
+    # one _max_index search, which sees j >= 2 only; and a level is colored
+    # only where its limit from the level above exceeds its budget c.  Every
+    # other level, and all below one, go to the plain greedy.  Inputs: the
+    # self-test's colored roundtrip at scale full, then the random set above.
+    searched, columns = _count_colored_levels(monkeypatch)
     roundtrip = [(m, k, r) for r in range(1, 6) for k in range(1, r + 1) for m in range(1, 2001)]
+    looked_up = colored = 0
     for m, k, r in [*roundtrip, *_random_colored_inputs()]:
         searched.clear()
+        columns.clear()
         terms = colored_cascade_decompose(m, k, r).terms
         top = r if m < binomial(r, k) else math.inf
         for n, j, c in terms:
-            assert (j in searched) == (j >= 2 and top > c), (m, k, r, j)
+            from_column = _from_column(columns, j, c)
+            assert (j in searched) + from_column == (j >= 2 and top > c), (m, k, r, j)
             assert searched.pop(j, c) == c, (m, k, r, j)
+            looked_up, colored = looked_up + from_column, colored + (j >= 2 and top > c)
             top = n - n // c
         assert not searched, (m, k, r)
+    assert 0 < looked_up < colored, (looked_up, colored)
+
+
+def _turan_tables():
+    return [[[1] for _ in range(c + 1)] for c in range(_COLUMN_C + 1)]
+
+
+def test_turan_columns_are_exact_bounded_and_leave_the_cache_alone(monkeypatch):
+    tables = _turan_tables()
+    monkeypatch.setattr(cascade, "_turan_columns", tables)
+    before = binomials.turan_coefficient.cache_info()
+    for c in range(3, _COLUMN_C + 1):
+        for j in range(3, c + 1):
+            part = cascade._column(reference.turan(j + 5, j, c), j, c)  # grown only as far as asked
+            assert len(part) == 7 and part is tables[c][j]
+            full = cascade._column(2**64 - 1, j, c)
+            assert full is tables[c][j] and full[:7] == part
+            n = j + len(full) - 1  # the column ends at _COLUMN_LEN entries or below 2^64
+            assert len(full) == _COLUMN_LEN or reference.turan(n + 1, j, c) >= 2**64, (j, c)
+            assert full == [reference.turan(i, j, c) for i in range(j, n + 1)], (j, c)
+    assert binomials.turan_coefficient.cache_info() == before
+    columns = sum(c - 2 for c in range(3, _COLUMN_C + 1))  # 3 <= j <= c
+    lists = sum(map(len, tables))
+    assert sum(len(column) for table in tables for column in table) <= (
+        columns * _COLUMN_LEN + lists - columns
+    )
+
+
+def _last_turan(j, c):
+    """The n of the Turán column (j, c)'s last entry when full, kept or not."""
+    n = j
+    while n + 1 - j < _COLUMN_LEN and reference.turan(n + 1, j, c) < 2**64:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("c", [_COLUMN_C, _COLUMN_C + 1])
+@pytest.mark.parametrize("state", ["empty", "full"])
+def test_colored_levels_at_the_edge_of_the_turan_columns(c, state, monkeypatch):
+    # At each j from 3 to c, a remainder at the last entry of a full column
+    # - 1, + 0 and + 1, just below and above 2^64, and two drawn near the
+    # last entry; at the top level (k = j, r = c) and below a level at
+    # n = 10^7 (k = j + 1, r = c + 1), whose limit exceeds every remainder.
+    # Only a remainder below the last entry at c <= _COLUMN_C takes the column.
+    tables = _turan_tables()
+    monkeypatch.setattr(cascade, "_turan_columns", tables)
+    if state == "full":
+        for budget in range(3, _COLUMN_C + 1):
+            for i in range(3, budget + 1):
+                cascade._column(2**64 - 1, i, budget)
+    searched, _ = _count_colored_levels(monkeypatch)
+    rng, big = random.Random(c), 10**7
+    for j in range(3, c + 1):
+        last = reference.turan(_last_turan(j, c), j, c)
+        edge = [last - 1, last, last + 1, 2**64 - 1, 2**64]
+        edge += [rng.randint(last // 2, last - 1), rng.randint(last + 1, 2 * last)]
+        for rem in edge:
+            for k, r, base in ((j, c, 0), (j + 1, c + 1, reference.turan(big, j + 1, c + 1))):
+                m = base + rem
+                want = reference.greedy(m, k, r)
+                assert base == 0 or want[0][0] == big, (m, k, r)
+                searched.clear()
+                assert colored_cascade_decompose(m, k, r).terms == want, (m, k, r)
+                assert (j in searched) == (c > _COLUMN_C or rem >= last), (m, k, r, searched)
+                for p in range(1, k):
+                    assert colored_shadow_bound(m, k, p, r) == reference.shadow(want, k, p)
+    if c <= _COLUMN_C:
+        assert tables[c][c][-1] == reference.turan(_last_turan(c, c), c, c)
 
 
 @pytest.mark.parametrize("j", [3, 5])

@@ -317,7 +317,7 @@ def test_cold_root_evaluations_per_call(root_evaluations, ms, k, most):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("mode", ["auto-best", "auto-flag", "fixed", "off"])
-def test_sweep_output_is_the_frozen_rows_in_every_r_mode(capsys, mode, fmt):
+def test_sweep_output_is_the_public_rows_in_every_r_mode(capsys, mode, fmt):
     # The r-mode's substitution is made here: auto-flag shows flag_r and flag
     # in the withr cells, and off blanks the four r-dependent cells.
     ms, k, p = SWEEPS["paper_k10"]
