@@ -8,7 +8,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .binomials import _binom_real_at, _check, _exp, _ratio_at, _shown, binomial
-from .cascade import FaceVector, _CascadeCursor, _descend, _greedy, _lead_root
+from .cascade import FaceVector, _descend, _greedy, _lead_root
 
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
@@ -344,7 +344,7 @@ def bound_report(m: int, k: int, p: int, r: int | None = None) -> BoundReport:
 
     The colored bound uses the given r when supplied (which must be >= k),
     otherwise best_r(m, k); the flag bound always uses flag_r(m, k).  It is
-    shadow_bound's greedy descent from no levels, then _row: no cursor.
+    shadow_bound's greedy descent from no levels, then _row.
     """
     _check(m, k, p, r)
     levels = _greedy([], m, k, k - p, None)
@@ -354,21 +354,25 @@ def bound_report(m: int, k: int, p: int, r: int | None = None) -> BoundReport:
 def bound_reports(ms: Iterable[int], k: int, p: int, r: int | None = None) -> Iterator[BoundReport]:
     """bound_report(m, k, p, r) for each m of a strictly increasing sequence, lazily.
 
-    One _CascadeCursor carries the cascade and kk_exact from m to m (from
-    m = 0 for the first); _inputs are taken once, _index when n changes, and
-    each row is _row's, as bound_report's is.  The arguments are checked with
-    the first m when the first row is computed; an m that does not exceed the
-    one before raises ValueError when it is reached.
+    One level list carries the cascade and kk_exact from m to m: _greedy
+    keeps the levels of the m before that are still the greedy's.  _inputs
+    are taken once, _index when n changes, and each row is _row's, as
+    bound_report's is.  The arguments are checked with the first m when the
+    first row is computed; an m that does not exceed the one before raises
+    ValueError when it is reached.
     """
-    cursor = None
+    levels, last = None, 0
     for m in ms:
-        if cursor is None:  # the first m: the arguments are checked with it
+        if levels is None:  # the first m: the arguments are checked with it
             _check(m, k, p, r)
-            cursor, at, (constants, fixed) = _CascadeCursor(k, p), (0,), _inputs(k, p, r)
-        n, kk_exact = cursor.advance(m)
-        if n != at[0]:  # every index n >= 1 differs from 0
-            at = _index(k, p, cursor.levels[0])
-        yield _row(m, k, p, kk_exact, at, constants, fixed)
+            levels, at, (constants, fixed) = [], (0,), _inputs(k, p, r)
+        elif m <= last:
+            raise ValueError(f"m must increase strictly, got {_shown(m)} after {_shown(last)}")
+        last = m
+        _greedy(levels, m, k, k - p, None)
+        if levels[0][0] != at[0]:  # every index n >= 1 differs from 0
+            at = _index(k, p, levels[0])
+        yield _row(m, k, p, levels[-1][4], at, constants, fixed)
 
 
 @lru_cache(maxsize=256)

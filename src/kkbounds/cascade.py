@@ -1,8 +1,9 @@
 """Binomial and colored cascades and the exact shadow bounds they induce.
 
 Both families come from one function, _greedy, run on an empty level list by
-one-shot calls; _CascadeCursor is its warm wrapper, which keeps the levels
-above the first index that grows.  A plain cascade is a colored one whose
+one-shot calls and on the previous m's levels by a sweep: it keeps each level
+from the top that is still the greedy's, steps a plain index that grows by
+one, and descends below.  A plain cascade is a colored one whose
 budget c exceeds every index (None), as T(n, j)_c = C(n, j) for n <= c.
 A level (n, j, c) stores T(n, j)_c and T(n+1, j)_c, whose difference is
 T(top, j-1)_{c-1}, top = n - floor(n/c): the next index lies below this exact
@@ -185,15 +186,36 @@ def _outside(term: tuple, top) -> ValueError:
     return ValueError(f"term ({shown}) is not within 1 <= j <= n < {_shown(top)}")
 
 
-def _greedy(levels: list, rem: int, k: int, drop: int, extra: int | None) -> list:
-    """Append the greedy levels of rem >= 1 to levels, below those there; return levels.
+def _greedy(levels: list, m: int, k: int, drop: int, extra: int | None) -> list:
+    """Make levels the greedy levels of m >= 1, in place; return levels.
 
     Plain with extra None, else colored with level j's budget c = j + extra.
     A level is (n_j, j, T(n_j, j)_c, T(n_j + 1, j)_c, shadow), shadow summing
-    T(n_i, i - drop)_c over it and the levels above.  Each level made must lie
-    within 1 <= j <= n_j < the limit above, and they must take all of rem;
-    else ValueError.
+    T(n_i, i - drop)_c over it and the levels above.  levels holds those of
+    an earlier m with the same (k, drop, extra), or none.  Each level from the
+    top whose remainder still lies in [T(n_j, j)_c, T(n_j + 1, j)_c) is kept,
+    as the greedy's own whether m rose or fell; the rest are replaced.  Each
+    level made must lie within 1 <= j <= n_j < the limit above, and they must
+    take all of m; else ValueError.
     """
+    rem = m
+    if levels:
+        top = math.inf
+        for pos, (n, j, value, above, shadow) in enumerate(levels):
+            if not value <= rem < above:
+                del levels[pos:]
+                # A plain index most often grows by one: n + 1 stands when rem
+                # is below C(n+2, j), and its shadow term grows by C(n, j-drop-1).
+                if extra is None and above <= rem < (up := above * (n + 2) // (n + 2 - j)):
+                    if n + 1 >= top:
+                        raise _outside((n + 1, j), top)
+                    levels.append((n + 1, j, above, up, shadow + binomial(n, j - drop - 1)))
+                    rem -= above
+                break
+            rem -= value
+            top = n
+        if not rem:
+            return levels
     j, top, shadow, at = k - len(levels), math.inf, 0, None
     if levels:
         n, i, value, above, shadow = levels[-1]
@@ -250,8 +272,7 @@ def _greedy(levels: list, rem: int, k: int, drop: int, extra: int | None) -> lis
         levels.append((n, j, value, above, shadow))
         rem -= value
         top, j, at = n, j - 1, above - value
-    if rem:  # every level's value was taken from m, so they and rem sum to it
-        m = rem + sum([level[2] for level in levels])
+    if rem:
         raise ValueError(f"cascade levels do not sum to m={_shown(m)}")
     return levels
 
@@ -323,51 +344,6 @@ def cascade_decompose(m: int, k: int) -> CascadeRep:
     _check(m, k)
     levels = _greedy([], m, k, k, None)  # its shadow, C(n_k, 0) = 1, costs least to carry
     return CascadeRep._of_levels(k, levels)
-
-
-class _CascadeCursor:
-    """_greedy's warm wrapper: cascades of a strictly increasing sequence of m.
-
-    Plain with r None, else colored with level j's budget j + (r - k).  It
-    starts at m = 0 with no levels.  A larger m keeps the levels above the
-    first index that grows and runs _greedy below them, with drop = k - p:
-    the levels and shadow sums are _greedy's.
-    """
-
-    __slots__ = ("m", "k", "drop", "extra", "levels")
-
-    def __init__(self, k: int, p: int, r: int | None = None) -> None:
-        self.m, self.k, self.drop, self.levels = 0, k, k - p, []
-        self.extra = None if r is None else r - k
-
-    def advance(self, m: int) -> tuple[int, int]:
-        """Move to m, which must exceed the previous m: its leading index and shadow sum.
-
-        A plain index that grows by one is stepped here, and checked against
-        the limit above; _greedy makes and checks the levels below.
-        """
-        if m <= self.m:
-            raise ValueError(f"m must increase strictly, got {_shown(m)} after {_shown(self.m)}")
-        levels, rem, drop, extra, top = self.levels, m, self.drop, self.extra, math.inf
-        # Above the first level that grows, every remainder rises by m - self.m.
-        for pos, (n, j, value, above, shadow) in enumerate(levels):
-            if rem >= above:
-                del levels[pos:]
-                # A plain index most often grows by one: n + 1 stands when rem
-                # is below C(n+2, j), and its shadow term grows by C(n, i-1).
-                # Otherwise, and always when colored, _greedy runs from here.
-                if extra is None and rem < (above_next := above * (n + 2) // (n + 2 - j)):
-                    if n + 1 >= top:
-                        raise _outside((n + 1, j), top)
-                    levels.append((n + 1, j, above, above_next, shadow + binomial(n, j - drop - 1)))
-                    rem -= above
-                break
-            rem -= value
-            top = n
-        if rem:
-            _greedy(levels, rem, self.k, drop, extra)
-        self.m = m
-        return levels[0][0], levels[-1][4]
 
 
 def cascade_evaluate(rep: CascadeRep) -> int:

@@ -1,9 +1,11 @@
 """Cascades and shadow bounds over Turán coefficients, for r-colorable complexes.
 
-They come from cascade.py's _greedy, with a color budget that starts at r and
-drops with the lower index; see there for the levels' limits and checks.  A
-colored level at 3 <= j <= c <= 16 with a remainder below 2^64 is one
-bisection of a cached Turán column, as a plain level is of a Pascal column.
+They come from cascade.py's _greedy, run from no levels, with a color budget
+that starts at r and drops with the lower index; see there for the levels'
+limits and checks, and for how it keeps the colored levels of an earlier m,
+as it keeps plain ones.  A colored level at 3 <= j <= c <= 16 with a
+remainder below 2^64 is one bisection of a cached Turán column, as a plain
+level is of a Pascal column.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from kkbounds import bound_report, bound_reports, cascade, lovasz_bound, lovasz_x  # noqa: E402
 from kkbounds import cascade_decompose, colored_cascade_decompose, shadow_bound  # noqa: E402
+from kkbounds.colored import colored_shadow_bound  # noqa: E402
 from kkbounds.cli import SWEEP_COLUMNS, _SWEEP_FRAMES, _row_template, sample_grid  # noqa: E402
 from kkbounds.grid import geometric_grid  # noqa: E402
 from rowcheck import check_sweep  # noqa: E402
@@ -122,10 +123,14 @@ def same() -> None:
 
     JSON cells show each float's repr, so a root that moves by an ulp shows
     (CSV cells show 12 digits); the bound_report rows go through the sweep's
-    own %r template.  A sweep carries its cascade from row to row on a
-    cursor, while bound_report and shadow_bound run the greedy from no
-    levels.  Every case runs with best_r; the dense k = 3 case also with
-    --r-mode fixed --r 10, and the k = 10 paper grid with --r 60.
+    own %r template.  A sweep carries its cascade's levels from row to row,
+    while bound_report and shadow_bound run the greedy from no levels.
+    Every case runs with best_r; the dense k = 3 case also with --r-mode
+    fixed --r 10, and the k = 10 paper grid with --r 60.  Colored levels
+    carried alike over m = 1..20000 at k = 3, p = 2 give colored_shadow_bound
+    at r = 5, 17 and 60.  The Turán columns stop at budget _COLUMN_C = 16, so
+    at r = 5 a colored level at j = 3 comes from a column, and at r = 17 from
+    a search; at r = 60 every m is below C(60, 3), so every level is plain.
     """
     start, between, end = _SWEEP_FRAMES["json"]
     for case, r in [*((case, None) for case in SWEEPS), (SWEEPS[1], 10), (SWEEPS[3], 60)]:
@@ -139,6 +144,11 @@ def same() -> None:
         expect(out == want, f"sweep {case} at r = {r}")
         kk_exact = [row["kk_exact"] for row in json.loads(out)]
         expect(kk_exact == [shadow_bound(m, k, p) for m in ms], f"kk_exact {case}")
+    ms = range(1, 20001)
+    for r in (5, 17, 60):
+        levels = []
+        warm = [cascade._greedy(levels, m, 3, 1, r - 3)[-1][4] for m in ms]
+        expect(warm == [colored_shadow_bound(m, 3, 2, r) for m in ms], f"warm colored r = {r}")
 
 
 def rowcheck() -> None:

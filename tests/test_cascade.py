@@ -27,7 +27,7 @@ from kkbounds import (
     validate_face_vector,
 )
 from kkbounds import cascade
-from kkbounds.cascade import _COLUMN_J, _COLUMN_LEN, _WALK, _CascadeCursor
+from kkbounds.cascade import _COLUMN_J, _COLUMN_LEN, _WALK, _greedy
 
 import reference
 
@@ -62,22 +62,20 @@ def test_roundtrip_large(m, k):
     assert cascade_evaluate(cascade_decompose(m, k)) == m
 
 
-def _terms(cursor):
-    return tuple([level[:2] for level in cursor.levels])
+def _terms(levels):
+    return tuple([level[:2] for level in levels])
 
 
-def _fresh_cursor_terms(m, k):
-    cursor = _CascadeCursor(k, k)
-    cursor.advance(m)
-    return _terms(cursor)
+def _fresh_terms(m, k):
+    return _terms(_greedy([], m, k, k, None))
 
 
 @pytest.mark.parametrize("k", range(1, 13))
-def test_descent_equals_the_plain_greedy_for_every_small_m(k):
+def test_descent_equals_the_reference_greedy_for_every_small_m(k):
     for m in range(1, 20001):
         want = reference.greedy(m, k)
         assert cascade_decompose(m, k).terms == want, (m, k)
-        assert _fresh_cursor_terms(m, k) == want, (m, k)
+        assert _fresh_terms(m, k) == want, (m, k)
 
 
 @settings(max_examples=150, deadline=None)
@@ -86,25 +84,35 @@ def test_descent_equals_the_plain_greedy_for_every_small_m(k):
     jumps=st.lists(st.integers(min_value=1, max_value=10**80), min_size=1, max_size=8),
 )
 def test_descent_equals_the_reference_greedy_across_large_jumps(k, jumps):
-    warm, m = _CascadeCursor(k, k), 0
+    warm, m = [], 0
     for jump in jumps:
         m += jump
         want = reference.greedy(m, k)
         assert cascade_decompose(m, k).terms == want, (m, k)
-        assert _fresh_cursor_terms(m, k) == want, (m, k)
-        warm.advance(m)
-        assert _terms(warm) == want, (m, k)
+        assert _fresh_terms(m, k) == want, (m, k)
+        assert _terms(_greedy(warm, m, k, k, None)) == want, (m, k)
 
 
 def test_one_shot_calls_build_no_cursor(monkeypatch):
-    # cascade._greedy runs from no levels for every one-shot call; only sweep
-    # rows (bound_reports) build a cursor.  Below f_{k-2}, each face vector
-    # holds f_{i-2} = i f_{i-1}, the most i-sets can cover, which no shadow
-    # bound exceeds: it is valid exactly when f_{k-2} covers f_{k-1}'s shadow.
-    def no_cursor(*args):
-        raise AssertionError("a one-shot call built a cursor")
+    # Each one-shot call runs cascade._greedy once, from no levels, and a
+    # validator once for each pair it checks; only sweep rows (bound_reports)
+    # carry levels over.  Below f_{k-2}, each face vector holds
+    # f_{i-2} = i f_{i-1}, the most i-sets can cover, which no shadow bound
+    # exceeds: it is valid exactly when f_{k-2} covers f_{k-1}'s shadow.
+    calls, greedy = [], cascade._greedy
 
-    monkeypatch.setattr(cascade._CascadeCursor, "__init__", no_cursor)
+    def counted(levels, *args):
+        calls.append(len(levels))
+        return greedy(levels, *args)
+
+    def cold(times, call, *args):
+        calls.clear()
+        got = call(*args)
+        assert calls == [0] * times, (call.__name__, args, calls)
+        return got
+
+    monkeypatch.setattr(cascade, "_greedy", counted)
+    monkeypatch.setattr("kkbounds.colored._greedy", counted)
     for k in range(1, 7):
         for r in [None, *range(k, 7)]:
             colored = r is not None
@@ -114,19 +122,20 @@ def test_one_shot_calls_build_no_cursor(monkeypatch):
             budget = (r,) if colored else ()
             for m in range(1, 2001):
                 want = reference.greedy(m, k, r)
-                assert decompose(m, k, *budget).terms == want, (m, k, r)
+                assert cold(1, decompose, m, k, *budget).terms == want, (m, k, r)
                 shadows = [reference.shadow(want, k, p) for p in range(1, k)]
-                assert [bound(m, k, p, *budget) for p in range(1, k)] == shadows, (m, k, r)
+                got = [cold(1, bound, m, k, p, *budget) for p in range(1, k)]
+                assert got == shadows, (m, k, r)
                 if k == 1:
                     continue
                 below = [shadows[-1]]
                 for i in range(k - 1, 1, -1):
                     below.append(i * below[-1])
                 f = FaceVector((1, *reversed(below), m))
-                assert validate(f, *budget) == (True, None, None), (m, k, r)
+                assert cold(k - 1, validate, f, *budget) == (True, None, None), (m, k, r)
                 f = FaceVector((1, *reversed(below[1:]), below[0] - 1, m))
                 reason = f"f_{k - 2}={below[0] - 1} < {below[0]} required by f_{k - 1}={m}"
-                assert validate(f, *budget) == (False, k, reason), (m, k, r)
+                assert cold(k - 1, validate, f, *budget) == (False, k, reason), (m, k, r)
 
 
 @pytest.mark.parametrize("k", [3, 5, 10, 25, _COLUMN_J + 6])
@@ -142,7 +151,7 @@ def test_descent_falls_back_beyond_the_step_cap(k, monkeypatch):
         want = reference.greedy(m, k)
         assert cascade_decompose(m, k).terms == want, (m, k)
         assert searches == _searched_levels(want) == [k, k - 1], (m, k, searches)
-        assert _fresh_cursor_terms(m, k) == want, (m, k)
+        assert _fresh_terms(m, k) == want, (m, k)
 
 
 @pytest.mark.parametrize("k", [3, 5, 12])
@@ -171,8 +180,8 @@ def test_leading_index_far_beyond_2_53_takes_few_comparisons(k, monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 12])
 def test_levels_at_j_up_to_2_are_made_inline(k, monkeypatch):
-    # j = 1 takes the remainder and j = 2 the closed form inside the cursor's
-    # loop: _descend is asked only for levels at j >= 3.
+    # j = 1 takes the remainder and j = 2 the closed form inside the greedy's
+    # loop, cold or warm: _descend is asked only for levels at j >= 3.
     asked, descend = [], cascade._descend
 
     def counted(rem, j, *above):
@@ -180,13 +189,12 @@ def test_levels_at_j_up_to_2_are_made_inline(k, monkeypatch):
         return descend(rem, j, *above)
 
     monkeypatch.setattr(cascade, "_descend", counted)
-    rng, warm, m, made = random.Random(k), _CascadeCursor(k, k), 0, 0
+    rng, warm, m, made = random.Random(k), [], 0, 0
     for _ in range(300):
         m += rng.randint(1, 10 ** rng.randint(0, 80))
         want = reference.greedy(m, k)
-        assert _fresh_cursor_terms(m, k) == want, (m, k)
-        warm.advance(m)
-        assert _terms(warm) == want, (m, k)
+        assert _fresh_terms(m, k) == want, (m, k)
+        assert _terms(_greedy(warm, m, k, k, None)) == want, (m, k)
         made += sum(j <= 2 for _, j in want)
     assert made > 100 and min(asked, default=3) >= 3, (made, sorted(set(asked)))
 
@@ -320,16 +328,17 @@ def test_levels_at_the_edge_of_the_columns(j, state, monkeypatch):
     # Each m at the top level (k = j), then below C(n + 1, j + 1) (k = j + 1).
     for k, base in ((j, 0), (j + 1, math.comb(n + 1, j + 1))):
         ms = [base + m for m in edge]
-        warm, r = _CascadeCursor(k, k - 1), n + k + 2  # every colored level plain
+        warm, r = [], n + k + 2  # every colored level plain
         for m in ms:
             want = reference.greedy(m, k)
             assert want[k - j][0] == (n - 1 if m == ms[0] else n), (m, k, want)
             searches.clear()
             assert cascade_decompose(m, k).terms == want, (m, k)
             assert searches == _searched_levels(want), (m, k, searches)
-            assert _fresh_cursor_terms(m, k) == want, (m, k)
+            assert _fresh_terms(m, k) == want, (m, k)
             kk_exact = sum(math.comb(t, i - 1) for t, i in want)
-            assert warm.advance(m) == (want[0][0], kk_exact), (m, k)
+            _greedy(warm, m, k, 1, None)
+            assert (warm[0][0], warm[-1][4]) == (want[0][0], kk_exact), (m, k)
             assert _terms(warm) == want, (m, k)
             assert shadow_bound(m, k, k - 1) == kk_exact
             colored = colored_cascade_decompose(m, k, r).terms

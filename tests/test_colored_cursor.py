@@ -1,8 +1,8 @@
-"""Colored cascades from the shared cursor: equal to the greedy by its definition, bounded memory.
+"""Colored cascades, cold and warm: equal to the greedy by its definition, bounded memory.
 
 reference.greedy with a color budget takes at every level the largest
 T(n, j)_c that fits, by bisection on Turán coefficients evaluated without the
-cache, so it neither fills nor reads the one the cursor uses.
+cache, so it neither fills nor reads the one the kernel uses.
 """
 
 import math
@@ -21,7 +21,7 @@ from kkbounds import (
     colored_cascade_evaluate,
     colored_shadow_bound,
 )
-from kkbounds.cascade import _COLUMN_C, _COLUMN_LEN, _CascadeCursor
+from kkbounds.cascade import _COLUMN_C, _COLUMN_LEN, _greedy
 from kkbounds.grid import geometric_grid
 
 import reference
@@ -100,33 +100,58 @@ def test_small_inputs_equal_the_reference_greedy():
 def test_warm_colored_cursor_equals_a_fresh_one(k, extra, data, jumps):
     r = k + extra
     p = data.draw(st.integers(min_value=0, max_value=k - 1))
-    warm, m = _CascadeCursor(k, p, r), 0
+    warm, m = [], 0
     for jump in jumps:
         m += jump
-        fresh = _CascadeCursor(k, p, r)
-        assert warm.advance(m) == fresh.advance(m), (m, k, p, r)
-        assert warm.levels == fresh.levels, (m, k, p, r)
-        assert tuple((n, j, j + extra) for n, j, *_ in warm.levels) == reference.greedy(m, k, r)
+        fresh = _greedy([], m, k, k - p, extra)
+        assert _greedy(warm, m, k, k - p, extra) == fresh, (m, k, p, r)
+        assert tuple((n, j, j + extra) for n, j, *_ in warm) == reference.greedy(m, k, r)
 
 
 @pytest.mark.parametrize("k, r", [(2, 2), (2, 4), (3, 3), (3, 5), (4, 6)])
 def test_warm_colored_cursor_through_every_m(k, r):
     # Consecutive m grow every level in turn, so each stored T(n+1, j)_c is used.
-    warm = _CascadeCursor(k, k - 1, r)
+    warm = []
     for m in range(1, 3001):
-        fresh = _CascadeCursor(k, k - 1, r)
-        assert warm.advance(m) == fresh.advance(m), (m, k, r)
-        assert warm.levels == fresh.levels, (m, k, r)
+        assert _greedy(warm, m, k, 1, r - k) == _greedy([], m, k, 1, r - k), (m, k, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=8),
+    extra=st.none() | st.integers(min_value=0, max_value=30),
+    data=st.data(),
+)
+def test_levels_carried_over_m_in_any_direction(k, extra, data):
+    # One level list through m that rise, fall and repeat, near and far:
+    # each kept level is the greedy's own whichever way m moved.  Plain with
+    # extra None; colored budgets k + extra reach past _COLUMN_C, so that
+    # colored levels come from Turán columns and from searches.
+    p = data.draw(st.integers(min_value=0, max_value=k - 1))
+    r = None if extra is None else k + extra
+    levels, m = [], data.draw(st.integers(min_value=1, max_value=10**30))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+        m = data.draw(
+            st.just(m)
+            | st.integers(min_value=max(1, m - 1000), max_value=m + 1000)
+            | st.integers(min_value=max(1, m // 2), max_value=2 * m)
+            | st.integers(min_value=1, max_value=10**30)
+        )
+        _greedy(levels, m, k, k - p, extra)
+        want = reference.greedy(m, k, r)
+        terms = tuple([(n, j) if r is None else (n, j, j + extra) for n, j, *_ in levels])
+        assert terms == want, (m, k, p, r)
+        assert levels[-1][4] == reference.shadow(want, k, p), (m, k, p, r)
+        assert levels == _greedy([], m, k, k - p, extra), (m, k, p, r)
 
 
 def test_colored_gap_violation_raises():
     # A stored level one index too high leaves no room below it.
-    cursor = _CascadeCursor(2, 0, 3)
-    cursor.advance(13)  # T(6, 2)_3 + T(1, 1)_2
-    n, j, value, above, shadow = cursor.levels[0]
-    cursor.levels[0] = (n, j, value - 5, above, shadow)
+    levels = _greedy([], 13, 2, 2, 1)  # T(6, 2)_3 + T(1, 1)_2
+    n, j, value, above, shadow = levels[0]
+    levels[0] = (n, j, value - 5, above, shadow)
     with pytest.raises(ValueError, match="is not within"):
-        cursor.advance(14)
+        _greedy(levels, 14, 2, 2, 1)
 
 
 def _random_colored_inputs(count=20000, seed=11):

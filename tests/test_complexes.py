@@ -122,6 +122,19 @@ def test_f_vector_basics():
     assert f_vector(SimplicialComplex(frozenset([frozenset()]))).entries == (1,)
 
 
+def test_facets_are_the_maximal_faces():
+    # Nested inputs leave only the faces that no other contains; the complex
+    # {∅} has the facet ∅; and the facets of revlex_complex(m, k) are its m
+    # k-sets, which no other k-set contains.
+    nested = from_facets([(1, 2, 3), (1, 2), (3,), (2, 4), (4,), ()])
+    assert nested.facets() == {frozenset({1, 2, 3}), frozenset({2, 4})}
+    assert SimplicialComplex([()]).facets() == {frozenset()}
+    assert from_facets([]).facets() == {frozenset()}
+    for k in range(1, 5):
+        for m in range(1, 31):
+            assert revlex_complex(m, k).facets() == frozenset(revlex_ksets(m, k)), (m, k)
+
+
 def test_downward_closure_enforced():
     with pytest.raises(ValueError):
         SimplicialComplex(frozenset([frozenset(), frozenset({1, 2})]))

@@ -107,7 +107,7 @@ def test_root_for_m_beyond_float_range():
         fitted += 1
         assert x == reference.lovasz_root(m, k, x) and _ulps_off(x, m, k) <= 1, (m, k, x)
     assert fitted >= 30
-    # Sweep rows, their cursor carried over from the row before, equal
+    # Sweep rows, their levels carried over from the row before, equal
     # one-row bound_reports here too.
     ms = [10**320 + i for i in range(3)] + [10**320 + i * 10**300 for i in range(1, 4)]
     assert list(bound_reports(ms, 10, 7)) == [bound_report(m, 10, 7) for m in ms]

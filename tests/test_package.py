@@ -42,8 +42,7 @@ from kkbounds import (
     validate_face_vector,
     withoutr_bound,
 )
-from kkbounds import cascade
-from kkbounds.cascade import _CascadeCursor
+from kkbounds.cascade import _greedy
 
 import reference
 
@@ -168,10 +167,10 @@ def test_cursor_cascades_equal_decompose_with_equal_hashes():
     rng = random.Random(6)
     for k in (1, 2, 3, 5, 10):
         ms = sorted(rng.sample(range(1, 3 * binomial(30, k) + 1000), 300))
-        cursor = _CascadeCursor(k, k)
+        levels = []
         for m in ms:
-            cursor.advance(m)
-            got, want = CascadeRep._of_levels(k, cursor.levels), cascade_decompose(m, k)
+            _greedy(levels, m, k, k, None)
+            got, want = CascadeRep._of_levels(k, levels), cascade_decompose(m, k)
             assert type(got) is CascadeRep
             assert want.terms == reference.greedy(m, k)  # cascade_decompose runs the same greedy
             assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
@@ -223,20 +222,14 @@ def test_arguments_checked_in_one_order_and_shown_by_size(name):
         assert str(raised.value) == messages[bad[0]], bad
 
 
-def _advance_twice(k: int, first: int, then: int):
-    cursor = _CascadeCursor(k, k - 1)
-    cursor.advance(first)
-    cursor.advance(then)
-
-
 def _step_onto_the_level_above():
     # C(H, 2) + C(H-1, 1), with C(H+1, 2) stored too large: at m + 1 the top
     # stays, and the index below steps to H, which the top's H does not exceed.
-    cursor, m = _CascadeCursor(2, 1), binomial(HUGE, 2) + HUGE - 1
-    cursor.advance(m)
-    n, j, value, above, shadow = cursor.levels[0]
-    cursor.levels[0] = (n, j, value, above + 10, shadow)
-    cursor.advance(m + 1)
+    m = binomial(HUGE, 2) + HUGE - 1
+    levels = _greedy([], m, 2, 1, None)
+    n, j, value, above, shadow = levels[0]
+    levels[0] = (n, j, value, above + 10, shadow)
+    _greedy(levels, m + 1, 2, 1, None)
 
 
 LABELS = "vertex labels must be positive ints"
@@ -253,7 +246,11 @@ OTHER_MESSAGES = [
     (lambda: is_r_colorable(revlex_complex(2, 2), -HUGE), f"r must be >= 1, got -{SIZE}"),
     (lambda: replicate(revlex_complex(2, 2), -HUGE), f"q must be >= 1, got -{SIZE}"),
     (lambda: random_complex(HUGE, 0.5, 0), f"need 0 <= n <= 14, got n={SIZE}"),
-    (lambda: _advance_twice(2, HUGE, 1), f"m must increase strictly, got 1 after {SIZE}"),
+    # k = 20 puts every column of the row at m = HUGE within float range.
+    (
+        lambda: list(bound_reports([HUGE, 1], 20, 1)),
+        f"m must increase strictly, got 1 after {SIZE}",
+    ),
     (lambda: CascadeRep(HUGE, [(HUGE - 1, HUGE)]), f"term ({SIZE}, {SIZE}) has n < j"),
     (
         lambda: CascadeRep(2, [(HUGE, 2), (HUGE, 1)]),
@@ -268,14 +265,15 @@ OTHER_MESSAGES = [
     (lambda: Graph([-HUGE], []), f"{LABELS}, got -{SIZE}"),
     (lambda: turan_graph(3, 2).part_of(HUGE), f"vertex {SIZE} not in graph"),
     (_step_onto_the_level_above, f"term ({SIZE}, 1) is not within 1 <= j <= n < {SIZE}"),
-    # The greedy below a level (n, j, C(n, j)_c, C(n+1, j)_c, shadow) at n = HUGE
-    # meets a remainder too large for the limit under it, plain and colored.
+    # The greedy below a kept level (n, j, T(n, j)_c, T(n+1, j)_c, shadow) at
+    # n = HUGE, whose stored values hold the whole remainder, meets a
+    # remainder too large for the limit under it, plain and colored.
     (
-        lambda: cascade._greedy([(HUGE, 2, 0, 0, 0)], 2 * HUGE, 2, 2, None),
+        lambda: _greedy([(HUGE, 2, 0, 3 * HUGE, 0)], 2 * HUGE, 2, 2, None),
         f"term (<16611-bit int>, 1) is not within 1 <= j <= n < {SIZE}",
     ),
     (
-        lambda: cascade._greedy([(HUGE, 3, 0, 0, 0)], turan_coefficient(HUGE, 2, 3), 3, 3, 1),
+        lambda: _greedy([(HUGE, 3, 0, HUGE**2, 0)], turan_coefficient(HUGE, 2, 3), 3, 3, 1),
         f"term ({SIZE}, 2, 3) is not within 1 <= j <= n < {SIZE}",
     ),
 ]

@@ -1,5 +1,5 @@
-"""The sweep kernel: a cascade cursor over increasing m, bound_reports equal to
-row-by-row bound_report, and sweep rows written as they are computed."""
+"""The sweep kernel: cascade levels carried over increasing m, bound_reports equal
+to row-by-row bound_report, and sweep rows written as they are computed."""
 
 import io
 import json
@@ -29,7 +29,7 @@ from kkbounds import (
     withoutr_bound,
 )
 from kkbounds import approx, cli
-from kkbounds.cascade import _CascadeCursor
+from kkbounds.cascade import _greedy
 from kkbounds.cli import EXIT_OK, EXIT_USAGE, main
 from kkbounds.grid import geometric_grid, linear_grid
 
@@ -87,17 +87,18 @@ def increasing_runs(draw):
     return k, sorted(m for m in ms if 1 <= m <= M_MAX)
 
 
-def _advance(cursor, m, p):
-    """Advance the cursor to m and check what it carries against a fresh cascade.
+def _carry(levels, m, k, p):
+    """Run the greedy on the levels of the m before and check them against a fresh cascade.
 
     cascade_decompose runs the same greedy from no levels, so the cascade is
     also checked against reference.greedy, which shares no code with either.
     """
-    rep = cascade_decompose(m, cursor.k)
-    assert rep.terms == reference.greedy(m, cursor.k), (m, cursor.k)
-    shadow = reference.shadow(rep.terms, cursor.k, p)
-    assert cursor.advance(m) == (rep.terms[0][0], shadow), (m, cursor.k, p)
-    assert CascadeRep._of_levels(cursor.k, cursor.levels) == rep, (m, cursor.k)
+    rep = cascade_decompose(m, k)
+    assert rep.terms == reference.greedy(m, k), (m, k)
+    shadow = reference.shadow(rep.terms, k, p)
+    _greedy(levels, m, k, k - p, None)
+    assert (levels[0][0], levels[-1][4]) == (rep.terms[0][0], shadow), (m, k, p)
+    assert CascadeRep._of_levels(k, levels) == rep, (m, k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -105,20 +106,20 @@ def _advance(cursor, m, p):
 def test_cursor_cascades_equal_decompose(case, data):
     k, ms = case
     p = data.draw(st.integers(min_value=0, max_value=k))  # p = k carries m itself
-    cursor = _CascadeCursor(k, p)  # at m = 0: the first advance builds the first cascade
+    levels = []  # no levels: the first m builds the first cascade
     for m in ms:
-        _advance(cursor, m, p)
+        _carry(levels, m, k, p)
 
 
 def test_cursor_runs_through_every_m():
     for k in (2, 3, 5):
         for p in range(1, k):
-            cursor = _CascadeCursor(k, p)
+            levels = []
             for m in range(1, 5000):
-                _advance(cursor, m, p)
+                _carry(levels, m, k, p)
 
 
-# Corruptions of a cursor's stored level (n, j, C(n, j), C(n+1, j), shadow) at
+# Corruptions of a carried level (n, j, C(n, j), C(n+1, j), shadow) at
 # k = 3 after which a later cascade needs a level that breaks the cascade's
 # order, or cannot reach m.
 def _top_stale_next_binomial(levels):
@@ -146,27 +147,26 @@ def _last_stale_next_binomial(levels):
 )
 def test_cursor_rejects_a_corrupted_level(corrupt, message):
     k, m = 3, binomial(20, 3) - 5  # 1135 = C(19,3) + C(18,2) + C(13,1)
-    cursor = _CascadeCursor(k, 2)
-    cursor.advance(m)
-    corrupt(cursor.levels)
+    levels = _greedy([], m, k, 1, None)
+    corrupt(levels)
     with pytest.raises(ValueError, match=message):
         for m in range(m + 1, binomial(21, 3)):
-            cursor.advance(m)
-            assert CascadeRep._of_levels(k, cursor.levels) == cascade_decompose(m, k), m
+            _greedy(levels, m, k, 1, None)
+            assert CascadeRep._of_levels(k, levels) == cascade_decompose(m, k), m
 
 
 def test_cursor_checks_a_kept_level_by_a_fresh_search():
-    # The first level an advance creates is searched afresh, not walked down
-    # from the kept level above it, so a kept C(25, 9) short by C(25, 8) - 1
-    # leaves a remainder whose level outgrows it: the walk could not see that.
+    # The first level made below the kept ones is searched afresh, not walked
+    # down from the kept level above it, so a kept C(25, 9) short by
+    # C(25, 8) - 1 leaves a remainder whose level outgrows it: the walk could
+    # not see that.
     k, m = 10, binomial(30, 10) + binomial(25, 9)
-    cursor = _CascadeCursor(k, 7)
-    cursor.advance(m)
-    n, j, value, above, shadow = cursor.levels[1]
+    levels = _greedy([], m, k, 3, None)
+    n, j, value, above, shadow = levels[1]
     assert (n, j) == (25, 9)
-    cursor.levels[1] = (n, j, value - binomial(25, 8) + 1, above, shadow)
+    levels[1] = (n, j, value - binomial(25, 8) + 1, above, shadow)
     with pytest.raises(ValueError, match="not within"):
-        cursor.advance(m + 1)
+        _greedy(levels, m + 1, k, 3, None)
 
 
 SWEEPS = {
@@ -352,19 +352,28 @@ def test_bound_report_is_the_one_row_case():
 
 
 def test_bound_report_builds_no_cursor_and_no_generator(monkeypatch):
-    # A one-shot row runs the greedy from no levels and then the row function.
-    def refuse(*args):
-        raise AssertionError("bound_report built a cursor or a generator")
+    # A one-shot row runs the greedy once, from no levels, and then the row
+    # function.
+    calls, greedy = [], approx._greedy
 
-    monkeypatch.setattr(_CascadeCursor, "__init__", refuse)
+    def counted(levels, *args):
+        calls.append(len(levels))
+        return greedy(levels, *args)
+
+    def refuse(*args):
+        raise AssertionError("bound_report built a generator")
+
+    monkeypatch.setattr(approx, "_greedy", counted)
     monkeypatch.setattr(approx, "bound_reports", refuse)
     cases = [(m, k, p, r) for ms, k, p in SWEEPS.values() for m in ms for r in (None, k + 7)]
     cases.append((10**6, 2000, 1000, None))  # flag, at r = 2001, overflows
     for case in cases:
+        calls.clear()
         try:
             row = bound_report(*case)
         except OverflowError as exc:
             row = str(exc)
+        assert calls == [0], (case, calls)
         assert row == _public_row(*case), case
 
 
