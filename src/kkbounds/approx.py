@@ -78,15 +78,46 @@ def _series_start(y: float, bits: int, series: tuple[float, ...]) -> float:
     return y + half + y * e * (c1 + e * (c2 + e * (c3 + e * (c4 + e * (c5 + e * c6)))))
 
 
-def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float) -> float:
-    """lovasz_x(m, k) given the leading cascade index n, c = C(n, k) and f = _binom_real_at(k).
+@lru_cache(maxsize=256)
+def _slope_at(k: int):
+    """x -> sum of 1/(x-i) for i < k, the Newton slope of log C(x, k); cached for 256 k.
 
-    It is inf where n does not fit in a float.  The search starts from start
-    if it lies inside (n, n+1), else by regula falsi through the exact ends,
-    C(n+1, k) - C(n, k) = C(n, k) k / (n-k+1).  Where float(m) overflows, it
-    solves C(x, k) / C(n, k) = m / C(n, k), a float in [1, (n+1)/(n+1-k)), by
-    the same steps on _ratio_at(n, k).  An evaluation beyond float range reads
-    inf: a Newton step from it bisects, and the ulp walk stops there.
+    For k <= 170 it is straight-line code generated once per k from integers
+    only, as _binom_real_at(k) is; at k = 3 its body is
+
+        return 1.0 / x + 1.0 / (x - 1.0) + 1.0 / (x - 2.0)
+
+    the additions of a loop from 0.0 in its order, as 0.0 + 1.0/x is 1.0/x
+    for x > 0, so every root is bit-identical to the loop's.  Beyond, the loop.
+    """
+    if k > 170:
+
+        def slope(x: float) -> float:
+            total = 0.0
+            for i in range(k):
+                total += 1.0 / (x - i)
+            return total
+
+        return slope
+    terms = " + ".join(["1.0 / x", *[f"1.0 / (x - {i}.0)" for i in range(1, k)]])
+    namespace = {}
+    exec(f"def slope(x):\n    return {terms}\n", namespace)
+    return namespace["slope"]
+
+
+def _lovasz_root(m: int, k: int, n: int, c: int, f, slope, start: float) -> float:
+    """lovasz_x(m, k) given the leading cascade index n and c = C(n, k).
+
+    f is _binom_real_at(k) and slope _slope_at(k), generated straight-line
+    code up to k = 170 as f is: on the paper grid a row takes 0.93 Newton
+    steps, each summing 10 quotients.  It is inf where n does not fit in a
+    float.  The search starts from start if it lies inside (n, n+1), else by
+    regula falsi through the exact ends, C(n+1, k) - C(n, k) = C(n, k) k /
+    (n-k+1).  Where float(m) overflows, it solves C(x, k) / C(n, k) =
+    m / C(n, k), a float in [1, (n+1)/(n+1-k)), by the same steps on
+    _ratio_at(n, k), whose slope is the same.  An evaluation beyond float
+    range reads inf: a Newton step from it bisects, and the ulp walk stops
+    there.
     """
     try:
         a, b = float(n), float(n + 1)
@@ -111,10 +142,7 @@ def _lovasz_root(m: int, k: int, n: int, c: int, f, start: float) -> float:
         # Newton step, f/f' = 1 / sum 1/(x-i), its quotients kept in float range;
         # an inf fx makes it nan and so a bisection.  A step that leaves x as it
         # is ends the search: past k ~ 300 the float error of C(x, k) may exceed tol.
-        slope = 0.0
-        for i in range(k):
-            slope += 1.0 / (x - i)
-        x_new = x - (fx - target) / fx / slope
+        x_new = x - (fx - target) / fx / slope(x)
         if x_new == x:
             break
         if not a < x_new < b:
@@ -152,8 +180,9 @@ def lovasz_x(m: int, k: int) -> float:
     residual, lo on a tie: the final rule of a bisection run to the last bit,
     which takes 55 evaluations of the polynomial.  From the series start,
     within an ulp of the root in 99.7% of calls to m = 10^5 at k = 3, this
-    takes 2.09 a call at k = 3, 2.94 on the paper's grid and 6.0 at k of 300
-    to 600, where y < k.
+    takes 2.07 a call over m = 1..10^5 at k = 3 (1.03 in the search, 1.04 in
+    the ulp walk), 2.94 on the paper's grid, where a row takes 0.93 Newton
+    steps, and 6.0 at k of 300 to 600, where y < k.
 
     The pair, and so the result, does not depend on the path to it.  For
     x > k-1 every factor x - i is positive, and a rounded subtraction,
@@ -171,7 +200,8 @@ def lovasz_x(m: int, k: int) -> float:
     _check(m, k)
     n, c, _ = _descend(m, k)
     start = _series_start(*_lead(m, k), _series_at(k))
-    return _fit(_lovasz_root(m, k, n, c, _binom_real_at(k), start), "lovasz_x", k)
+    x = _lovasz_root(m, k, n, c, _binom_real_at(k), _slope_at(k), start)
+    return _fit(x, "lovasz_x", k)
 
 
 def lovasz_bound(m: int, k: int, p: int) -> float:
@@ -348,14 +378,14 @@ def bound_report(m: int, k: int, p: int, r: int | None = None) -> BoundReport:
     """
     _check(m, k, p, r)
     levels = _greedy([], m, k, k - p, None)
-    return _row(m, k, p, levels[-1][4], _index(k, p, levels[0]), *_inputs(k, p, r))
+    return _row(m, k, p, levels[-1][4], _index(k, p, levels[0]), _constants(k, p, r))
 
 
 def bound_reports(ms: Iterable[int], k: int, p: int, r: int | None = None) -> Iterator[BoundReport]:
     """bound_report(m, k, p, r) for each m of a strictly increasing sequence, lazily.
 
     One level list carries the cascade and kk_exact from m to m: _greedy
-    keeps the levels of the m before that are still the greedy's.  _inputs
+    keeps the levels of the m before that are still the greedy's.  _constants
     are taken once, _index when n changes, and each row is _row's, as
     bound_report's is.  The arguments are checked with the first m when the
     first row is computed; an m that does not exceed the one before raises
@@ -365,25 +395,27 @@ def bound_reports(ms: Iterable[int], k: int, p: int, r: int | None = None) -> It
     for m in ms:
         if levels is None:  # the first m: the arguments are checked with it
             _check(m, k, p, r)
-            levels, at, (constants, fixed) = [], (0,), _inputs(k, p, r)
+            levels, at, constants = [], (0,), _constants(k, p, r)
         elif m <= last:
             raise ValueError(f"m must increase strictly, got {_shown(m)} after {_shown(last)}")
         last = m
         _greedy(levels, m, k, k - p, None)
         if levels[0][0] != at[0]:  # every index n >= 1 differs from 0
             at = _index(k, p, levels[0])
-        yield _row(m, k, p, levels[-1][4], at, constants, fixed)
+        yield _row(m, k, p, levels[-1][4], at, constants)
 
 
 @lru_cache(maxsize=256)
-def _constants(k: int, p: int) -> tuple:
-    """_power_lead(k, p), _series_at(k), and the evaluators of C(x, k) and C(x, p); 256 cached."""
-    return _power_lead(k, p), _series_at(k), _binom_real_at(k), _binom_real_at(p)
+def _constants(k: int, p: int, r: int | None) -> tuple:
+    """What _row takes of (k, p, r) alone; cached for 256 (k, p, r).
 
-
-def _inputs(k: int, p: int, r: int | None) -> tuple:
-    """_row's _constants(k, p) and fixed: (r, C(r, p), C(r, k)) for a given r, else None."""
-    return _constants(k, p), None if r is None else (r, binomial(r, p), binomial(r, k))
+    _power_lead(k, p), _series_at(k), the evaluator of C(x, k) and its
+    _slope_at(k), that of C(x, p), and fixed: (r, C(r, p), C(r, k)) for a
+    given r, else None.
+    """
+    fixed = None if r is None else (r, binomial(r, p), binomial(r, k))
+    evaluators = _binom_real_at(k), _slope_at(k), _binom_real_at(p)
+    return _power_lead(k, p), _series_at(k), *evaluators, fixed
 
 
 def _index(k: int, p: int, level: tuple) -> tuple:
@@ -393,12 +425,12 @@ def _index(k: int, p: int, level: tuple) -> tuple:
     return n, n_k, up_k, n_p, n_p * (n + 1) // (n + 1 - p), n_k + n_k * k // n
 
 
-def _row(m: int, k: int, p: int, kk_exact: int, at: tuple, constants: tuple, fixed) -> BoundReport:
-    """The row of m from kk_exact, at = _index and _inputs; one _lead for withoutr and the root."""
+def _row(m: int, k: int, p: int, kk_exact: int, at: tuple, constants: tuple) -> BoundReport:
+    """The row of m from kk_exact, _index and _constants; one _lead for withoutr and the root."""
     n, n_k, up_k, n_p, up_p, reach = at
-    lead, series, evaluate, lovasz_at = constants
+    lead, series, evaluate, slope, lovasz_at, fixed = constants
     root, bits = _lead(m, k)
-    x = _lovasz_root(m, k, n, n_k, evaluate, _series_start(root, bits, series))
+    x = _lovasz_root(m, k, n, n_k, evaluate, slope, _series_start(root, bits, series))
     m_pow = _pow_frac(m, p, k)
     flag = _colorapprox(m, k, p, n_p, n_k)
     if fixed is not None:

@@ -62,7 +62,9 @@ def _binom_real_at(k: int):
         return value if isfinite(value) else by_ratios(x)
 
     the operations of a loop from num = 1.0 in its order, as 1.0 * (x - 0.0)
-    is x, at half its cost.
+    is x, at half its cost.  The Lovász root's Newton slope, the sum of the
+    1/(x - i), is generated alike (approx._slope_at), its additions in the
+    order of a loop from 0.0.
     """
     by_ratios = _ratio_at(k, k)
     if k > 170:

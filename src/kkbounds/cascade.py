@@ -12,15 +12,19 @@ A level is colored where j >= 2 and its limit exceeds its budget; from the
 first other level on, the cascade is plain.  A remainder in Pascal column j,
 the cached C(j + i, j) below 2^64 for 3 <= j <= 64, gives a plain level by
 one bisection: the column run, which goes on down to j = 3 once begun, as
-n - j never grows and C(n, j-1) <= C(n+1, j).  A Turán column, the cached
-T(j + i, j)_c below 2^64 for 3 <= j <= c <= 16, gives a colored level alike;
-other colored levels search on the cached turan_coefficient (_max_index),
-which solves j = 2 in closed form.  Both lookups are inline in _greedy's
-loop, as are plain j = 2, _max_index's closed form, and j = 1, the
-remainder.  Every other plain level is _descend's, which walks down from the
-level above by C(t-1, j) = C(t, j) (t-j)/t or searches; it also gives a
-leading index alone (flag_r, best_r, lovasz_x).  A search far beyond 2^53
-bisects a window of j integers above an integer root.
+n - j never grows and C(n, j-1) <= C(n+1, j).  The run is a loop of its own
+inside _greedy's: it tests j's range and the remainder's size once, where it
+begins, and each level checks only n against the limit above.  A remainder
+beyond a full column, which can meet only its first level, is _descend's.
+A Turán column, the cached T(j + i, j)_c below 2^64 for 3 <= j <= c <= 16,
+gives a colored level alike; other colored levels search on the cached
+turan_coefficient (_max_index), which solves j = 2 in closed form.  Both
+lookups are inline in _greedy, as are plain j = 2, _max_index's closed
+form, and j = 1, the remainder.  Every other plain level is _descend's,
+which walks down from the level above by C(t-1, j) = C(t, j) (t-j)/t or
+searches; it also gives a leading index alone (flag_r, best_r, lovasz_x).
+A search far beyond 2^53 bisects a window of j integers above an integer
+root.
 """
 
 from __future__ import annotations
@@ -250,20 +254,39 @@ def _greedy(levels: list, m: int, k: int, drop: int, extra: int | None) -> list:
             top, j, c, at = limit, j - 1, c - 1, above - value
     columns, comb = _columns, math.comb
     while rem > 0 and j > 0:
-        # The column run and j <= 2 inline: a helper call per level made the
+        # j <= 2 and the column run inline: a helper call per level made the
         # paper grid's cold cascades take 1.17x as long.
-        if 2 < j <= _COLUMN_J and rem < 1 << 64 and (
-            rem < (column := columns[j])[-1] or rem < (column := _column(rem, j))[-1]
-        ):
-            i = bisect_right(column, rem)
-            n, value, above = j + i - 1, column[i - 1], column[i]
-        elif j == 1:
+        if j == 1:
             n = value = rem
             above = rem + 1
         elif j == 2:
             n, value = _max_index(rem, 2, None)
             above = value + n
         else:
+            if j <= _COLUMN_J and rem < 1 << 64:
+                # The column run, in its own loop: j and rem only fall, so
+                # their ranges hold from its first level on, and the bisection
+                # gives j <= n.  It ends at j = 2 or when nothing remains; a
+                # remainder beyond a full column, at its first level only, is
+                # left to _descend.
+                start = j
+                while j > 2 and rem:
+                    if rem >= (column := columns[j])[-1] and rem >= (column := _column(rem, j))[-1]:
+                        break
+                    i = bisect_right(column, rem)
+                    n = j + i - 1
+                    if n >= top:
+                        raise _outside((n, j), top)
+                    value, above = column[i - 1], column[i]
+                    if j >= drop:  # C(n, j - drop), zero for j < drop
+                        shadow += comb(n, j - drop)
+                    levels.append((n, j, value, above, shadow))
+                    rem -= value
+                    top, j = n, j - 1
+                if j < start:  # else a level below kept ones is still searched afresh
+                    at = above - value
+                if j < 3 or not rem:
+                    continue
             n, value, above = _descend(rem, j, top, at)
         if not j <= n < top:
             raise _outside((n, j), top)

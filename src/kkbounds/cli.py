@@ -138,7 +138,7 @@ def _cmd_validate(args) -> int:
     if args.realize:
         from .complexes import realize_face_vector, serialize
 
-        print(serialize(realize_face_vector(f)))
+        print(serialize(realize_face_vector(f, args.r)))
     return EXIT_OK
 
 

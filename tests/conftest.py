@@ -15,14 +15,14 @@ def root_evaluations(monkeypatch):
     """
     calls, limit, root = 0, None, approx._lovasz_root
 
-    def counting_root(m, k, n, c, f, start):
+    def counting_root(m, k, n, c, f, slope, start):
         def counted(x):
             nonlocal calls
             calls += 1
             assert limit is None or calls <= limit, f"more than {limit} evaluations"
             return f(x)
 
-        return root(m, k, n, c, counted, start)
+        return root(m, k, n, c, counted, slope, start)
 
     def count(items, most=None):
         nonlocal calls, limit

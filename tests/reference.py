@@ -111,6 +111,14 @@ def least_shadows(ksets: list, p: int) -> list:
     return least
 
 
+def newton_slope(x: float, k: int) -> float:
+    """The sum of the 1/(x - i), i < k, in floats from 0.0 and from left to right."""
+    total = 0.0
+    for i in range(k):
+        total += 1.0 / (x - i)
+    return total
+
+
 def binom_real(x: float, k: int) -> float:
     """C(x, k) in floats: the product of the x - i from left to right, over k!.
 

@@ -182,13 +182,7 @@ def test_leading_index_far_beyond_2_53_takes_few_comparisons(k, monkeypatch):
 def test_levels_at_j_up_to_2_are_made_inline(k, monkeypatch):
     # j = 1 takes the remainder and j = 2 the closed form inside the greedy's
     # loop, cold or warm: _descend is asked only for levels at j >= 3.
-    asked, descend = [], cascade._descend
-
-    def counted(rem, j, *above):
-        asked.append(j)
-        return descend(rem, j, *above)
-
-    monkeypatch.setattr(cascade, "_descend", counted)
+    asked = _recorded(monkeypatch, "_descend")
     rng, warm, m, made = random.Random(k), [], 0, 0
     for _ in range(300):
         m += rng.randint(1, 10 ** rng.randint(0, 80))
@@ -199,17 +193,21 @@ def test_levels_at_j_up_to_2_are_made_inline(k, monkeypatch):
     assert made > 100 and min(asked, default=3) >= 3, (made, sorted(set(asked)))
 
 
+def _recorded(monkeypatch, name):
+    """The list of j of each call of cascade's function name from now on."""
+    asked, real = [], getattr(cascade, name)
+
+    def recorded(rem, j, *rest):
+        asked.append(j)
+        return real(rem, j, *rest)
+
+    monkeypatch.setattr(cascade, name, recorded)
+    return asked
+
+
 def _count_searches(monkeypatch):
     """The list of j of each _max_index call in cascade from now on."""
-    searches = []
-    real = cascade._max_index
-
-    def counted(m, j, c):
-        searches.append(j)
-        return real(m, j, c)
-
-    monkeypatch.setattr(cascade, "_max_index", counted)
-    return searches
+    return _recorded(monkeypatch, "_max_index")
 
 
 def _searched_levels(terms):
@@ -352,6 +350,44 @@ def test_levels_at_the_edge_of_the_columns(j, state, monkeypatch):
             assert report.lovasz_x == lovasz_x(m, k) and top <= lovasz_x(m, k) <= top + 1
     if j <= _COLUMN_J:
         assert table[j][-1] == math.comb(n, j)
+
+COLUMN_RUNS = {
+    # Empty columns: each level of the run, from j = 10 down to 3, grows its
+    # column before its bisection, the lower ones mid-descent.
+    "grows_columns_mid_descent": (
+        "empty", 10, sum(math.comb(n, j) for n, j in zip(range(40, 22, -2), range(10, 1, -1))) + 1,
+        [], list(range(10, 2, -1)),
+    ),
+    # Full columns: C(700, 5) and C(600, 4) lie beyond the full columns 5 and
+    # 4 (_COLUMN_LEN entries each), so the run stops before making a level
+    # and _descend makes it; at j = 3 a run begins again and ends at j = 2.
+    "meets_a_full_column": (
+        "full", 5, math.comb(700, 5) + math.comb(600, 4) + math.comb(300, 3) + math.comb(50, 2) + 3,
+        [5, 4], [5, 4],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_RUNS))
+def test_column_runs_equal_the_reference_greedy(name, monkeypatch):
+    state, k, m, descended, grown = COLUMN_RUNS[name]
+    table = _empty_columns()
+    monkeypatch.setattr(cascade, "_columns", table)
+    if state == "full":
+        for i in range(3, _COLUMN_J + 1):
+            cascade._column(2**64 - 1, i)
+    asked_descend = _recorded(monkeypatch, "_descend")
+    asked_column = _recorded(monkeypatch, "_column")
+    want = reference.greedy(m, k)
+    levels = _greedy([], m, k, 1, None)
+    assert _terms(levels) == want
+    assert levels[-1][4] == reference.shadow(want, k, k - 1)
+    assert asked_descend == descended  # _descend asks its own columns again
+    assert sorted(set(asked_column), reverse=True) == grown
+    # Warm from the top level alone: the first level below is searched afresh,
+    # and the run below it makes the same levels.
+    assert _greedy(levels[:1], m, k, 1, None) == levels
+
 
 def test_malformed_reps_rejected():
     with pytest.raises(ValueError):

@@ -104,6 +104,21 @@ def test_validate_colored(capsys):
     assert code == EXIT_OK
 
 
+def test_validate_realize_with_r(capsys):
+    # The octahedron's face vector, realized 3-colorably: rainbow sets under v % 3.
+    from kkbounds import FaceVector, SimplicialComplex, f_vector, is_r_colorable
+
+    code, out, _ = run(capsys, "validate", "1,6,12,8", "--r", "3", "--realize")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "valid"
+    cx = SimplicialComplex(frozenset(map(int, filter(None, line.split(",")))) for line in lines[1:])
+    assert f_vector(cx) == FaceVector((1, 6, 12, 8)) and is_r_colorable(cx, 3)
+    assert "1,2,3" in lines and "2,3,4" in lines and "1,2,4" not in lines
+    code, plain, _ = run(capsys, "validate", "1,6,12,8", "--realize")
+    assert code == EXIT_OK and "1,2,4" in plain.splitlines()
+
+
 def test_validate_names_the_broken_inequality(capsys):
     code, out, _ = run(capsys, "validate", "1,3,3,2")
     assert code == EXIT_INVALID

@@ -234,6 +234,44 @@ def test_realize_face_vector():
         realize_face_vector(FaceVector((1, 3, 3, 2)))
 
 
+def test_rainbow_revlex_ksets():
+    # Given r, the rev-lex k-sets whose labels differ mod r, in the same order.
+    for k, r in [(1, 1), (2, 2), (2, 3), (3, 3), (3, 5), (4, 4)]:
+        every = revlex_ksets(400, k)
+        rainbow = [s for s in every if len({v % r for v in s}) == k]
+        assert revlex_ksets(len(rainbow), k, r) == rainbow, (k, r)
+    assert revlex_ksets(5, 2, 2) == [{1, 2}, {2, 3}, {1, 4}, {3, 4}, {2, 5}]
+    with pytest.raises(ValueError, match="need k <= r"):
+        revlex_ksets(3, 3, 2)
+
+
+def _realized_colorably(entries, r):
+    cx = realize_face_vector(FaceVector(entries), r)
+    return f_vector(cx).entries == entries and is_r_colorable(cx, r)
+
+
+def test_realize_face_vector_with_r_is_r_colorable():
+    # The octahedron's face vector: without r the realization holds the K4
+    # boundary on {1, 2, 3, 4}, which needs four colors; with r = 3 it takes
+    # rainbow sets under v % 3.
+    octahedron = (1, 6, 12, 8)
+    assert not is_r_colorable(realize_face_vector(FaceVector(octahedron)), 3)
+    assert _realized_colorably(octahedron, 3)
+    with pytest.raises(ValueError, match="any 2-colorable complex: fails at level k=3"):
+        realize_face_vector(FaceVector(octahedron), 2)
+
+
+def test_colored_realizations_of_turan_clique_complexes():
+    # Each rainbow initial segment is closed downward here, so the union is a
+    # complex with that face vector, r-colorable by v -> v % r.  That holds
+    # for these vectors (and for the 1201 of ROADMAP item 8 in a prototype);
+    # it is evidence for the colored compression, not a proof of it.
+    for n in range(1, 10):
+        for r in range(1, 5):
+            entries = f_vector(turan_clique_complex(n, r)).entries
+            assert _realized_colorably(entries, r), (n, r)
+
+
 def test_realized_vectors_roundtrip():
     for entries in [(1, 5, 7), (1, 6, 10, 4), (1, 4, 6, 4, 1), (1, 8, 11, 3)]:
         f = FaceVector(entries)

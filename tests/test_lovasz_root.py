@@ -168,7 +168,8 @@ def test_root_equals_the_reference_root_on_40000_inputs():
             m = min(max(m, c), c + gap - 1)
         else:
             m = c + rng.randrange(gap)
-        x = approx._lovasz_root(m, k, n, c, binomials._binom_real_at(k), _start(m, k))
+        f, slope = binomials._binom_real_at(k), approx._slope_at(k)
+        x = approx._lovasz_root(m, k, n, c, f, slope, _start(m, k))
         if x != reference.lovasz_root(m, k, x):
             differ.append((m, k))
     assert not differ, differ[:5]
@@ -290,8 +291,10 @@ def test_cascades_are_not_cached():
 
 
 def test_evaluator_cache_is_bounded():
-    for cached in (approx._binom_real_at, approx._series_at, approx._power_lead, approx._constants):
-        assert cached.cache_parameters()["maxsize"] == 256
+    cached = (approx._binom_real_at, approx._slope_at, approx._series_at, approx._power_lead,
+              approx._constants)
+    for function in cached:
+        assert function.cache_parameters()["maxsize"] == 256
     # One _power_lead entry serves withoutr_bound, noreasy_bound and bound_report alike.
     approx._power_lead.cache_clear()
     approx._constants.cache_clear()
@@ -302,6 +305,25 @@ def test_evaluator_cache_is_bounded():
     assert (constants.misses, constants.hits, constants.currsize) == (298, 0, 256)
 
 
+def test_a_row_takes_its_setup_in_one_cached_call():
+    # _constants(k, p, r) holds the power lead, the series, the evaluators of
+    # C(x, k) and C(x, p), the root's slope and the fixed-r triple: one cached
+    # call a one-shot row, and one a sweep.
+    approx._constants.cache_clear()
+    for m in (5, 10**6, 10**20):
+        bound_report(m, 10, 7), bound_report(m, 10, 7, 12)
+    list(bound_reports(range(1, 50), 10, 7, 12))
+    info = approx._constants.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 5, 2)
+    lead, series, evaluate, slope, lovasz_at, fixed = approx._constants(10, 7, 12)
+    assert (lead, series) == (approx._power_lead(10, 7), approx._series_at(10))
+    assert (evaluate, slope, lovasz_at) == (
+        approx._binom_real_at(10), approx._slope_at(10), approx._binom_real_at(7)
+    )
+    assert fixed == (12, binomial(12, 7), binomial(12, 10))
+    assert approx._constants(10, 7, None)[-1] is None
+
+
 def test_power_bounds_build_no_evaluator(monkeypatch):
     # withoutr_bound and noreasy_bound take (k!)^(p/k) / p! from _power_lead
     # alone: at k = 10**7 and 10**8 they build no series and no evaluator,
@@ -310,7 +332,7 @@ def test_power_bounds_build_no_evaluator(monkeypatch):
         raise AssertionError("a power bound built a row input")
 
     for module, name in ((binomials, "_ratio_at"), (approx, "_binom_real_at"),
-                         (approx, "_series_at"), (approx, "_constants")):
+                         (approx, "_slope_at"), (approx, "_series_at"), (approx, "_constants")):
         monkeypatch.setattr(module, name, refuse)
     start = time.perf_counter()
     for k in (10**7, 10**8):
@@ -345,6 +367,21 @@ def test_fixed_k_evaluator_is_binom_real_bit_for_bit(data, k):
     want = reference.binom_real(x, k).hex()
     assert _outcome(lambda y: binom_real(y, k), x) == ("OverflowError" if want == "inf" else want)
     assert approx._binom_real_at(k)(x).hex() == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data(), st.one_of(st.integers(min_value=1, max_value=170), st.sampled_from([171, 400])))
+def test_generated_newton_slope_is_the_loop_bit_for_bit(data, k):
+    # Generated code to k = 170, the loop beyond; x from just above k - 1,
+    # where 1/(x - (k-1)) is largest, to 2^60.
+    x = data.draw(
+        st.one_of(
+            st.floats(min_value=k - 1, max_value=k - 1 + 1e-6, exclude_min=True),
+            st.floats(min_value=k - 1, max_value=k + 50, exclude_min=True),
+            st.floats(min_value=k - 1, max_value=2.0**60, exclude_min=True),
+        )
+    )
+    assert approx._slope_at(k)(x).hex() == reference.newton_slope(x, k).hex()
 
 
 @settings(max_examples=300, deadline=None)
@@ -382,11 +419,11 @@ def root_inputs(draw):
 def test_root_does_not_depend_on_its_start(case, fractions):
     m, k = case
     n, c, _ = approx._descend(m, k)
-    f = approx._binom_real_at(k)
+    f, slope = approx._binom_real_at(k), approx._slope_at(k)
 
     def outcome(start):
         try:
-            return approx._lovasz_root(m, k, n, c, f, start).hex()
+            return approx._lovasz_root(m, k, n, c, f, slope, start).hex()
         except OverflowError as exc:  # an evaluation beyond float range
             return repr(exc)
 

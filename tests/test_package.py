@@ -195,7 +195,7 @@ CHECKED = {
     "shadow_bound": (shadow_bound, "mkp"),
     "colored_cascade_decompose": (colored_cascade_decompose, "mkr"),
     "colored_shadow_bound": (colored_shadow_bound, "mkpr"),
-    "revlex_ksets": (revlex_ksets, "mk"),
+    "revlex_ksets": (revlex_ksets, "mkr"),
     "revlex_complex": (revlex_complex, "mk"),
     "CascadeRep": (lambda k: CascadeRep(k, [(5, 3)]), "k"),
     "ColoredCascadeRep": (lambda k, r: ColoredCascadeRep(k, r, [(5, 3, 4)]), "kr"),
