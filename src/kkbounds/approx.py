@@ -411,28 +411,62 @@ def _constants(k: int, p: int, r: int | None) -> tuple:
 
     _power_lead(k, p), _series_at(k), the evaluator of C(x, k) and its
     _slope_at(k), that of C(x, p), and fixed: (r, C(r, p), C(r, k)) for a
-    given r, else None.
+    given r, else None.  Then _row's fast path: the exponents 1/k and p/k
+    as _pow_frac takes them, k!, and the largest m with k! m < 2^53: None
+    and 0 from k = 19 on, as 19! > 2^53, so no k! is taken there.
     """
     fixed = None if r is None else (r, binomial(r, p), binomial(r, k))
     evaluators = _binom_real_at(k), _slope_at(k), _binom_real_at(p)
-    return _power_lead(k, p), _series_at(k), *evaluators, fixed
+    factorial = math.factorial(k) if k <= 18 else None
+    most = (2**53 - 1) // factorial if factorial else 0
+    return _power_lead(k, p), _series_at(k), *evaluators, fixed, 1 / k, p / k, factorial, most
 
 
 def _index(k: int, p: int, level: tuple) -> tuple:
-    """n, C(n, k), C(n+1, k), C(n, p), C(n+1, p), best_r's C(n, k) + C(n-1, k-1) of level n."""
+    """n, C(n, k), C(n+1, k), C(n, p), C(n+1, p), best_r's C(n, k) + C(n-1, k-1) of level n.
+
+    level is the top level of a plain cascade at k, so p < k <= n and
+    math.comb takes the place of binomial.
+    """
     n, _, n_k, up_k, _ = level
-    n_p = binomial(n, p)
+    n_p = math.comb(n, p)
     return n, n_k, up_k, n_p, n_p * (n + 1) // (n + 1 - p), n_k + n_k * k // n
 
 
 def _row(m: int, k: int, p: int, kk_exact: int, at: tuple, constants: tuple) -> BoundReport:
-    """The row of m from kk_exact, _index and _constants; one _lead for withoutr and the root."""
+    """The row of m from kk_exact, _index and _constants, with one y = (k! m)^(1/k).
+
+    Where k! m < 2^53 (m at most constants' most), _row computes inline, each
+    by its helper's expression in its order, so the values are the same bits:
+    y as _lead and _pow_frac do, the root's start as _series_start does,
+    m^(p/k) as _pow_frac does, flag as _colorapprox does (m / C(n, k) >= 1,
+    so no log space) and withoutr as _withoutr does (nothing overflows at
+    k <= 18 with k! m < 2^53).  Elsewhere, and for withr above best_r's
+    threshold or at a fixed r, it calls those helpers, which the one-shot
+    functions share.  A dense k = 3 row then runs about 9 Python frames, 17
+    with a helper call for each.  y serves withoutr and the root's start.
+    Each inline formula is a second copy of its helper's: a change to one
+    is a change to both.
+    """
     n, n_k, up_k, n_p, up_p, reach = at
-    lead, series, evaluate, slope, lovasz_at, fixed = constants
-    root, bits = _lead(m, k)
-    x = _lovasz_root(m, k, n, n_k, evaluate, slope, _series_start(root, bits, series))
-    m_pow = _pow_frac(m, p, k)
-    flag = _colorapprox(m, k, p, n_p, n_k)
+    lead, series, evaluate, slope, lovasz_at, fixed, inv_k, p_k, factorial, most = constants
+    if m <= most:
+        big = factorial * m
+        root = float(big) ** inv_k
+        half, c1, c2, c3, c4, c5, c6, bias = series
+        y = root * (1.0 + bias * big.bit_length())
+        e = 1.0 / (y * y)
+        start = y + half + y * e * (c1 + e * (c2 + e * (c3 + e * (c4 + e * (c5 + e * c6)))))
+        m_pow = float(m) ** p_k
+        flag = n_p * (m / n_k) ** p_k
+        withoutr = lead * (1.0 + (k - p) / (2.0 * root)) ** p * m_pow
+    else:
+        root, bits = _lead(m, k)
+        start = _series_start(root, bits, series)
+        m_pow = _pow_frac(m, p, k)
+        flag = _colorapprox(m, k, p, n_p, n_k)
+        withoutr = _withoutr(k, p, lead, root, m_pow)
+    x = _lovasz_root(m, k, n, n_k, evaluate, slope, start)
     if fixed is not None:
         withr_r, withr = fixed[0], _colorapprox(m, k, p, fixed[1], fixed[2])
     elif m <= reach:
@@ -440,7 +474,6 @@ def _row(m: int, k: int, p: int, kk_exact: int, at: tuple, constants: tuple) -> 
     else:
         withr_r, withr = n + 1, _colorapprox(m, k, p, up_p, up_k)
     lovasz = lovasz_at(x)
-    withoutr = _withoutr(k, p, lead, root, m_pow)
     if flag + withr + lovasz + withoutr == math.inf:
         # The error of the first of these columns that does not fit; noreasy then fits.
         _fit(flag, "colorapprox_bound", k, p, n)

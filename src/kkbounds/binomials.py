@@ -59,12 +59,14 @@ def _binom_real_at(k: int):
     dataclasses generates __init__; at k = 3 its body is
 
         value = x * (x - 1.0) * (x - 2.0) / 6.0
-        return value if isfinite(value) else by_ratios(x)
+        return value if -inf < value < inf else by_ratios(x)
 
     the operations of a loop from num = 1.0 in its order, as 1.0 * (x - 0.0)
-    is x, at half its cost.  The Lovász root's Newton slope, the sum of the
-    1/(x - i), is generated alike (approx._slope_at), its additions in the
-    order of a loop from 0.0.
+    is x, at half its cost.  The comparisons, unlike isfinite, make no
+    call; a product that overflows to -inf (x far below 0, odd k) or to nan
+    takes the ratios too, as binom_real(-1e103, 3) is finite.  The Lovász
+    root's Newton slope, the sum of the 1/(x - i), is generated alike
+    (approx._slope_at), its additions in the order of a loop from 0.0.
     """
     by_ratios = _ratio_at(k, k)
     if k > 170:
@@ -73,9 +75,9 @@ def _binom_real_at(k: int):
     source = (
         "def evaluate(x):\n"
         f"    value = {product} / {float(math.factorial(k))!r}\n"
-        "    return value if isfinite(value) else by_ratios(x)\n"
+        "    return value if -inf < value < inf else by_ratios(x)\n"
     )
-    namespace = {"isfinite": math.isfinite, "by_ratios": by_ratios}
+    namespace = {"inf": math.inf, "by_ratios": by_ratios}
     exec(source, namespace)
     return namespace["evaluate"]
 

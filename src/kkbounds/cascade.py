@@ -15,15 +15,16 @@ one bisection: the column run, which goes on down to j = 3 once begun, as
 n - j never grows and C(n, j-1) <= C(n+1, j).  The run is a loop of its own
 inside _greedy's: it tests j's range and the remainder's size once, where it
 begins, and each level checks only n against the limit above.  A remainder
-beyond a full column, which can meet only its first level, is _descend's.
+beyond a full column, which can meet only its first level, is _walk's.
 A Turán column, the cached T(j + i, j)_c below 2^64 for 3 <= j <= c <= 16,
 gives a colored level alike; other colored levels search on the cached
 turan_coefficient (_max_index), which solves j = 2 in closed form.  Both
-lookups are inline in _greedy, as are plain j = 2, _max_index's closed
-form, and j = 1, the remainder.  Every other plain level is _descend's,
-which walks down from the level above by C(t-1, j) = C(t, j) (t-j)/t or
-searches; it also gives a leading index alone (flag_r, best_r, lovasz_x).
-A search far beyond 2^53 bisects a window of j integers above an integer
+lookups are inline in _greedy, as are plain j = 2, the integer square root
+n = (isqrt(8 rem + 1) + 1) // 2, and j = 1, the remainder.  Every other
+plain level is _walk's, which walks down from the level above by
+C(t-1, j) = C(t, j) (t-j)/t or searches.  _descend gives a leading index
+alone (flag_r, best_r, lovasz_x): j <= 2, a Pascal column, else _walk.  A
+search far beyond 2^53 bisects a window of j integers above an integer
 root.
 """
 
@@ -34,7 +35,7 @@ from bisect import bisect_right
 from itertools import starmap
 from typing import NamedTuple
 
-from .binomials import _Record, _check, _exp, _set, _shown, binomial, turan_coefficient
+from .binomials import _Record, _check, _exp, _set, _shown, turan_coefficient
 
 _WALK = 4  # exact steps before a search, down from the level above or up from a float seed
 _COLUMN_J, _COLUMN_LEN = 64, 512  # at most 62 columns of 512 entries
@@ -149,17 +150,15 @@ def _column(rem: int, j: int, c: int | None = None) -> list[int]:
     return column
 
 
-def _descend(rem: int, j: int, top: int = 0, at: int | None = None) -> tuple[int, int, int]:
-    """The plain level of rem >= 1 at j: (n, C(n, j), C(n+1, j)), C(n, j) <= rem < C(n+1, j).
+def _descend(rem: int, j: int) -> tuple[int, int, int]:
+    """The plain level of rem >= 1 at j alone: (n, C(n, j), C(n+1, j)), C(n, j) <= rem < C(n+1, j).
 
-    at = C(top, j) > rem, from the level above, or None for a leading index.
-    j = 1 takes rem, and j = 2 _max_index's closed form, with
-    C(n+1, 2) = C(n, 2) + n.  At 3 <= j <= _COLUMN_J, a rem below the last
-    entry of Pascal column j, grown on demand, gives all three by one
-    bisection.  (_greedy makes these levels inline, and asks here for the
-    others.)  Otherwise, given at, up to _WALK exact steps walk down from
-    top; else _max_index.  As n - j never grows from a level to the next, the
-    walk takes 1704 of the 1705 levels at k = 2000, m = 10**30.
+    A leading index, for flag_r, best_r and lovasz_x.  j = 1 takes rem, and
+    j = 2 _max_index's closed form, with C(n+1, 2) = C(n, 2) + n.  At
+    3 <= j <= _COLUMN_J, a rem below the last entry of Pascal column j,
+    grown on demand, gives all three by one bisection; otherwise _walk
+    searches.  (_greedy makes these levels inline, and hands every other
+    level to _walk.)
     """
     if j <= _COLUMN_J:  # one comparison for a level beyond the columns
         if j <= 2:
@@ -174,6 +173,17 @@ def _descend(rem: int, j: int, top: int = 0, at: int | None = None) -> tuple[int
             if rem < column[-1]:
                 i = bisect_right(column, rem)
                 return j + i - 1, column[i - 1], column[i]
+    return _walk(rem, j, 0, None)
+
+
+def _walk(rem: int, j: int, top: int, at: int | None) -> tuple[int, int, int]:
+    """The plain level of rem >= 1 at j >= 3 where no Pascal column holds rem, as _descend's.
+
+    at = C(top, j) > rem, from the level above, or None for a leading index.
+    Given at, up to _WALK exact steps walk down from top; else _max_index.
+    As n - j never grows from a level to the next, the walk takes 1704 of
+    the 1705 levels at k = 2000, m = 10**30.
+    """
     for _ in range(_WALK if at is not None else 0):
         below = at * (top - j) // top
         top -= 1
@@ -213,7 +223,9 @@ def _greedy(levels: list, m: int, k: int, drop: int, extra: int | None) -> list:
                 if extra is None and above <= rem < (up := above * (n + 2) // (n + 2 - j)):
                     if n + 1 >= top:
                         raise _outside((n + 1, j), top)
-                    levels.append((n + 1, j, above, up, shadow + binomial(n, j - drop - 1)))
+                    if j > drop:  # C(n, j - drop - 1), zero for j <= drop
+                        shadow += math.comb(n, j - drop - 1)
+                    levels.append((n + 1, j, above, up, shadow))
                     rem -= above
                 break
             rem -= value
@@ -259,8 +271,9 @@ def _greedy(levels: list, m: int, k: int, drop: int, extra: int | None) -> list:
         if j == 1:
             n = value = rem
             above = rem + 1
-        elif j == 2:
-            n, value = _max_index(rem, 2, None)
+        elif j == 2:  # _max_index's closed form: the largest n with C(n, 2) <= rem
+            n = (math.isqrt(8 * rem + 1) + 1) // 2
+            value = n * (n - 1) // 2
             above = value + n
         else:
             if j <= _COLUMN_J and rem < 1 << 64:
@@ -268,7 +281,7 @@ def _greedy(levels: list, m: int, k: int, drop: int, extra: int | None) -> list:
                 # their ranges hold from its first level on, and the bisection
                 # gives j <= n.  It ends at j = 2 or when nothing remains; a
                 # remainder beyond a full column, at its first level only, is
-                # left to _descend.
+                # left to _walk, which asks no column again.
                 start = j
                 while j > 2 and rem:
                     if rem >= (column := columns[j])[-1] and rem >= (column := _column(rem, j))[-1]:
@@ -287,7 +300,7 @@ def _greedy(levels: list, m: int, k: int, drop: int, extra: int | None) -> list:
                     at = above - value
                 if j < 3 or not rem:
                     continue
-            n, value, above = _descend(rem, j, top, at)
+            n, value, above = _walk(rem, j, top, at)
         if not j <= n < top:
             raise _outside((n, j), top)
         if j >= drop:  # C(n, j - drop), zero for j < drop

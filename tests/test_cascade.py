@@ -142,7 +142,8 @@ def test_one_shot_calls_build_no_cursor(monkeypatch):
 def test_descent_falls_back_beyond_the_step_cap(k, monkeypatch):
     # Past the Pascal columns (n - j >= _COLUMN_LEN, C(n, j) >= 2^64 or
     # j > _COLUMN_J) the level below C(n, k) lies 12 steps down for
-    # m = C(n, k) + C(n-12, k-1): more than _WALK, so it searches.
+    # m = C(n, k) + C(n-12, k-1): more than _WALK, so it searches (j = 2 is
+    # solved inline).
     assert _WALK < 12
     searches = _count_searches(monkeypatch)
     for n in (k + _COLUMN_LEN + 100, 2000, 10**5):
@@ -150,7 +151,8 @@ def test_descent_falls_back_beyond_the_step_cap(k, monkeypatch):
         searches.clear()
         want = reference.greedy(m, k)
         assert cascade_decompose(m, k).terms == want, (m, k)
-        assert searches == _searched_levels(want) == [k, k - 1], (m, k, searches)
+        searched = [j for j in (k, k - 1) if j > 2]
+        assert searches == _searched_levels(want) == searched, (m, k, searches)
         assert _fresh_terms(m, k) == want, (m, k)
 
 
@@ -181,8 +183,10 @@ def test_leading_index_far_beyond_2_53_takes_few_comparisons(k, monkeypatch):
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 12])
 def test_levels_at_j_up_to_2_are_made_inline(k, monkeypatch):
     # j = 1 takes the remainder and j = 2 the closed form inside the greedy's
-    # loop, cold or warm: _descend is asked only for levels at j >= 3.
-    asked = _recorded(monkeypatch, "_descend")
+    # loop, cold or warm: _walk and _max_index are asked only for levels at
+    # j >= 3.
+    asked = _recorded(monkeypatch, "_walk")
+    searched = _count_searches(monkeypatch)
     rng, warm, m, made = random.Random(k), [], 0, 0
     for _ in range(300):
         m += rng.randint(1, 10 ** rng.randint(0, 80))
@@ -190,7 +194,7 @@ def test_levels_at_j_up_to_2_are_made_inline(k, monkeypatch):
         assert _fresh_terms(m, k) == want, (m, k)
         assert _terms(_greedy(warm, m, k, k, None)) == want, (m, k)
         made += sum(j <= 2 for _, j in want)
-    assert made > 100 and min(asked, default=3) >= 3, (made, sorted(set(asked)))
+    assert made > 100 and min(asked + searched, default=3) >= 3, (made, sorted(set(asked)))
 
 
 def _recorded(monkeypatch, name):
@@ -215,13 +219,13 @@ def _searched_levels(terms):
 
     A level at 3 <= j <= _COLUMN_J whose n lies in its full Pascal column is
     looked up; below the top, a level at j >= 3 at most _WALK below the one
-    above is walked to, and j = 1 takes the remainder.
+    above is walked to; j = 2 is solved inline and j = 1 takes the remainder.
     """
     searched, above = [], None
     for n, j in terms:
         looked_up = 2 < j <= _COLUMN_J and n < _last_covered(j)
         walked = j > 2 and above is not None and n >= above - _WALK
-        if j > 1 and not looked_up and not walked:
+        if j > 2 and not looked_up and not walked:
             searched.append(j)
         above = n
     return searched
@@ -360,7 +364,7 @@ COLUMN_RUNS = {
     ),
     # Full columns: C(700, 5) and C(600, 4) lie beyond the full columns 5 and
     # 4 (_COLUMN_LEN entries each), so the run stops before making a level
-    # and _descend makes it; at j = 3 a run begins again and ends at j = 2.
+    # and _walk makes it; at j = 3 a run begins again and ends at j = 2.
     "meets_a_full_column": (
         "full", 5, math.comb(700, 5) + math.comb(600, 4) + math.comb(300, 3) + math.comb(50, 2) + 3,
         [5, 4], [5, 4],
@@ -370,20 +374,20 @@ COLUMN_RUNS = {
 
 @pytest.mark.parametrize("name", sorted(COLUMN_RUNS))
 def test_column_runs_equal_the_reference_greedy(name, monkeypatch):
-    state, k, m, descended, grown = COLUMN_RUNS[name]
+    state, k, m, walked, grown = COLUMN_RUNS[name]
     table = _empty_columns()
     monkeypatch.setattr(cascade, "_columns", table)
     if state == "full":
         for i in range(3, _COLUMN_J + 1):
             cascade._column(2**64 - 1, i)
-    asked_descend = _recorded(monkeypatch, "_descend")
+    asked_walk = _recorded(monkeypatch, "_walk")
     asked_column = _recorded(monkeypatch, "_column")
     want = reference.greedy(m, k)
     levels = _greedy([], m, k, 1, None)
     assert _terms(levels) == want
     assert levels[-1][4] == reference.shadow(want, k, k - 1)
-    assert asked_descend == descended  # _descend asks its own columns again
-    assert sorted(set(asked_column), reverse=True) == grown
+    assert asked_walk == walked
+    assert asked_column == grown  # once a level: _walk asks no column again
     # Warm from the top level alone: the first level below is searched afresh,
     # and the run below it makes the same levels.
     assert _greedy(levels[:1], m, k, 1, None) == levels

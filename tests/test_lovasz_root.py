@@ -307,21 +307,28 @@ def test_evaluator_cache_is_bounded():
 
 def test_a_row_takes_its_setup_in_one_cached_call():
     # _constants(k, p, r) holds the power lead, the series, the evaluators of
-    # C(x, k) and C(x, p), the root's slope and the fixed-r triple: one cached
-    # call a one-shot row, and one a sweep.
+    # C(x, k) and C(x, p), the root's slope, the fixed-r triple and the fast
+    # path's 1/k, p/k, k! and largest m: one cached call a one-shot row, and
+    # one a sweep.
     approx._constants.cache_clear()
     for m in (5, 10**6, 10**20):
         bound_report(m, 10, 7), bound_report(m, 10, 7, 12)
     list(bound_reports(range(1, 50), 10, 7, 12))
     info = approx._constants.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 5, 2)
-    lead, series, evaluate, slope, lovasz_at, fixed = approx._constants(10, 7, 12)
+    lead, series, evaluate, slope, lovasz_at, fixed, *fast = approx._constants(10, 7, 12)
     assert (lead, series) == (approx._power_lead(10, 7), approx._series_at(10))
     assert (evaluate, slope, lovasz_at) == (
         approx._binom_real_at(10), approx._slope_at(10), approx._binom_real_at(7)
     )
     assert fixed == (12, binomial(12, 7), binomial(12, 10))
-    assert approx._constants(10, 7, None)[-1] is None
+    most = (2**53 - 1) // math.factorial(10)
+    assert fast == [1 / 10, 7 / 10, math.factorial(10), most]
+    assert math.factorial(10) * most < 2**53 <= math.factorial(10) * (most + 1)
+    assert approx._constants(10, 7, None)[5] is None
+    # From k = 19 on, k! m >= 2^53 for every m: no fast path, and no k! taken.
+    assert approx._constants(18, 7, None)[-1] == 1
+    assert approx._constants(19, 7, None)[-2:] == approx._constants(400, 7, None)[-2:] == (None, 0)
 
 
 def test_power_bounds_build_no_evaluator(monkeypatch):

@@ -479,3 +479,53 @@ def test_streamed_json_is_the_array(capsys):
     expected = [_public_row(m, 4, 2) for m in ms]
     assert rows == [{c: getattr(row, c) for c in cli.SWEEP_COLUMNS} for row in expected]
     assert all(math.isfinite(row["lovasz"]) for row in rows)
+
+
+def _frames_a_row(rows) -> float:
+    """Python frames started per row by rows(), a callable that makes them and returns their count.
+
+    Counted with sys.setprofile ('call' events: functions, and each resumption
+    of a generator) after one untimed pass, so caches and columns are filled.
+    """
+    rows()
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        made = rows()
+    finally:
+        sys.setprofile(previous)
+    return calls / made
+
+
+def test_a_row_runs_few_python_frames():
+    # The call budget of a row: 9.06 frames a dense one-shot row, 7.06 a
+    # dense sweep row and 11.74 a paper-grid one-shot row, where _row
+    # computes its powers inline for k! m < 2^53.  A change that adds a call
+    # a row should raise these bounds on purpose.
+    dense = range(50001, 60001)
+    paper = geometric_grid(1, 12777711870, 2000)
+
+    def one_shot():
+        for m in dense:
+            bound_report(m, 3, 2)
+        return len(dense)
+
+    def sweep():
+        for _ in bound_reports(dense, 3, 2):
+            pass
+        return len(dense)
+
+    def paper_rows():
+        for m in paper:
+            bound_report(m, 10, 7)
+        return len(paper)
+
+    assert _frames_a_row(one_shot) <= 9.5
+    assert _frames_a_row(sweep) <= 7.5
+    assert _frames_a_row(paper_rows) <= 12.0
