@@ -222,10 +222,16 @@ def withoutr_bound(m: int, k: int, p: int) -> float:
 
         (k!)^(p/k) / p! * (1 + (k-p) / (2 (k! m)^(1/k)))^p * m^(p/k)
 
-    Raises OverflowError when the value does not fit in a float.
+    Raises OverflowError when the value does not fit in a float: its factors
+    are at least 1, so an overflow of the power means that it does not fit
+    either.  noreasy, lead * m_pow, is at most the value in floats too.
     """
     _check(m, k, p)
-    value = _withoutr(k, p, _power_lead(k, p), _lead(m, k)[0], _pow_frac(m, p, k))
+    lead, root, m_pow = _power_lead(k, p), _lead(m, k)[0], _pow_frac(m, p, k)
+    try:
+        value = lead * (1.0 + (k - p) / (2.0 * root)) ** p * m_pow
+    except OverflowError:
+        value = math.inf
     return _fit(value, "withoutr_bound", k, p)
 
 
@@ -239,20 +245,6 @@ def _power_lead(k: int, p: int) -> float:
     if k <= 170:
         return math.factorial(k) ** (p / k) / math.factorial(p)
     return _exp(math.lgamma(k + 1) * p / k - math.lgamma(p + 1))
-
-
-def _withoutr(k: int, p: int, lead: float, root: float, m_pow: float) -> float:
-    """withoutr_bound(m, k, p) given lead = _power_lead(k, p), root and m_pow.
-
-    root = (k! m)^(1/k) comes from _lead, m_pow = m^(p/k) from _pow_frac.
-    Its factors are at least 1, so an inf one, or an overflow on the way,
-    means that the value does not fit either, and it is inf; lead * m_pow,
-    noreasy, is at most the value in float arithmetic too.
-    """
-    try:
-        return lead * (1.0 + (k - p) / (2.0 * root)) ** p * m_pow
-    except OverflowError:
-        return math.inf
 
 
 def noreasy_bound(m: int, k: int, p: int) -> float:
@@ -436,43 +428,40 @@ def _index(k: int, p: int, level: tuple) -> tuple:
 def _row(m: int, k: int, p: int, kk_exact: int, at: tuple, constants: tuple) -> BoundReport:
     """The row of m from kk_exact, _index and _constants, with one y = (k! m)^(1/k).
 
-    Where k! m < 2^53 (m at most constants' most), _row computes inline, each
-    by its helper's expression in its order, so the values are the same bits:
-    y as _lead and _pow_frac do, the root's start as _series_start does,
-    m^(p/k) as _pow_frac does, flag as _colorapprox does (m / C(n, k) >= 1,
-    so no log space) and withoutr as _withoutr does (nothing overflows at
-    k <= 18 with k! m < 2^53).  Elsewhere, and for withr above best_r's
-    threshold or at a fixed r, it calls those helpers, which the one-shot
-    functions share.  A dense k = 3 row then runs about 9 Python frames, 17
-    with a helper call for each.  y serves withoutr and the root's start.
-    Each inline formula is a second copy of its helper's: a change to one
-    is a change to both.
+    Only the two powers fork: y and m^(p/k) are float(k! m) ** (1/k) and
+    float(m) ** (p/k) where k! m < 2^53 (m at most constants' most), as
+    _lead and _pow_frac take them there, else those helpers'.  The root's
+    start, withoutr and flag are then one expression each, _series_start's,
+    withoutr_bound's and _colorapprox's (whose first branch flag takes, as
+    m / C(n, k) >= 1, unless C(n, p) is beyond float range), so the values
+    are the same bits.  withr above best_r's threshold or at a fixed r calls
+    _colorapprox.  A dense k = 3 row runs about 9 Python frames.
     """
     n, n_k, up_k, n_p, up_p, reach = at
     lead, series, evaluate, slope, lovasz_at, fixed, inv_k, p_k, factorial, most = constants
     if m <= most:
         big = factorial * m
-        root = float(big) ** inv_k
-        half, c1, c2, c3, c4, c5, c6, bias = series
-        y = root * (1.0 + bias * big.bit_length())
-        e = 1.0 / (y * y)
-        start = y + half + y * e * (c1 + e * (c2 + e * (c3 + e * (c4 + e * (c5 + e * c6)))))
-        m_pow = float(m) ** p_k
-        flag = n_p * (m / n_k) ** p_k
-        withoutr = lead * (1.0 + (k - p) / (2.0 * root)) ** p * m_pow
+        root, bits, m_pow = float(big) ** inv_k, big.bit_length(), float(m) ** p_k
     else:
-        root, bits = _lead(m, k)
-        start = _series_start(root, bits, series)
-        m_pow = _pow_frac(m, p, k)
+        (root, bits), m_pow = _lead(m, k), _pow_frac(m, p, k)
+    half, c1, c2, c3, c4, c5, c6, bias = series
+    y = root * (1.0 + bias * bits) if bits <= 53 else root
+    e = 1.0 / (y * y)
+    start = y + half + y * e * (c1 + e * (c2 + e * (c3 + e * (c4 + e * (c5 + e * c6)))))
+    try:
+        withoutr = lead * (1.0 + (k - p) / (2.0 * root)) ** p * m_pow
+    except OverflowError:
+        withoutr = math.inf
+    try:
+        flag = n_p * (m / n_k) ** p_k
+    except OverflowError:  # C(n, p) beyond float range
         flag = _colorapprox(m, k, p, n_p, n_k)
-        withoutr = _withoutr(k, p, lead, root, m_pow)
     x = _lovasz_root(m, k, n, n_k, evaluate, slope, start)
-    if fixed is not None:
-        withr_r, withr = fixed[0], _colorapprox(m, k, p, fixed[1], fixed[2])
-    elif m <= reach:
+    if fixed is None and m <= reach:
         withr_r, withr = n, flag
     else:
-        withr_r, withr = n + 1, _colorapprox(m, k, p, up_p, up_k)
+        withr_r, r_p, r_k = fixed or (n + 1, up_p, up_k)
+        withr = _colorapprox(m, k, p, r_p, r_k)
     lovasz = lovasz_at(x)
     if flag + withr + lovasz + withoutr == math.inf:
         # The error of the first of these columns that does not fit; noreasy then fits.

@@ -67,6 +67,11 @@ def _binom_real_at(k: int):
     takes the ratios too, as binom_real(-1e103, 3) is finite.  The Lovász
     root's Newton slope, the sum of the 1/(x - i), is generated alike
     (approx._slope_at), its additions in the order of a loop from 0.0.
+
+    Its 2k roundings, k - 1 subtractions, k - 1 products, float(k!) and one
+    quotient, put a finite value within γ_2k C(x, k), γ_j = j u / (1 - j u),
+    u = 2^-53, on a root bracket x in [n, n+1], n >= k, whose factors are at
+    least 1 (Higham, Lemma 3.1); the ratio form's 3k - 1, within γ_3k.
     """
     by_ratios = _ratio_at(k, k)
     if k > 170:
@@ -83,7 +88,11 @@ def _binom_real_at(k: int):
 
 
 def _ratio_at(n: int, k: int):
-    """x -> C(x, k) / C(n, k), or inf, for x > k-1 and a float n: the product of the (x-i)/(n-i)."""
+    """x -> C(x, k) / C(n, k), or inf, for x > k-1 and a float n: the product of the (x-i)/(n-i).
+
+    Roundings: k subtractions, k quotients, k - 1 products (the first is by
+    1.0), 3k - 1 in all; and float(n - i) where n - i > 2^53.
+    """
     shifts = [(float(i), float(n - i)) for i in range(k)]
 
     def evaluate(x: float) -> float:

@@ -4,7 +4,8 @@
 
 Run it from the root of a checkout, as CI does; a fresh process gives each
 peak-RSS bound its own floor.  The CLI runs as a child process, and nothing
-is written into the checkout: captured stderr goes to temporary files.
+is written into the checkout: captured stderr goes to temporary files, and
+the benchmark runs on a copy of src/ and bench/.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import json
 import os
 import random
 import resource
+import shutil
 import signal
 import subprocess
 import sys
@@ -278,9 +280,34 @@ def smoke() -> None:
     expect((code, out.decode(), err) == (0, SELFTEST_FULL, ""), out.decode())
 
 
+def bench() -> None:
+    """Each workload of BENCHMARK.json, run by bench/run.py for a second, reports "correct": true.
+
+    That is the benchmark's own gate: its golden digests, and the imports of
+    its probe.  It runs on a copy of src/ and bench/, as bench/run.py keeps
+    its files under bench/_work; about 10 s a workload.
+    """
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    ignore = shutil.ignore_patterns("_work", "__pycache__")
+    with tempfile.TemporaryDirectory() as copy:
+        for part in ("src", "bench"):
+            shutil.copytree(ROOT / part, Path(copy) / part, ignore=ignore)
+        for workload in workloads:
+            command = [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "1"]
+            done = subprocess.run(command, capture_output=True, timeout=600, cwd=copy, env=ENV)
+            sys.stderr.write(done.stderr.decode())
+            lines = done.stdout.decode().splitlines()
+            print(lines[0] if lines else f"{workload}: no output")
+            try:
+                correct = json.loads(lines[-1])["correct"] is True
+            except (IndexError, ValueError, KeyError, TypeError):
+                correct = False
+            expect(done.returncode == 0 and correct, f"bench {workload}: {lines[-1:]}")
+
+
 STEPS = {
     step.__name__.replace("_", "-"): step
-    for step in (golden, same, rowcheck, rmodes, overflow, memory_colored, memory_columns, smoke)
+    for step in (golden, same, rowcheck, rmodes, overflow, memory_colored, memory_columns, smoke, bench)
 }
 
 if __name__ == "__main__":

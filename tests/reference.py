@@ -12,6 +12,7 @@ import functools
 import math
 import struct
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import mpmath
@@ -133,6 +134,14 @@ def binom_real(x: float, k: int) -> float:
         if math.isfinite(value):
             return value
     return ratio(x, k, k)
+
+
+def binom_exact(x: float, k: int) -> Fraction:
+    """C(x, k) of the float x, exactly: the product of the x - i over k!, as a Fraction."""
+    value = Fraction(1)
+    for i in range(k):
+        value *= Fraction(x) - i
+    return value / math.factorial(k)
 
 
 def ratio(x: float, n: int, k: int) -> float:

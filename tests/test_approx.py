@@ -366,10 +366,10 @@ def _too_large(call):
 def test_withoutr_beyond_float_range_raises():
     with _too_large("withoutr_bound(m, 1000, 500)"):
         withoutr_bound(10**300, 1000, 500)
-    m, k, p = 10**300, 1000, 500  # the sweep's withoutr column, which reads inf
-    lead, m_pow = approx._power_lead(k, p), approx._pow_frac(m, p, k)
-    root = approx._lead(m, k)[0]
-    assert approx._withoutr(k, p, lead, root, m_pow) == math.inf
+    # A row whose withoutr overflows reads it as inf and raises the named error
+    # of its first column that does not fit, not a bare "Numerical result out of range".
+    with _too_large("colorapprox_bound(m, 1000, 500, 1294)"):
+        bound_report(10**300, 1000, 500)
     assert 1e9 < withoutr_bound(10**1000, 400, 2) < 1e10
     with _too_large("withoutr_bound(m, 3000, 1100)"):  # (k!)^(p/k) / p! alone does not fit
         withoutr_bound(1, 3000, 1100)

@@ -1,9 +1,13 @@
 """Binomial coefficients, the real extension, and Turán clique counts."""
 
+import functools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kkbounds import (
     binom_real,
@@ -12,7 +16,7 @@ from kkbounds import (
     turan_coefficient,
     turan_graph,
 )
-from kkbounds.binomials import _binom_real_at
+from kkbounds.binomials import _binom_real_at, _ratio_at
 
 import reference
 
@@ -96,6 +100,52 @@ def test_straight_line_evaluators_equal_the_loop_bit_for_bit():
         for x in [-rng.random() * 10 ** rng.randint(0, 12) for _ in range(20)] + near:
             _check(x - rng.randint(0, k), k)
     assert fallbacks > 500, fallbacks  # finite values from the ratio fallback (840)
+
+
+def _gamma(j: int) -> Fraction:
+    """γ_j = j u / (1 - j u), u = 2^-53: the relative error of j roundings (Higham, Lemma 3.1)."""
+    return Fraction(j, 2**53 - j)
+
+
+@functools.lru_cache(maxsize=None)
+def _widest(k: int) -> int:
+    """The largest n <= 2^52 with C(n+1, k) < 2^1000, by doubling and bisection."""
+    lo = k
+    while lo < 2**51 and math.comb(2 * lo + 1, k) < 2**1000:
+        lo *= 2
+    hi = min(2 * lo, 2**52)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if math.comb(mid + 1, k) < 2**1000 else (lo, mid - 1)
+    return lo
+
+
+@st.composite
+def root_brackets(draw):
+    """(x, k): a float x in [n, n+1], n >= k, with C(n+1, k) < 2^1000, so every
+    partial product of the ratio form is finite; k up to 400, n at most 2^52."""
+    k = draw(st.one_of(st.integers(1, 12), st.integers(1, 170), st.integers(171, 400)))
+    n = draw(st.one_of(st.integers(k, min(_widest(k), k + 40)), st.integers(k, _widest(k))))
+    return float(n) + draw(st.floats(0.0, 1.0)), k
+
+
+@settings(max_examples=400, deadline=None)
+@given(root_brackets())
+@example((170.5, 170))  # the straight-line product overflows: the ratio form
+@example((10.25, 10))
+def test_evaluators_within_their_rounding_bounds(case):
+    # On a root bracket every factor x - i is at least 1, so nothing
+    # underflows: the straight-line code's 2k roundings put it within
+    # γ_2k C(x, k) wherever its product is finite, and the ratio form's
+    # 3k - 1 within γ_3k, against the exact value of the float x.
+    x, k = case
+    exact = reference.binom_exact(x, k)
+    straight = 1.0
+    for i in range(k):
+        straight *= x - i
+    bound = _gamma(2 * k) if k <= 170 and straight < math.inf else _gamma(3 * k)
+    assert abs(Fraction(_binom_real_at(k)(x)) - exact) <= bound * exact, (x, k)
+    assert abs(Fraction(_ratio_at(k, k)(x)) - exact) <= _gamma(3 * k) * exact, (x, k)
 
 
 def test_binomial_sandwich():

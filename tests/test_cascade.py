@@ -93,7 +93,7 @@ def test_descent_equals_the_reference_greedy_across_large_jumps(k, jumps):
         assert _terms(_greedy(warm, m, k, k, None)) == want, (m, k)
 
 
-def test_one_shot_calls_build_no_cursor(monkeypatch):
+def test_one_shot_calls_keep_no_levels(monkeypatch):
     # Each one-shot call runs cascade._greedy once, from no levels, and a
     # validator once for each pair it checks; only sweep rows (bound_reports)
     # carry levels over.  Below f_{k-2}, each face vector holds

@@ -97,7 +97,7 @@ def test_small_inputs_equal_the_reference_greedy():
     data=st.data(),
     jumps=st.lists(st.integers(min_value=1, max_value=10**12), min_size=1, max_size=25),
 )
-def test_warm_colored_cursor_equals_a_fresh_one(k, extra, data, jumps):
+def test_kept_colored_levels_equal_fresh_ones(k, extra, data, jumps):
     r = k + extra
     p = data.draw(st.integers(min_value=0, max_value=k - 1))
     warm, m = [], 0

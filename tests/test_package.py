@@ -163,7 +163,7 @@ def test_turan_graph_still_validates():
         TuranGraph(3, 0, ())
 
 
-def test_cursor_cascades_equal_decompose_with_equal_hashes():
+def test_kept_level_cascades_equal_decompose_with_equal_hashes():
     rng = random.Random(6)
     for k in (1, 2, 3, 5, 10):
         ms = sorted(rng.sample(range(1, 3 * binomial(30, k) + 1000), 300))

@@ -103,7 +103,7 @@ def _carry(levels, m, k, p):
 
 @settings(max_examples=300, deadline=None)
 @given(increasing_runs(), st.data())
-def test_cursor_cascades_equal_decompose(case, data):
+def test_kept_level_cascades_equal_decompose(case, data):
     k, ms = case
     p = data.draw(st.integers(min_value=0, max_value=k))  # p = k carries m itself
     levels = []  # no levels: the first m builds the first cascade
@@ -111,7 +111,7 @@ def test_cursor_cascades_equal_decompose(case, data):
         _carry(levels, m, k, p)
 
 
-def test_cursor_runs_through_every_m():
+def test_kept_levels_run_through_every_m():
     for k in (2, 3, 5):
         for p in range(1, k):
             levels = []
@@ -155,7 +155,7 @@ def test_cursor_rejects_a_corrupted_level(corrupt, message):
             assert CascadeRep._of_levels(k, levels) == cascade_decompose(m, k), m
 
 
-def test_cursor_checks_a_kept_level_by_a_fresh_search():
+def test_greedy_checks_a_kept_level_by_a_fresh_search():
     # The first level made below the kept ones is searched afresh, not walked
     # down from the kept level above it, so a kept C(25, 9) short by
     # C(25, 8) - 1 leaves a remainder whose level outgrows it: the walk could
@@ -235,6 +235,34 @@ def test_seeded_rows_equal_the_public_functions():
             row, overflows = str(exc), overflows + 1
         assert row == _public_row(*case), case
     assert overflows > 100, overflows
+
+
+def _fast_path_edge():
+    """(m, k, p) at the edge of _row's inline powers, k! m < 2^53: for
+    2 <= k <= 19 and p < k, m = 1, most - 1, most, most + 1 and 2 most + 1,
+    most = (2^53 - 1) // k!; at k = 19, where most is 0, m = 1, 2 and 10**6."""
+    for k in range(2, 20):
+        most = approx._constants(k, 1, None)[-1]
+        ms = [1, most - 1, most, most + 1, 2 * most + 1] if most else [1, 2, 10**6]
+        for p in range(1, k):
+            for m in ms:
+                if m >= 1:
+                    yield m, k, p
+
+
+def test_rows_at_the_edge_of_the_fast_path_equal_the_one_shot_functions():
+    # Every column on both sides of the inline powers' edge, bit for bit.
+    assert approx._constants(18, 1, None)[-1] == 1  # 18! < 2^53 < 2 * 18! < 19!
+    assert approx._constants(19, 1, None)[-1] == 0
+    for m, k, p in _fast_path_edge():
+        row, n, reach = bound_report(m, k, p), flag_r(m, k), best_r(m, k)
+        assert row.lovasz_x == lovasz_x(m, k), (m, k, p)
+        assert row.withoutr == withoutr_bound(m, k, p), (m, k, p)
+        assert row.noreasy == noreasy_bound(m, k, p), (m, k, p)
+        assert (row.flag_r, row.flag) == (n, colorapprox_bound(m, k, p, n)), (m, k, p)
+        assert (row.withr_r, row.withr) == (reach, colorapprox_bound(m, k, p, reach)), (m, k, p)
+        fixed = bound_report(m, k, p, k + 3)
+        assert (fixed.withr_r, fixed.withr) == (k + 3, colorapprox_bound(m, k, p, k + 3)), (m, k, p)
 
 
 @st.composite
@@ -351,7 +379,7 @@ def test_bound_report_is_the_one_row_case():
     assert list(bound_reports([], 3, 2)) == []
 
 
-def test_bound_report_builds_no_cursor_and_no_generator(monkeypatch):
+def test_bound_report_keeps_no_levels_and_builds_no_generator(monkeypatch):
     # A one-shot row runs the greedy once, from no levels, and then the row
     # function.
     calls, greedy = [], approx._greedy
@@ -505,9 +533,10 @@ def _frames_a_row(rows) -> float:
 
 def test_a_row_runs_few_python_frames():
     # The call budget of a row: 9.06 frames a dense one-shot row, 7.06 a
-    # dense sweep row and 11.74 a paper-grid one-shot row, where _row
-    # computes its powers inline for k! m < 2^53.  A change that adds a call
-    # a row should raise these bounds on purpose.
+    # dense sweep row and 11.53 a paper-grid one-shot row, where _row
+    # computes its powers inline for k! m < 2^53 and its start, withoutr and
+    # flag inline for every m.  A change that adds a call a row should raise
+    # these bounds on purpose.
     dense = range(50001, 60001)
     paper = geometric_grid(1, 12777711870, 2000)
 
@@ -528,4 +557,4 @@ def test_a_row_runs_few_python_frames():
 
     assert _frames_a_row(one_shot) <= 9.5
     assert _frames_a_row(sweep) <= 7.5
-    assert _frames_a_row(paper_rows) <= 12.0
+    assert _frames_a_row(paper_rows) <= 11.6
