@@ -19,8 +19,8 @@ _EXPORTS = {
         "symmetric_chain", "withoutr_bound",
     ),
     "binomials": (
-        "DEFAULT_ORACLE_LIMIT", "TuranGraph", "binom_real", "binomial",
-        "turan_clique_count_oracle", "turan_coefficient", "turan_graph",
+        "DEFAULT_ORACLE_LIMIT", "binom_real", "binomial", "turan_clique_count_oracle",
+        "turan_coefficient",
     ),
     "cascade": (
         "CascadeRep", "FaceVector", "ValidationResult", "cascade_decompose",
@@ -33,9 +33,8 @@ _EXPORTS = {
     "complexes": (
         "DEFAULT_MAX_FACES", "DEFAULT_VERTEX_LIMIT", "Graph", "SimplicialComplex",
         "clique_complex", "f_vector", "from_facets", "is_flag", "is_r_colorable",
-        "one_skeleton", "random_complex", "realize_face_vector", "replicate",
-        "revlex_complex", "revlex_ksets", "revlex_precedes", "serialize",
-        "turan_clique_complex",
+        "one_skeleton", "random_complex", "realize_face_vector", "revlex_complex",
+        "revlex_ksets", "serialize", "turan_clique_complex",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

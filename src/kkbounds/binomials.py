@@ -1,4 +1,7 @@
-"""Exact binomial coefficients, their real extension, and Turán clique counts."""
+"""Exact binomial coefficients, their real extension, and Turán clique counts.
+
+The Turán graph on 1..n with r parts colors v by v % r, the one coloring rule.
+"""
 
 from __future__ import annotations
 
@@ -167,49 +170,10 @@ class _Record:
         return type(self), self._fields()
 
 
-class TuranGraph(_Record):
-    """Complete multipartite graph on {1..n} with r parts as even as possible."""
-
-    __slots__ = ("n", "r", "parts")
-
-    def __init__(self, n: int, r: int, parts: tuple[frozenset[int], ...]) -> None:
-        if r < 1 or n < 0:
-            raise ValueError(f"need n >= 0 and r >= 1, got n={_shown(n)}, r={_shown(r)}")
-        if len(parts) != r:
-            raise ValueError("number of parts must equal r")
-        sizes = sorted(len(part) for part in parts)
-        if sum(sizes) != n:
-            raise ValueError("part sizes must sum to n")
-        if sizes and sizes[-1] - sizes[0] > 1:
-            raise ValueError("part sizes may differ by at most one")
-        if set().union(*parts) != set(range(1, n + 1)):
-            raise ValueError("parts must partition {1..n}")
-        _set(self, "n", n)
-        _set(self, "r", r)
-        _set(self, "parts", parts)
-
-    def part_of(self, v: int) -> int:
-        for i, part in enumerate(self.parts):
-            if v in part:
-                return i
-        raise ValueError(f"vertex {_shown(v)} not in graph")
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return u != v and self.part_of(u) != self.part_of(v)
-
-
-def turan_graph(n: int, r: int) -> TuranGraph:
-    """Partition {1..n} into r parts of size floor(n/r) or ceil(n/r)."""
+def _check_turan(n: int, r: int) -> None:
+    """ValueError unless n >= 0 and r >= 1: the Turán graph's argument check."""
     if n < 0 or r < 1:
         raise ValueError(f"need n >= 0 and r >= 1, got n={_shown(n)}, r={_shown(r)}")
-    base, extra = divmod(n, r)
-    parts = []
-    start = 1
-    for i in range(r):
-        size = base + (1 if i < extra else 0)
-        parts.append(frozenset(range(start, start + size)))
-        start += size
-    return TuranGraph(n, r, tuple(parts))
 
 
 @lru_cache(maxsize=16384)
@@ -223,7 +187,7 @@ def turan_coefficient(n: int, k: int, r: int) -> int:
     Conventions match binomial(): 1 for k = 0 (the empty clique), 0 for k < 0
     or k > r.
     """
-    if n < 0 or r < 1:
+    if n < 0 or r < 1:  # _check_turan, inline: no call on a cache miss
         raise ValueError(f"need n >= 0 and r >= 1, got n={_shown(n)}, r={_shown(r)}")
     if k < 0:
         return 0
@@ -237,15 +201,15 @@ def turan_coefficient(n: int, k: int, r: int) -> int:
 def turan_clique_count_oracle(
     n: int, k: int, r: int, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> int:
-    """Count k-cliques in the Turán graph by enumerating all k-subsets.
+    """Count the k-cliques of the Turán graph, the k-subsets of 1..n distinct mod r.
 
-    Reference implementation of the definition behind turan_coefficient;
-    intentionally independent of the closed form.
+    Its parts, the classes mod r, have floor(n/r) or ceil(n/r) vertices.  A
+    reference for turan_coefficient, independent of its closed form.
     """
     if n > limit:
         raise ValueError(f"oracle limited to n <= {_shown(limit)}, got n={_shown(n)}")
     if k < 0:
         return 0
-    # A k-subset is a clique when its vertices' part ids are all distinct.
-    part_ids = [i for i, part in enumerate(turan_graph(n, r).parts) for _ in part]
-    return sum(len(set(combo)) == k for combo in combinations(part_ids, k))
+    _check_turan(n, r)
+    colors = [v % r for v in range(1, n + 1)]
+    return sum(len(set(combo)) == k for combo in combinations(colors, k))

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations
 
-from .binomials import _Record, _check, _set, _shown, turan_graph
+from .binomials import _Record, _check, _check_turan, _set, _shown
 from .cascade import FaceVector, validate_face_vector
 
 DEFAULT_MAX_FACES = 20000
@@ -48,13 +48,6 @@ class SimplicialComplex(_Record):
     def dimension(self) -> int:
         return max(len(face) for face in self.faces) - 1
 
-    def facets(self) -> frozenset[frozenset[int]]:
-        return frozenset(
-            face
-            for face in self.faces
-            if not any(face < other for other in self.faces)
-        )
-
 
 def from_facets(facets, max_faces: int = DEFAULT_MAX_FACES) -> SimplicialComplex:
     """Downward closure of the given vertex sets."""
@@ -78,19 +71,6 @@ def f_vector(complex_: SimplicialComplex) -> FaceVector:
 # ---------------------------------------------------------------------------
 # rev-lex order and rev-lex complexes
 # ---------------------------------------------------------------------------
-
-
-def revlex_precedes(a, b) -> bool:
-    """True iff a comes before b in rev-lex order: max(a symdiff b) lies in b.
-
-    Defined for distinct sets of equal size only.
-    """
-    a, b = frozenset(a), frozenset(b)
-    if len(a) != len(b):
-        raise ValueError("rev-lex compares sets of equal size only")
-    if a == b:
-        raise ValueError("rev-lex compares distinct sets only")
-    return max(a ^ b) in b
 
 
 def revlex_ksets(m: int, k: int, r: int | None = None) -> list[frozenset[int]]:
@@ -188,13 +168,10 @@ def clique_complex(
 def turan_clique_complex(
     n: int, r: int, max_faces: int = DEFAULT_MAX_FACES
 ) -> SimplicialComplex:
-    """Clique complex of the Turán graph on n vertices with r parts."""
-    tg = turan_graph(n, r)
-    part_id = {v: i for i, part in enumerate(tg.parts) for v in part}
+    """Clique complex of the Turán graph on 1..n with r parts: u, v adjacent iff u % r != v % r."""
+    _check_turan(n, r)
     edges = frozenset(
-        frozenset((u, v))
-        for u, v in combinations(range(1, n + 1), 2)
-        if part_id[u] != part_id[v]
+        frozenset((u, v)) for u, v in combinations(range(1, n + 1), 2) if u % r != v % r
     )
     return clique_complex(Graph(frozenset(range(1, n + 1)), edges), max_faces)
 
@@ -246,26 +223,6 @@ def is_r_colorable(
 # ---------------------------------------------------------------------------
 
 
-def replicate(
-    complex_: SimplicialComplex, q: int, max_faces: int = DEFAULT_MAX_FACES
-) -> SimplicialComplex:
-    """Clone every vertex q times; clones of a face's vertices span new faces.
-
-    Sends face counts f_{i-1} to q^i * f_{i-1}.  Vertex v's clones get labels
-    (v-1)*q + 1 .. v*q.
-    """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {_shown(q)}")
-    faces = set()
-    for face in complex_.faces:
-        base = sorted(face)
-        for picks in product(range(1, q + 1), repeat=len(base)):
-            faces.add(frozenset((v - 1) * q + j for v, j in zip(base, picks)))
-            if len(faces) > max_faces:
-                raise ValueError(f"replicated complex exceeds {max_faces} faces")
-    return SimplicialComplex(frozenset(faces))
-
-
 def realize_face_vector(
     f: FaceVector, r: int | None = None, max_faces: int = DEFAULT_MAX_FACES
 ) -> SimplicialComplex:
@@ -275,8 +232,8 @@ def realize_face_vector(
     that passes validate_colored_face_vector: the complex is then r-colorable,
     by v -> v % r.  That these segments are closed downward is the colored
     compression of Frankl, Füredi and Kalai, tested but not proven here; the
-    SimplicialComplex built last raises ValueError where it fails.  Raises with the failing level if f is not a valid face vector (of an
-    r-colorable complex, given r).
+    SimplicialComplex built last raises ValueError where it fails.  An f that
+    fails validate_face_vector (the colored one, given r) raises at its level.
     """
     if r is None:
         result = validate_face_vector(f)

@@ -3,9 +3,8 @@
 Each suite checks one family of identities or inequalities exhaustively at a
 quick or full scale. A suite is a generator that yields one outcome per
 check: True for a pass, or the failure message. `_tally` is the one place
-that counts checks and collects failures, for `run_selftest` and
-`check_complex_soundness` alike. Failure messages name the offending
-identity so a broken build is diagnosable from the command line.
+that counts checks and collects failures. Failure messages name the
+offending identity so a broken build is diagnosable from the command line.
 """
 
 from __future__ import annotations
@@ -60,17 +59,12 @@ def _tally(outcomes: Iterable[bool | str]) -> tuple[int, list[str]]:
     return checks, failures
 
 
-def check_complex_soundness(cx: complexes.SimplicialComplex) -> tuple[int, list[str]]:
+def _complex_outcomes(cx: complexes.SimplicialComplex) -> Iterator[bool | str]:
     """Compare every applicable bound against the true face counts of cx.
 
     Covers the exact shadow bounds, all closed-form approximations, colored
-    bounds for every color count the complex admits, and the flag bounds when
-    the complex is flag.  Returns (checks run, failure messages).
+    bounds for each r the complex admits, and the flag bounds when it is flag.
     """
-    return _tally(_complex_outcomes(cx))
-
-
-def _complex_outcomes(cx: complexes.SimplicialComplex) -> Iterator[bool | str]:
     fv = complexes.f_vector(cx)
     entries = fv.entries
 

@@ -14,7 +14,6 @@ from kkbounds import (
     binomial,
     turan_clique_count_oracle,
     turan_coefficient,
-    turan_graph,
 )
 from kkbounds.binomials import _binom_real_at, _ratio_at
 
@@ -203,20 +202,3 @@ def test_turan_oracle_limit():
     with pytest.raises(ValueError):
         turan_clique_count_oracle(15, 2, 3)
     assert turan_clique_count_oracle(15, 2, 3, limit=15) == turan_coefficient(15, 2, 3)
-
-
-def test_turan_graph_structure():
-    for n in range(0, 13):
-        for r in range(1, 8):
-            g = turan_graph(n, r)
-            sizes = sorted(len(part) for part in g.parts)
-            assert sum(sizes) == n
-            assert len(g.parts) == r
-            if sizes:
-                assert sizes[-1] - sizes[0] <= 1
-    g = turan_graph(7, 3)
-    # vertices in the same part are non-adjacent, across parts adjacent
-    for u in range(1, 8):
-        for v in range(1, 8):
-            expected = u != v and g.part_of(u) != g.part_of(v)
-            assert g.adjacent(u, v) == expected

@@ -21,10 +21,8 @@ from kkbounds import (
     one_skeleton,
     random_complex,
     realize_face_vector,
-    replicate,
     revlex_complex,
     revlex_ksets,
-    revlex_precedes,
     serialize,
     shadow_bound,
     turan_clique_complex,
@@ -46,31 +44,6 @@ def _unrank_kset(rank: int, k: int) -> frozenset:
     return frozenset(out)
 
 
-def test_revlex_precedes_examples():
-    assert revlex_precedes({2, 3, 5}, {1, 4, 5})
-    assert revlex_precedes({3, 4, 5}, {1, 2, 6})
-    assert not revlex_precedes({1, 4, 5}, {2, 3, 5})
-
-
-def test_revlex_precedes_rejects_bad_input():
-    with pytest.raises(ValueError):
-        revlex_precedes({1, 2}, {1, 2, 3})
-    with pytest.raises(ValueError):
-        revlex_precedes({1, 2}, {2, 1})
-
-
-def test_revlex_precedes_total_order():
-    sets = [frozenset(c) for c in combinations(range(1, 7), 3)]
-    for a in sets:
-        for b in sets:
-            if a != b:
-                assert revlex_precedes(a, b) != revlex_precedes(b, a)
-    # transitivity via sorting: sorted order must agree with the comparator
-    ordered = sorted(sets, key=lambda s: tuple(sorted(s, reverse=True)))
-    for a, b in zip(ordered, ordered[1:]):
-        assert revlex_precedes(a, b)
-
-
 def test_revlex_ksets_examples():
     assert revlex_ksets(4, 2) == [
         frozenset({1, 2}),
@@ -86,7 +59,7 @@ def test_revlex_ksets_sorted_and_prefix():
     for k in (2, 3, 4):
         sets = revlex_ksets(60, k)
         for a, b in zip(sets, sets[1:]):
-            assert revlex_precedes(a, b)
+            assert max(a ^ b) in b  # a precedes b in rev-lex order
         assert revlex_ksets(59, k) == sets[:-1]
 
 
@@ -124,16 +97,15 @@ def test_f_vector_basics():
 
 
 def test_facets_are_the_maximal_faces():
-    # Nested inputs leave only the faces that no other contains; the complex
-    # {∅} has the facet ∅; and the facets of revlex_complex(m, k) are its m
-    # k-sets, which no other k-set contains.
+    # Faces inside other given sets add nothing; no sets, or only the empty
+    # one, give {∅}; and the k-faces of revlex_complex(m, k) are its m k-sets.
     nested = from_facets([(1, 2, 3), (1, 2), (3,), (2, 4), (4,), ()])
-    assert nested.facets() == {frozenset({1, 2, 3}), frozenset({2, 4})}
-    assert SimplicialComplex([()]).facets() == {frozenset()}
-    assert from_facets([]).facets() == {frozenset()}
+    assert nested == from_facets([(1, 2, 3), (2, 4)])
+    assert SimplicialComplex([()]) == from_facets([]) == from_facets([()])
     for k in range(1, 5):
         for m in range(1, 31):
-            assert revlex_complex(m, k).facets() == frozenset(revlex_ksets(m, k)), (m, k)
+            faces = {face for face in revlex_complex(m, k).faces if len(face) == k}
+            assert faces == set(revlex_ksets(m, k)), (m, k)
 
 
 def test_downward_closure_enforced():
@@ -141,20 +113,6 @@ def test_downward_closure_enforced():
         SimplicialComplex(frozenset([frozenset(), frozenset({1, 2})]))
     with pytest.raises(ValueError):
         SimplicialComplex(frozenset([frozenset({1})]))  # empty face missing
-
-
-def test_replicate():
-    edge = from_facets([(1, 2)])
-    assert f_vector(replicate(edge, 2)).entries == (1, 4, 4)
-    triangle = from_facets([(1, 2, 3)])
-    assert f_vector(replicate(triangle, 2)).entries == (1, 6, 12, 8)
-    same = replicate(triangle, 1)
-    assert f_vector(same).entries == f_vector(triangle).entries
-    for q in range(1, 5):
-        base = revlex_complex(5, 3)
-        entries = f_vector(base).entries
-        scaled = f_vector(replicate(base, q)).entries
-        assert scaled == tuple(q**i * e for i, e in enumerate(entries))
 
 
 def test_clique_complex():
@@ -173,11 +131,18 @@ def test_clique_complex():
 
 
 def test_turan_clique_complex_counts():
+    # u and v are adjacent iff u % r != v % r, the one coloring rule: the
+    # k-faces are the rainbow k-subsets of 1..n, which are the first
+    # T(n, k)_r rainbow k-sets in rev-lex order.
     for n in range(1, 13):
-        for r in range(1, 5):
-            entries = f_vector(turan_clique_complex(n, r)).entries
+        for r in range(1, 6):
+            cx = turan_clique_complex(n, r)
+            entries = f_vector(cx).entries
             for k, count in enumerate(entries):
                 assert count == turan_coefficient(n, k, r)
+                if k:
+                    faces = {face for face in cx.faces if len(face) == k}
+                    assert faces == set(revlex_ksets(count, k, r)), (n, k, r)
 
 
 def test_is_flag():
@@ -329,7 +294,6 @@ def test_every_construction_yields_valid_face_vector():
     produced = [revlex_complex(m, k) for k in (2, 3, 4) for m in (1, 7, 33)]
     produced += [turan_clique_complex(n, r) for n in (5, 9, 12) for r in (2, 3)]
     produced += [random_complex(8, d, seed=11, prune=pr) for d in (0.3, 0.7) for pr in (0.0, 0.4)]
-    produced.append(replicate(revlex_complex(4, 2), 3))
     produced.append(realize_face_vector(FaceVector((1, 6, 10, 4))))
     for cx in produced:
         fv = f_vector(cx)

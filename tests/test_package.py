@@ -15,7 +15,6 @@ from kkbounds import (
     FaceVector,
     Graph,
     SimplicialComplex,
-    TuranGraph,
     best_r,
     binom_real,
     binomial,
@@ -31,13 +30,13 @@ from kkbounds import (
     lovasz_x,
     noreasy_bound,
     random_complex,
-    replicate,
+    realize_face_vector,
     revlex_complex,
     revlex_ksets,
     shadow_bound,
+    turan_clique_complex,
     turan_clique_count_oracle,
     turan_coefficient,
-    turan_graph,
     validate_colored_face_vector,
     validate_face_vector,
     withoutr_bound,
@@ -58,7 +57,7 @@ def _defining_module(name):
 
 
 def test_every_public_name_is_its_modules_object():
-    assert len(kkbounds.__all__) == len(set(kkbounds.__all__)) == 49
+    assert len(kkbounds.__all__) == len(set(kkbounds.__all__)) == 45
     assert kkbounds.__all__ == sorted(kkbounds.__all__)
     for name in kkbounds.__all__:
         assert getattr(kkbounds, name) is getattr(_defining_module(name), name), name
@@ -89,6 +88,14 @@ def test_dir_and_unknown_names():
     assert not hasattr(kkbounds, "_definitely_not_here")
     with pytest.raises(ImportError):
         exec("from kkbounds import nope", {})
+    # Names that no command, self-test suite or README example used are gone.
+    for name in ("TuranGraph", "turan_graph", "replicate", "revlex_precedes"):
+        with pytest.raises(AttributeError):
+            getattr(kkbounds, name)
+        with pytest.raises(ImportError):
+            exec(f"from kkbounds import {name}", {})
+    assert not hasattr(SimplicialComplex, "facets")
+    assert not hasattr(importlib.import_module("kkbounds.selftest"), "check_complex_soundness")
 
 
 RECORDS = [
@@ -99,11 +106,6 @@ RECORDS = [
         "ColoredCascadeRep(k=2, r=3, terms=((6, 2, 3), (1, 1, 2)))",
     ),
     (FaceVector, ((1, 4, 6, 4, 1),), "FaceVector(entries=(1, 4, 6, 4, 1))"),
-    (
-        TuranGraph,
-        (3, 2, (frozenset({1, 2}), frozenset({3}))),
-        "TuranGraph(n=3, r=2, parts=(frozenset({1, 2}), frozenset({3})))",
-    ),
     (
         SimplicialComplex,
         ([(), (1,), (2,), (1, 2)],),
@@ -151,16 +153,8 @@ def test_records_convert_and_compare_by_value():
     assert FaceVector((1, 4)) != FaceVector((1, 5))
     assert CascadeRep(3, ((5, 3),)) != CascadeRep(4, ((5, 4),))
     assert colored_cascade_decompose(13, 2, 3) == ColoredCascadeRep(2, 3, [(6, 2, 3), (1, 1, 2)])
-    assert turan_graph(3, 2) == TuranGraph(3, 2, (frozenset({1, 2}), frozenset({3})))
     # A plain and a colored cascade are different records, whatever their fields.
     assert CascadeRep(1, ((4, 1),)) != ColoredCascadeRep(1, 1, ((4, 1, 1),))
-
-
-def test_turan_graph_still_validates():
-    with pytest.raises(ValueError):
-        TuranGraph(3, 2, (frozenset({1, 2, 3}), frozenset()))
-    with pytest.raises(ValueError):
-        TuranGraph(3, 0, ())
 
 
 def test_kept_level_cascades_equal_decompose_with_equal_hashes():
@@ -235,16 +229,16 @@ def _step_onto_the_level_above():
 LABELS = "vertex labels must be positive ints"
 OTHER_MESSAGES = [
     (lambda: turan_coefficient(-HUGE, 2, 3), f"need n >= 0 and r >= 1, got n=-{SIZE}, r=3"),
-    (lambda: turan_graph(5, -HUGE), f"need n >= 0 and r >= 1, got n=5, r=-{SIZE}"),
-    (lambda: TuranGraph(-HUGE, 1, ()), f"need n >= 0 and r >= 1, got n=-{SIZE}, r=1"),
-    (lambda: turan_graph(5, 0), "need n >= 0 and r >= 1, got n=5, r=0"),  # no division by 0
-    # At once, not after building r parts.
-    (lambda: turan_graph(-1, HUGE), f"need n >= 0 and r >= 1, got n=-1, r={SIZE}"),
+    (lambda: turan_clique_complex(5, -HUGE), f"need n >= 0 and r >= 1, got n=5, r=-{SIZE}"),
+    (lambda: turan_clique_complex(-HUGE, 1), f"need n >= 0 and r >= 1, got n=-{SIZE}, r=1"),
+    (lambda: turan_clique_complex(5, 0), "need n >= 0 and r >= 1, got n=5, r=0"),  # no v % 0
+    # Before anything is built: unchecked, n = -1 would give the complex {∅}.
+    (lambda: turan_clique_complex(-1, HUGE), f"need n >= 0 and r >= 1, got n=-1, r={SIZE}"),
     (lambda: turan_clique_count_oracle(-1, 2, HUGE), f"need n >= 0 and r >= 1, got n=-1, r={SIZE}"),
     (lambda: turan_clique_count_oracle(HUGE, 2, 3), f"oracle limited to n <= 14, got n={SIZE}"),
     (lambda: validate_colored_face_vector(FaceVector((1,)), -HUGE), f"r must be >= 1, got -{SIZE}"),
     (lambda: is_r_colorable(revlex_complex(2, 2), -HUGE), f"r must be >= 1, got -{SIZE}"),
-    (lambda: replicate(revlex_complex(2, 2), -HUGE), f"q must be >= 1, got -{SIZE}"),
+    (lambda: turan_clique_count_oracle(5, 2, 0), "need n >= 0 and r >= 1, got n=5, r=0"),
     (lambda: random_complex(HUGE, 0.5, 0), f"need 0 <= n <= 14, got n={SIZE}"),
     # k = 20 puts every column of the row at m = HUGE within float range.
     (
@@ -263,7 +257,7 @@ OTHER_MESSAGES = [
     (lambda: SimplicialComplex([(), (-HUGE,)]), f"{LABELS}, got -{SIZE}"),
     (lambda: SimplicialComplex([(), ("a",)]), f"{LABELS}, got 'a'"),  # not an int: its repr
     (lambda: Graph([-HUGE], []), f"{LABELS}, got -{SIZE}"),
-    (lambda: turan_graph(3, 2).part_of(HUGE), f"vertex {SIZE} not in graph"),
+    (lambda: realize_face_vector(FaceVector((1,)), -HUGE), f"r must be >= 1, got -{SIZE}"),
     (_step_onto_the_level_above, f"term ({SIZE}, 1) is not within 1 <= j <= n < {SIZE}"),
     # The greedy below a kept level (n, j, T(n, j)_c, T(n+1, j)_c, shadow) at
     # n = HUGE, whose stored values hold the whole remainder, meets a
